@@ -1,16 +1,18 @@
-"""Dense exact linear algebra over the rationals.
+"""Dense exact linear algebra over the rationals, eliminated in integers.
 
-Two small routines back the constrained least-squares projection:
-Gaussian elimination with partial pivoting for square systems, and a
-rank-revealing sweep that keeps a maximal independent subset of
-constraint rows while checking that the discarded rows are consistent.
-Fractions make both exact; partial pivoting (largest remaining entry in
-the column) is kept for uniformity with the floating convention even
-though exact arithmetic only needs a nonzero pivot.
+Two routines back the projection onto the context-sum-one subspace: a
+square solve (for the normal equations ``A Aᵀ μ = A p̂ − 1``) and a
+rank-revealing sweep that keeps a maximal independent subset of rows
+while checking that the discarded rows are consistent.  Rows are scaled
+to integers and eliminated fraction-free (Bareiss, *Math. Comp.* 22,
+1968): after k steps every entry is a (k+1)-minor, so dividing by the
+previous pivot is exact.  Exact arithmetic needs only a nonzero pivot,
+so the first one in the column is taken.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -19,25 +21,50 @@ from .errors import SingularKKTError
 __all__ = ["solve_exact", "independent_rows"]
 
 
+def _integer_rows(
+    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+) -> list[list[int]]:
+    """Each row with its right-hand side appended, scaled to integers.
+    Entries are ints or Fractions (anything with ``numerator`` and
+    ``denominator``)."""
+    out = []
+    for row, b in zip(rows, rhs):
+        values = [*row, b]
+        scale = math.lcm(*(v.denominator for v in values))
+        out.append([v.numerator * (scale // v.denominator) for v in values])
+    return out
+
+
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by elimination with partial
-    pivoting; raises ``SingularKKTError`` on a singular matrix."""
+    """Solve a square rational system by Bareiss elimination; raises
+    ``SingularKKTError`` on a singular matrix.  Entries are ints or
+    Fractions."""
     n = len(rhs)
-    a = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(matrix)]
-    if any(len(row) != n + 1 for row in a):
+    if len(matrix) != n or any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square or rhs length mismatches")
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if a[pivot][col] == 0:
+    # One common denominator for the right-hand side keeps its large
+    # denominators in one column instead of scaling every row.
+    d = math.lcm(*(b.denominator for b in rhs))
+    a = _integer_rows(matrix, [b * d for b in rhs])
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
             raise SingularKKTError("singular system in exact solve")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = Fraction(1) / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [v - f * p for v, p in zip(a[r], a[col])]
-    return [a[i][n] for i in range(n)]
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k][k + 1:]
+        p = a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * v - f * t) // prev for v, t in zip(row[k + 1:], top)]
+        prev = p
+    # The last pivot is ±det; det · x is an integer vector, so
+    # back-substitution for it divides exactly.
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        y[i] = (prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return [Fraction(v, prev * d) for v in y]
 
 
 def independent_rows(
@@ -49,25 +76,23 @@ def independent_rows(
     with it; otherwise the constraint set is inconsistent and
     ``SingularKKTError`` is raised.
     """
-    work = [list(map(Fraction, row)) + [Fraction(rhs[i])] for i, row in enumerate(rows)]
-    n_cols = len(rows[0]) if rows else 0
     kept: list[int] = []
-    pivots: list[tuple[int, list[Fraction]]] = []
-    for i, row in enumerate(work):
-        for col, pivot_row in pivots:
-            if row[col] != 0:
-                f = row[col]
-                row[:] = [v - f * p for v, p in zip(row, pivot_row)]
-        lead = next((c for c in range(n_cols) if row[c] != 0), None)
+    pivots: list[tuple[int, list[int]]] = []  # (lead column, reduced row)
+    for i, row in enumerate(_integer_rows(rows, rhs)):
+        prev = 1
+        for col, top in pivots:
+            p, f = top[col], row[col]
+            if f or p != prev:
+                row = [(p * v - f * t) // prev for v, t in zip(row, top)]
+            prev = p
+        lead = next((c for c, v in enumerate(row[:-1]) if v), None)
         if lead is None:
-            if row[-1] != 0:
+            if row[-1]:
                 raise SingularKKTError(
                     "inconsistent constraints: a dependent context sum "
                     "disagrees with the others"
                 )
             continue
-        inv = Fraction(1) / row[lead]
-        row[:] = [v * inv for v in row]
         pivots.append((lead, row))
         kept.append(i)
     return kept

@@ -196,8 +196,8 @@ def cmd_glue_check(args) -> int:
     embedded = None
     if isinstance(doc, dict) and "link" in doc:
         # representation output embeds the link it was built with
-        doc = {k: v for k, v in doc.items() if k != "link"}
-        embedded = link_from_json_dict(_load_json(args.scores)["link"])
+        doc = dict(doc)
+        embedded = link_from_json_dict(doc.pop("link"))
     scores = scores_from_json_dict(doc)
     link = embedded if args.link is None and embedded is not None else _make_link(args)
     family = context_softmax(structure, scores, link)
@@ -278,9 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument(
         "--tol", type=float, default=DEFAULT_TOL, help="float-mode tolerance"
-    )
-    common.add_argument(
-        "--seed", type=int, default=None, help="seed for sampling helpers"
     )
     common.add_argument("--out", default=None, help="write output here instead of stdout")
 
@@ -373,9 +370,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
     except PastedLogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

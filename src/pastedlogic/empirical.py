@@ -29,8 +29,6 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from ._linalg import independent_rows, solve_exact
 from .bounds import RegionReport, classify_weight
 from .errors import (
@@ -343,12 +341,13 @@ class ReconstructedWeight:
 
     ``p_hat`` pools each atom's counts over the contexts containing it;
     its context sums generally miss 1, recorded in ``residuals``.
-    ``p_star`` is the Euclidean projection, computed from the symmetric
-    indefinite KKT system of the equality-constrained least-squares
-    problem; redundant context constraints are dropped by exact rank
-    reduction first.  ``box_violations`` lists atoms where the
-    projection leaves [0, 1], in which case classification downstream is
-    withheld.
+    ``p_star`` is the Euclidean projection.  Redundant context
+    constraints are dropped by exact rank reduction first; the kept
+    contexts' multipliers solve the normal equations
+    ``A Aᵀ μ = A p̂ − 1`` (``A Aᵀ`` counts the atoms two contexts share),
+    and ``p_star = p̂ − Aᵀ μ``.  ``multipliers`` is keyed by the kept
+    contexts.  ``box_violations`` lists atoms where the projection
+    leaves [0, 1], in which case classification downstream is withheld.
     """
 
     p_hat: Weight
@@ -370,52 +369,30 @@ class ReconstructedWeight:
 def reconstruct_weight(data: CountData) -> ReconstructedWeight:
     structure = data.structure
     atoms = structure.atoms
-    index = structure.atom_index
-
-    pooled: dict[str, Fraction] = {}
-    for a in atoms:
-        num = 0
-        den = 0
-        for name in incidence(structure).contexts_of[a]:
-            num += data.counts[name][a]
-            den += data.totals[name]
-        pooled[a] = Fraction(num, den)
-
-    rows = []
-    rhs = []
-    for ctx in structure.contexts:
-        row = [Fraction(0)] * len(atoms)
-        for a in ctx:
-            row[index[a]] = Fraction(1)
-        rows.append(row)
-        rhs.append(Fraction(1))
+    names = structure.context_names
+    sets = structure.context_sets
+    contexts_of = incidence(structure).contexts_of
+    pooled = {
+        a: Fraction(sum(data.counts[n][a] for n in contexts_of[a]),
+                    sum(data.totals[n] for n in contexts_of[a]))
+        for a in atoms
+    }
     residuals = {
         name: Fraction(1) - sum(pooled[a] for a in ctx)
-        for name, ctx in zip(structure.context_names, structure.contexts)
+        for name, ctx in zip(names, structure.contexts)
     }
 
-    kept = independent_rows(rows, rhs)
-    m = len(kept)
-    n = len(atoms)
-    size = n + m
-    kkt = [[Fraction(0)] * size for _ in range(size)]
-    vec = [Fraction(0)] * size
-    for i in range(n):
-        kkt[i][i] = Fraction(1)
-        vec[i] = pooled[atoms[i]]
-    for r, row_idx in enumerate(kept):
-        row = rows[row_idx]
-        for i in range(n):
-            kkt[i][n + r] = row[i]
-            kkt[n + r][i] = row[i]
-        vec[n + r] = rhs[row_idx]
-    solution = solve_exact(kkt, vec)
+    # Normal equations over a full-rank subset of the context rows.
+    rows = [[int(a in s) for a in atoms] for s in sets]
+    kept = independent_rows(rows, [1] * len(rows))
+    gram = [[len(sets[i] & sets[j]) for j in kept] for i in kept]
+    mu = solve_exact(gram, [-residuals[names[i]] for i in kept])
 
-    star = {a: solution[i] for i, a in enumerate(atoms)}
-    multipliers = {
-        structure.context_names[row_idx]: solution[n + r]
-        for r, row_idx in enumerate(kept)
-    }
+    star = dict(pooled)
+    for i, m in zip(kept, mu):
+        for a in structure.contexts[i]:
+            star[a] -= m
+    multipliers = {names[i]: m for i, m in zip(kept, mu)}
     violations = tuple(a for a in atoms if not 0 <= star[a] <= 1)
     return ReconstructedWeight(
         make_weight(structure, pooled),
@@ -502,6 +479,8 @@ def sample_counts(
     order from one seeded generator, so the result is a pure function of
     (structure, weight, sizes, seed).
     """
+    import numpy as np  # only sampling needs numpy; keep it off import time
+
     rng = np.random.default_rng(seed)
     raw: dict[str, dict[str, int]] = {}
     for name, ctx in zip(structure.context_names, structure.contexts):

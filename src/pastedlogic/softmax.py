@@ -21,6 +21,7 @@ for small alpha > 0 makes every normaliser equal alpha.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
@@ -472,9 +473,9 @@ def _fundamental_cycles(
             continue
         parent[root] = None
         depth[root] = 0
-        queue = [root]
+        queue = deque([root])
         while queue:
-            u = queue.pop(0)
+            u = queue.popleft()
             order.append(u)
             for v in neighbours[u]:
                 if v not in parent:

@@ -299,6 +299,22 @@ class TestAnalyze:
     def test_missing_data_file_exits_2(self, capsys):
         assert cli.main(["analyze", "--data", "absent.json"]) == 2
 
+    def test_inconsistent_context_sums_exit_2_with_one_line(self, tmp_path, capsys):
+        # {a,b} + {c} = {a,b,c}: no weight can give all three sums 1
+        structure = pl.build_event_structure(
+            list("abc"), [["a", "b"], ["c"], ["a", "b", "c"]]
+        )
+        data = write_json(tmp_path, "counts.json", {
+            "structure": structure.to_json_dict(),
+            "counts": {"C1": {"a": 1, "b": 1}, "C2": {"c": 3},
+                       "C3": {"a": 1, "b": 1, "c": 1}},
+        })
+        assert cli.main(["analyze", "--data", data]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: inconsistent constraints")
+        assert captured.err.count("\n") == 1
+
 
 class TestEntryPoints:
     def test_module_invocation(self):

@@ -3,6 +3,9 @@ and the assembled analyze pipeline."""
 
 import json
 import math
+import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -14,6 +17,7 @@ from pastedlogic import (
     EmptyContextSampleError,
     NegativeCountError,
     SchemaError,
+    SingularKKTError,
     UnknownAtomError,
 )
 from pastedlogic.empirical import BETWEEN_SAMPLES_NOTE
@@ -28,6 +32,46 @@ def fork():
 
 def ingest(structure, raw):
     return pl.ingest_counts({"structure": structure.to_json_dict(), "counts": raw})
+
+
+def pentagon_pair():
+    """Two pentagons pasted along the shared context C1 = {a1, a2, x1}."""
+    first = pl.cycle_logic(5)
+    second = [
+        ("a2", "b3", "y2"), ("b3", "b4", "y3"), ("b4", "b5", "y4"), ("b5", "a1", "y5"),
+    ]
+    atoms = list(first.atoms) + ["b3", "b4", "b5", "y2", "y3", "y4", "y5"]
+    return pl.build_event_structure(
+        atoms,
+        list(first.contexts) + second,
+        list(first.context_names) + ["D2", "D3", "D4", "D5"],
+    )
+
+
+def kkt_oracle(structure, p_hat):
+    """Projection onto {p : every context sums to 1} from the (n+m)
+    system [[I, A^T], [A, 0]] [p; mu] = [p_hat; 1], by Fraction
+    Gauss-Jordan.  Needs independent context rows."""
+    atoms, sets = structure.atoms, structure.context_sets
+    n, m = len(atoms), len(sets)
+    rows = [[Fraction(int(i == j)) for j in range(n)]
+            + [Fraction(int(atoms[i] in s)) for s in sets] + [p_hat[atoms[i]]]
+            for i in range(n)]
+    rows += [[Fraction(int(a in s)) for a in atoms] + [Fraction(0)] * m + [Fraction(1)]
+             for s in sets]
+    for col in range(n + m):
+        pivot = next(r for r in range(col, n + m) if rows[r][col] != 0)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n + m):
+            if r != col and rows[r][col] != 0:
+                f = rows[r][col]
+                rows[r] = [v - f * w for v, w in zip(rows[r], rows[col])]
+    solution = [row[-1] for row in rows]
+    return (
+        dict(zip(atoms, solution[:n])),
+        dict(zip(structure.context_names, solution[n:])),
+    )
 
 
 # Counts whose exact projection leaves [0, 1] on a3 while the z gate
@@ -343,6 +387,52 @@ class TestReconstruct:
         assert rec.box_violations == ("a3",)
         assert rec.p_star["a3"] == Fraction(-12098, 53625)
 
+    def test_rank_deficient_structure_drops_a_dependent_context(self):
+        # 2x2 grid: C1 + C2 = C3 + C4 as atom sets, so C4 is dropped
+        grid = pl.build_event_structure(
+            list("abcd"), [["a", "b"], ["c", "d"], ["a", "c"], ["b", "d"]]
+        )
+        data = ingest(grid, {
+            "C1": {"a": 3, "b": 1}, "C2": {"c": 4, "d": 2},
+            "C3": {"a": 1, "c": 2}, "C4": {"b": 2, "d": 5},
+        })
+        rec = pl.reconstruct_weight(data)
+        assert rec.multipliers == {
+            "C1": Fraction(-1109, 6006),
+            "C2": Fraction(-25, 6006),
+            "C3": Fraction(641, 3003),
+        }
+        assert list(rec.multipliers) == ["C1", "C2", "C3"]
+        for ctx in grid.contexts:
+            assert sum(rec.p_star[a] for a in ctx) == 1
+        assert rec.box_violations == ()
+
+    def test_inconsistent_context_sums_raise(self):
+        # {a,b} + {c} = {a,b,c} as atom sets, but the sums are 1 + 1 != 1
+        S = pl.build_event_structure(list("abc"), [["a", "b"], ["c"], ["a", "b", "c"]])
+        data = ingest(S, {
+            "C1": {"a": 1, "b": 1}, "C2": {"c": 3}, "C3": {"a": 1, "b": 1, "c": 1},
+        })
+        with pytest.raises(SingularKKTError, match="inconsistent constraints"):
+            pl.reconstruct_weight(data)
+
+    @pytest.mark.parametrize(
+        "structure",
+        [pl.cycle_logic(5), pentagon_pair(), pl.cycle_logic(21)],
+        ids=["C5", "pentagon-pair", "C21"],
+    )
+    def test_projection_matches_kkt_oracle(self, structure):
+        rng = random.Random(len(structure.atoms))
+        counts = {
+            name: {a: rng.randint(1, 2000) for a in ctx}
+            for name, ctx in zip(structure.context_names, structure.contexts)
+        }
+        rec = pl.reconstruct_weight(ingest(structure, counts))
+        assert any(r != 0 for r in rec.residuals.values())
+        p_star, multipliers = kkt_oracle(structure, rec.p_hat)
+        assert {a: rec.p_star[a] for a in structure.atoms} == p_star
+        assert list(rec.multipliers.items()) == list(multipliers.items())
+
     def test_report_json_shape(self, pentagon):
         data = pl.sample_counts(pentagon, pl.path_weight(pentagon, Fraction(1, 3)), 40, 1)
         doc = pl.reconstruct_weight(data).to_json_dict()
@@ -401,6 +491,13 @@ class TestSampleCounts:
         assert all(t == 250 for t in pl.sample_counts(pentagon, w, 250, 0).totals.values())
         sizes = {"C1": 10, "C2": 20, "C3": 30, "C4": 40, "C5": 50}
         assert pl.sample_counts(pentagon, w, sizes, 0).totals == sizes
+
+    def test_numpy_is_imported_only_for_sampling(self):
+        probe = "import sys, pastedlogic; print('numpy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
     def test_zero_probability_atoms_never_drawn(self, pentagon):
         data = pl.sample_counts(pentagon, pl.half_weight(pentagon), 100, 7)
