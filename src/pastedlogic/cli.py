@@ -10,7 +10,6 @@ the empirical gates.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -25,13 +24,21 @@ from .bounds import (
     cycle_bounds,
     path_thresholds,
 )
-from .empirical import analyze, ingest_counts
+from .empirical import DEFAULT_Z_THRESHOLD, analyze, ingest_counts
 from .errors import PastedLogicError, ValidationError
-from .numeric import DEFAULT_TOL, FLOAT, RATIONAL, dumps, numeric_to_json
+from .numeric import (
+    DEFAULT_TOL,
+    FLOAT,
+    RATIONAL,
+    dumps,
+    load_json,
+    numeric_from_json,
+    numeric_to_json,
+    values_from_json,
+)
 from .softmax import (
-    ExponentialLink,
-    IdentityLink,
-    PowerLink,
+    LINK_KINDS,
+    LinkFunction,
     context_softmax,
     gluing_check,
     link_from_json_dict,
@@ -39,7 +46,7 @@ from .softmax import (
     represent_weight,
     scores_from_json_dict,
 )
-from .states import enumerate_two_valued_states
+from .states import DEFAULT_ENUMERATION_LIMIT, enumerate_two_valued_states
 from .structures import cycle_logic, structure_from_json_dict
 from .weights import (
     check_admissible,
@@ -65,21 +72,12 @@ _LABEL_EXIT = {
 }
 
 
-def _load_json(path: str):
-    try:
-        return json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise ValidationError(f"no such file: {path}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid JSON in {path}: {exc}") from exc
-
-
 def _load_structure(path: str):
-    return structure_from_json_dict(_load_json(path))
+    return structure_from_json_dict(load_json(path))
 
 
 def _load_weight(path: str, structure, mode: str | None):
-    w = weight_from_json_dict(_load_json(path), structure)
+    w = weight_from_json_dict(load_json(path), structure)
     if mode == RATIONAL:
         return to_rational(w)
     if mode == FLOAT:
@@ -87,12 +85,13 @@ def _load_weight(path: str, structure, mode: str | None):
     return w
 
 
-def _make_link(args) -> ExponentialLink | IdentityLink | PowerLink:
-    if args.link in (None, "exponential"):
-        return ExponentialLink(args.beta)
-    if args.link == "identity":
-        return IdentityLink()
-    return PowerLink(args.k)
+def _link(args, embedded=None) -> LinkFunction:
+    """The link --link/--beta/--k describe when any is given, else the
+    one a scores file embeds, else exponential."""
+    given = {p: getattr(args, p) for p in ("beta", "k") if getattr(args, p) is not None}
+    if embedded is None or args.link is not None or given:
+        embedded = {"kind": args.link or "exponential", **given}
+    return link_from_json_dict(embedded)
 
 
 def _emit(args, payload) -> None:
@@ -181,8 +180,8 @@ def cmd_classify(args) -> int:
 def cmd_represent(args) -> int:
     structure = _load_structure(args.structure)
     weight = _load_weight(args.weight, structure, args.mode)
-    link = _make_link(args)
-    alpha = Fraction(args.alpha) if args.alpha else None
+    link = _link(args)
+    alpha = None if args.alpha is None else numeric_from_json(args.alpha)
     scores = represent_weight(structure, weight, link, alpha)
     payload = scores.to_json_dict()
     payload["link"] = link.to_json_dict()
@@ -192,14 +191,14 @@ def cmd_represent(args) -> int:
 
 def cmd_glue_check(args) -> int:
     structure = _load_structure(args.structure)
-    doc = _load_json(args.scores)
+    doc = load_json(args.scores)
     embedded = None
     if isinstance(doc, dict) and "link" in doc:
         # representation output embeds the link it was built with
         doc = dict(doc)
-        embedded = link_from_json_dict(doc.pop("link"))
+        embedded = doc.pop("link")
     scores = scores_from_json_dict(doc)
-    link = embedded if args.link is None and embedded is not None else _make_link(args)
+    link = _link(args, embedded)
     family = context_softmax(structure, scores, link)
     report = gluing_check(family, args.tol)
     _emit(args, report.to_json_dict())
@@ -211,8 +210,8 @@ def cmd_sweep(args) -> int:
     bounds = cycle_bounds(args.n)
     structure = cycle_logic(args.n)
     r_classical, r_theta = path_thresholds(args.n)
-    lo = Fraction(args.r_min)
-    hi = Fraction(args.r_max)
+    lo = numeric_from_json(args.r_min)
+    hi = numeric_from_json(args.r_max)
     if not hi > lo >= 0:
         raise ValidationError("need 0 <= r-min < r-max")
     lines = ["r,cyclic_sum,exceeds_classical,exceeds_theta"]
@@ -229,10 +228,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_maxent(args) -> int:
-    doc = _load_json(args.scores)
-    if not isinstance(doc, dict) or not doc:
-        raise ValidationError("scores file must be a non-empty JSON object")
-    scores = {str(k): float(v) for k, v in doc.items()}
+    scores = values_from_json(load_json(args.scores), "scores file")
     beta, distribution = maxent_softmax(scores, args.target, args.tol)
     _emit(
         args,
@@ -269,98 +265,81 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument("--version", action="version", version=__version__)
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None, help="write output here instead of stdout")
+    mode = argparse.ArgumentParser(add_help=False)
+    mode.add_argument(
         "--mode",
         choices=[RATIONAL, FLOAT],
         default=None,
         help="coerce input weights to one numeric mode (default: keep as given)",
     )
-    common.add_argument(
-        "--tol", type=float, default=DEFAULT_TOL, help="float-mode tolerance"
-    )
-    common.add_argument("--out", default=None, help="write output here instead of stdout")
-
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gen-cycle", parents=[common], help="emit the n-cycle structure")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(func=cmd_gen_cycle)
-
-    p = sub.add_parser(
-        "table1", parents=[common], help="pentagon three-regime table (midpoint/uniform/half)"
-    )
-    p.set_defaults(func=cmd_table1)
-
-    p = sub.add_parser("check", parents=[common], help="admissibility report for a weight")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--weight", required=True)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("enumerate", parents=[common], help="list all two-valued states")
-    p.add_argument("--structure", required=True)
-    p.add_argument("--limit", type=int, default=10**6)
-    p.set_defaults(func=cmd_enumerate)
-
-    p = sub.add_parser(
-        "classify", parents=[common], help="region classification with certificates"
-    )
-    p.add_argument("--structure", required=True)
-    p.add_argument("--weight", required=True)
-    p.set_defaults(func=cmd_classify)
-
-    link_parent = argparse.ArgumentParser(add_help=False)
-    link_parent.add_argument(
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=DEFAULT_TOL, help="float-mode tolerance")
+    link = argparse.ArgumentParser(add_help=False)
+    link.add_argument(
         "--link",
-        choices=["exponential", "identity", "power"],
+        choices=list(LINK_KINDS),
         default=None,
         help="default: exponential, or the link embedded in a scores file",
     )
-    link_parent.add_argument("--beta", type=float, default=1.0)
-    link_parent.add_argument("--k", type=float, default=2.0)
+    link.add_argument("--beta", default=None, help="exponential link: beta > 0")
+    link.add_argument("--k", default=None, help="power link: exponent k > 0")
 
-    p = sub.add_parser(
-        "represent",
-        parents=[common, link_parent],
-        help="global scores reproducing a strictly positive weight",
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def command(name, func, help, *parents):
+        p = sub.add_parser(name, parents=[*parents, out], help=help)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen-cycle", cmd_gen_cycle, "emit the n-cycle structure")
+    p.add_argument("--n", type=int, required=True)
+
+    command("table1", cmd_table1, "pentagon three-regime table (midpoint/uniform/half)")
+
+    p = command("check", cmd_check, "admissibility report for a weight", mode, tol)
+    p.add_argument("--structure", required=True)
+    p.add_argument("--weight", required=True)
+
+    p = command("enumerate", cmd_enumerate, "list all two-valued states")
+    p.add_argument("--structure", required=True)
+    p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
+
+    p = command(
+        "classify", cmd_classify, "region classification with certificates", mode, tol
+    )
+    p.add_argument("--structure", required=True)
+    p.add_argument("--weight", required=True)
+
+    p = command(
+        "represent", cmd_represent, "global scores reproducing a strictly positive weight",
+        mode, link,
     )
     p.add_argument("--structure", required=True)
     p.add_argument("--weight", required=True)
     p.add_argument("--alpha", default=None, help="scale (rational literal); default auto")
-    p.set_defaults(func=cmd_represent)
 
-    p = sub.add_parser(
-        "glue-check",
-        parents=[common, link_parent],
-        help="do per-context softmax distributions glue?",
+    p = command(
+        "glue-check", cmd_glue_check, "do per-context softmax distributions glue?", tol, link
     )
     p.add_argument("--structure", required=True)
     p.add_argument("--scores", required=True)
-    p.set_defaults(func=cmd_glue_check)
 
-    p = sub.add_parser(
-        "sweep", parents=[common], help="CSV sweep of the path family against the bounds"
-    )
+    p = command("sweep", cmd_sweep, "CSV sweep of the path family against the bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--r-min", default="0")
     p.add_argument("--r-max", default="1")
     p.add_argument("--points", type=int, default=1000)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser(
-        "maxent", parents=[common], help="softmax matching a mean-score constraint"
-    )
+    p = command("maxent", cmd_maxent, "softmax matching a mean-score constraint", tol)
     p.add_argument("--scores", required=True, help="JSON file: outcome -> score")
     p.add_argument("--target", type=float, required=True)
-    p.set_defaults(func=cmd_maxent)
 
-    p = sub.add_parser(
-        "analyze", parents=[common], help="counts -> gate -> reconstruct -> classify"
-    )
+    p = command("analyze", cmd_analyze, "counts -> gate -> reconstruct -> classify", tol)
     p.add_argument("--data", required=True, help="JSON count document or CSV file")
     p.add_argument("--structure", default=None, help="structure file (required for CSV)")
-    p.add_argument("--z-threshold", type=float, default=1.96)
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--z-threshold", type=float, default=DEFAULT_Z_THRESHOLD)
 
     return parser
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +36,7 @@ from .errors import (
     SchemaError,
     UnknownAtomError,
 )
-from .numeric import DEFAULT_TOL, numeric_to_json
+from .numeric import DEFAULT_TOL, load_json, numeric_to_json, read_text
 from .structures import EventStructure, incidence, structure_from_json_dict
 from .weights import Weight, make_weight
 
@@ -89,6 +88,8 @@ class CountData:
 def _validate_counts(
     structure: EventStructure, raw: Mapping[str, Mapping[str, Any]]
 ) -> CountData:
+    if not isinstance(raw, Mapping):
+        raise SchemaError("'counts' must be a JSON object")
     known = set(structure.context_names)
     unknown = set(raw) - known
     if unknown:
@@ -142,16 +143,10 @@ def ingest_counts(
     if isinstance(source, (str, Path)):
         path = Path(source)
         base = path.parent
-        try:
-            text = path.read_text()
-        except OSError as exc:
-            raise SchemaError(f"no such file: {path}") from exc
+        text = read_text(path)
         if path.suffix.lower() == ".csv":
             return _ingest_csv(text, structure)
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"invalid JSON in {path}: {exc}") from exc
+        doc = load_json(path, text)
     elif isinstance(source, Mapping):
         doc = source
     else:
@@ -168,14 +163,9 @@ def ingest_counts(
         raise SchemaError("count document is missing 'counts'")
     if "structure" in doc:
         ref = doc["structure"]
-        if isinstance(ref, str):
-            try:
-                text = (base / ref).read_text()
-            except OSError as exc:
-                raise SchemaError(f"no such file: {base / ref}") from exc
-            structure = structure_from_json_dict(json.loads(text))
-        else:
-            structure = structure_from_json_dict(ref)
+        structure = structure_from_json_dict(
+            load_json(base / ref) if isinstance(ref, str) else ref
+        )
     if structure is None:
         raise SchemaError("no structure: embed one or pass it explicitly")
     return _validate_counts(structure, doc["counts"])
@@ -293,7 +283,6 @@ def single_valuedness_test(
     makes the denominator vanish: a zero gap then counts as agreement,
     a nonzero gap is flagged degenerate and fails the gate.
     """
-    est = estimate_frequencies(data)
     inc = incidence(data.structure)
     entries: list[PairStatistic] = []
     max_abs = 0.0
@@ -307,7 +296,7 @@ def single_valuedness_test(
                 ca, cb = holders[i], holders[j]
                 na, nb = data.totals[ca], data.totals[cb]
                 ka, kb = data.counts[ca][atom], data.counts[cb][atom]
-                fa, fb = est.frequencies[ca][atom], est.frequencies[cb][atom]
+                fa, fb = Fraction(ka, na), Fraction(kb, nb)
                 gap = abs(fa - fb)
                 pooled = Fraction(ka + kb, na + nb)
                 if pooled in (0, 1):

@@ -1,11 +1,13 @@
-"""Dual-mode numerics: exact rationals next to floats, plus JSON rendering.
+"""Dual-mode numerics: exact rationals next to floats, plus JSON I/O.
 
 Values live in one of two modes.  ``"rational"`` values are
 :class:`fractions.Fraction` (integers are accepted and normalised on
 input); all comparisons in that mode are exact.  ``"float"`` values are
 binary doubles compared against a tolerance.  JSON output renders
 rationals as ``"num/den"`` strings and floats as numbers rounded to 12
-significant digits, which keeps every report byte-deterministic.
+significant digits, which keeps every report byte-deterministic.  Input
+files and literals are read here too, and every way they can be
+malformed is a ValidationError.
 """
 
 from __future__ import annotations
@@ -13,9 +15,10 @@ from __future__ import annotations
 import json
 import math
 from fractions import Fraction
-from typing import Any, Iterable, Mapping
+from pathlib import Path
+from typing import Any, Mapping
 
-from .errors import ValidationError
+from .errors import SchemaError, ValidationError
 
 RATIONAL = "rational"
 FLOAT = "float"
@@ -41,6 +44,14 @@ def as_fraction(value: Any) -> Fraction:
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"cannot convert non-finite {value!r} to a rational")
     return Fraction(value)
+
+
+def as_float(value: Any) -> float:
+    """float(), with overflow reported as a ValidationError."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise ValidationError("number too large for a float") from None
 
 
 def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[dict, str]:
@@ -73,7 +84,7 @@ def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[d
                 + ", ".join(sorted(bad))
             )
         return {k: Fraction(v) for k, v in values.items()}, RATIONAL
-    return {k: float(v) for k, v in values.items()}, FLOAT
+    return {k: as_float(v) for k, v in values.items()}, FLOAT
 
 
 def numeric_to_json(value: Any) -> Any:
@@ -104,6 +115,38 @@ def numeric_from_json(value: Any) -> Fraction | float:
     if isinstance(value, float):
         return value
     raise ValidationError(f"expected a number, got {value!r}")
+
+
+def values_from_json(doc: Any, what: str) -> dict[str, Fraction | float]:
+    """Parse a JSON object of name -> number with ``numeric_from_json``."""
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{what} must be a JSON object")
+    return {str(k): numeric_from_json(v) for k, v in doc.items()}
+
+
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; an unreadable or undecodable file is a
+    SchemaError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise SchemaError(f"no such file: {path}") from None
+    except OSError as exc:
+        raise SchemaError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise SchemaError(f"{path} is not UTF-8 text: {exc.reason}") from None
+
+
+def load_json(path: str | Path | None, text: str | None = None) -> Any:
+    """Decode ``text``, or else the file at ``path``; every failure is a
+    SchemaError.  The package decodes JSON nowhere else."""
+    if text is None:
+        text = read_text(path)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        where = "" if path is None else f" in {path}"
+        raise SchemaError(f"invalid JSON{where}: {exc}") from exc
 
 
 def round12(x: float) -> float | str:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
 
@@ -41,7 +41,15 @@ from .errors import (
     UnknownAtomError,
     ValidationError,
 )
-from .numeric import DEFAULT_TOL, FLOAT, RATIONAL, numeric_from_json, numeric_to_json
+from .numeric import (
+    DEFAULT_TOL,
+    FLOAT,
+    RATIONAL,
+    as_float,
+    numeric_from_json,
+    numeric_to_json,
+    values_from_json,
+)
 from .structures import EventStructure, connected_components, cycle_form, incidence
 from .weights import Numeric, Weight, check_admissible, half_weight, make_weight, path_weight
 
@@ -176,22 +184,23 @@ class PowerLink(LinkFunction):
         return {"kind": self.kind, "k": self.k}
 
 
+LINK_KINDS = {link.kind: link for link in (ExponentialLink, IdentityLink, PowerLink)}
+
+
 def link_from_json_dict(doc: Mapping) -> LinkFunction:
+    """Parse ``{"kind": ..., <parameters>}``: a kind takes only the fields of
+    its dataclass (exponential ``beta``, identity none, power ``k``)."""
     if not isinstance(doc, Mapping) or "kind" not in doc:
         raise SchemaError("link must be an object with a 'kind' field")
     kind = doc["kind"]
-    extra = set(doc) - {"kind", "beta", "k"}
+    if not isinstance(kind, str) or kind not in LINK_KINDS:
+        raise SchemaError(f"unknown link kind {kind!r}")
+    link = LINK_KINDS[kind]
+    params = {f.name for f in fields(link)}
+    extra = set(doc) - params - {"kind"}
     if extra:
-        raise SchemaError("link has unknown fields: " + ", ".join(sorted(extra)))
-    if kind == "exponential":
-        return ExponentialLink(float(doc.get("beta", 1.0)))
-    if kind == "identity":
-        if set(doc) - {"kind"}:
-            raise SchemaError("identity link takes no parameters")
-        return IdentityLink()
-    if kind == "power":
-        return PowerLink(float(doc.get("k", 2.0)))
-    raise SchemaError(f"unknown link kind {kind!r}")
+        raise SchemaError(f"{kind} link does not take: " + ", ".join(sorted(extra)))
+    return link(**{p: as_float(numeric_from_json(doc[p])) for p in params if p in doc})
 
 
 # ------------------------------------------------------------------ scores
@@ -261,16 +270,16 @@ def scores_from_json_dict(doc: Mapping) -> ScoreAssignment:
     extra = set(doc) - {"scope", "values"}
     if extra:
         raise SchemaError("scores have unknown fields: " + ", ".join(sorted(extra)))
-    scope = doc["scope"]
+    scope, values = doc["scope"], doc["values"]
     if scope == "global":
-        return GlobalScores(
-            {str(a): numeric_from_json(v) for a, v in doc["values"].items()}
-        )
+        return GlobalScores(values_from_json(values, "score 'values'"))
     if scope == "per-context":
+        if not isinstance(values, Mapping):
+            raise SchemaError("score 'values' must be a JSON object")
         return PerContextScores(
             {
-                str(name): {str(a): numeric_from_json(v) for a, v in table.items()}
-                for name, table in doc["values"].items()
+                str(name): values_from_json(table, f"scores for context {name!r}")
+                for name, table in values.items()
             }
         )
     raise SchemaError(f"unknown score scope {scope!r}")
@@ -336,11 +345,14 @@ def context_softmax(
         table = scores.context_scores(ctx, name)
         q: dict[str, Numeric] = {}
         for a, u in table.items():
-            if not link.in_domain(u):
+            try:
+                value = link.evaluate(u) if link.in_domain(u) else None
+            except OverflowError:
+                value = math.inf
+            if value is None:
                 raise ScoreOutOfDomainError(
                     f"score {u!r} for atom {a!r} is outside the {link.kind} domain"
                 )
-            value = link.evaluate(u)
             if not (value > 0) or (isinstance(value, float) and not math.isfinite(value)):
                 raise ScoreOutOfDomainError(
                     f"link value for atom {a!r} is not a positive finite number"
@@ -566,12 +578,15 @@ def represent_weight(
     if not (isinstance(alpha, (int, float, Fraction)) and alpha > 0):
         raise AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
     scaled = {a: alpha * v for a, v in values.items()}
-    bad = [a for a, s in scaled.items() if not link.in_range(s)]
-    if bad:
-        raise AlphaOutOfRangeError(
-            "alpha * p falls outside the link range for: " + ", ".join(bad)
-        )
-    return GlobalScores({a: link.inverse(s) for a, s in scaled.items()})
+    try:
+        bad = [a for a, s in scaled.items() if not link.in_range(s)]
+        if not bad:
+            return GlobalScores({a: link.inverse(s) for a, s in scaled.items()})
+    except OverflowError:
+        raise AlphaOutOfRangeError("alpha * p overflows the float range") from None
+    raise AlphaOutOfRangeError(
+        "alpha * p falls outside the link range for: " + ", ".join(bad)
+    )
 
 
 def gauge_shift(
@@ -658,7 +673,7 @@ def maxent_softmax(
     bisection until the mean is within ``tol``.
     """
     names = list(scores)
-    u = [float(scores[n]) for n in names]
+    u = [as_float(scores[n]) for n in names]
     if len(u) < 2 or max(u) == min(u):
         raise DegenerateScoresError("scores must not all be equal")
     if not (min(u) < target_mean < max(u)):

@@ -12,6 +12,7 @@ c . v.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -185,7 +186,7 @@ def classical_membership(
 
     # Separating functional: drop the normalisation row into the bound.
     c = {a: farkas[i] for i, a in enumerate(atoms)}
-    scale = _common_denominator(list(c.values()))
+    scale = math.lcm(*(v.denominator for v in c.values()))
     c = {a: v * scale for a, v in c.items()}
     bound = max(
         sum(c[a] for a in state.ones) if state.ones else Fraction(0)
@@ -195,21 +196,6 @@ def classical_membership(
     if value <= bound:
         raise RuntimeError("separating witness failed verification")
     return MembershipResult(False, states, None, c, bound, value)
-
-
-def _common_denominator(values: Sequence[Fraction]) -> Fraction:
-    lcm = 1
-    for v in values:
-        d = v.denominator
-        g = _gcd(lcm, d)
-        lcm = lcm // g * d
-    return Fraction(lcm)
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def max_cyclic_value(

@@ -15,7 +15,6 @@ strictly exceeds the classical polytope at an interesting weight.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
@@ -30,6 +29,7 @@ from .errors import (
     UnknownAtomError,
     ValidationError,
 )
+from .numeric import dumps, load_json
 
 __all__ = [
     "EventStructure",
@@ -66,6 +66,25 @@ class EventStructure:
         return tuple(frozenset(c) for c in self.contexts)
 
     @cached_property
+    def incidence_index(self) -> IncidenceIndex:
+        contexts_of: dict[str, list[str]] = {a: [] for a in self.atoms}
+        for name, ctx in zip(self.context_names, self.contexts):
+            for a in ctx:
+                contexts_of[a].append(name)
+        shared: dict[tuple[str, str], tuple[str, ...]] = {}
+        names = self.context_names
+        sets = self.context_sets
+        order = self.atom_index
+        for i in range(len(names)):
+            for j in range(i + 1, len(names)):
+                common = sets[i] & sets[j]
+                if common:
+                    shared[(names[i], names[j])] = tuple(
+                        sorted(common, key=order.__getitem__)
+                    )
+        return IncidenceIndex(self, {a: tuple(cs) for a, cs in contexts_of.items()}, shared)
+
+    @cached_property
     def _context_by_name(self) -> Mapping[str, int]:
         return {name: i for i, name in enumerate(self.context_names)}
 
@@ -88,8 +107,6 @@ class EventStructure:
         }
 
     def dumps(self) -> str:
-        from .numeric import dumps
-
         return dumps(self.to_json_dict())
 
 
@@ -132,7 +149,7 @@ def build_event_structure(
             raise EmptyContextError(f"context {name!r} is empty")
         ctx_seen: set[str] = set()
         for a in members:
-            if a not in index:
+            if not isinstance(a, str) or a not in index:
                 raise UnknownAtomError(f"context {name!r} uses undeclared atom {a!r}")
             if a in ctx_seen:
                 raise DuplicateAtomError(f"context {name!r} repeats atom {a!r}")
@@ -227,26 +244,8 @@ class IncidenceIndex:
 
 
 def incidence(structure: EventStructure) -> IncidenceIndex:
-    contexts_of: dict[str, list[str]] = {a: [] for a in structure.atoms}
-    for name, ctx in zip(structure.context_names, structure.contexts):
-        for a in ctx:
-            contexts_of[a].append(name)
-    shared: dict[tuple[str, str], tuple[str, ...]] = {}
-    names = structure.context_names
-    sets = structure.context_sets
-    order = structure.atom_index
-    for i in range(len(names)):
-        for j in range(i + 1, len(names)):
-            common = sets[i] & sets[j]
-            if common:
-                shared[(names[i], names[j])] = tuple(
-                    sorted(common, key=order.__getitem__)
-                )
-    return IncidenceIndex(
-        structure,
-        {a: tuple(cs) for a, cs in contexts_of.items()},
-        shared,
-    )
+    """The structure's incidence index, built once per structure."""
+    return structure.incidence_index
 
 
 def connected_components(structure: EventStructure) -> tuple[frozenset[str], ...]:
@@ -310,8 +309,4 @@ def structure_from_json_dict(doc: Mapping) -> EventStructure:
 
 
 def structure_from_json(text: str) -> EventStructure:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return structure_from_json_dict(doc)
+    return structure_from_json_dict(load_json(None, text))

@@ -12,7 +12,6 @@ uniform weight (r = 1) and the half weight (r -> 0).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Mapping
@@ -30,8 +29,9 @@ from .numeric import (
     RATIONAL,
     as_fraction,
     coerce_values,
-    numeric_from_json,
+    load_json,
     numeric_to_json,
+    values_from_json,
 )
 from .structures import EventStructure, cycle_form
 
@@ -112,18 +112,11 @@ def weight_from_json_dict(doc: Mapping, structure: EventStructure) -> Weight:
     mode = doc.get("mode")
     if mode not in (None, RATIONAL, FLOAT):
         raise SchemaError(f"unknown weight mode {mode!r}")
-    values = {str(a): numeric_from_json(v) for a, v in doc["values"].items()}
-    if mode == FLOAT:
-        values = {a: float(v) for a, v in values.items()}
-    return make_weight(structure, values, mode)
+    return make_weight(structure, values_from_json(doc["values"], "weight 'values'"), mode)
 
 
 def weight_from_json(text: str, structure: EventStructure) -> Weight:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise SchemaError(f"invalid JSON: {exc}") from exc
-    return weight_from_json_dict(doc, structure)
+    return weight_from_json_dict(load_json(None, text), structure)
 
 
 def to_rational(weight: Weight) -> Weight:
@@ -138,9 +131,7 @@ def to_rational(weight: Weight) -> Weight:
 def to_float(weight: Weight) -> Weight:
     if weight.mode == FLOAT:
         return weight
-    return make_weight(
-        weight.structure, {a: float(v) for a, v in weight.values.items()}, mode=FLOAT
-    )
+    return make_weight(weight.structure, weight.values, mode=FLOAT)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Every subcommand end to end, including exit codes and frozen outputs."""
 
+import argparse
 import importlib.metadata
 import json
 import math
@@ -314,6 +315,125 @@ class TestAnalyze:
         assert captured.out == ""
         assert captured.err.startswith("error: inconsistent constraints")
         assert captured.err.count("\n") == 1
+
+
+PENTAGON_ATOMS = list(pentagon_values(0, 0))
+WEIGHT = {"mode": "rational", "values": pentagon_values("1/3", "1/3")}
+
+# argv ("{name}" stands for a file of tmp_path), and the files to write
+# there: a dict is written as JSON, bytes as they are, None makes a
+# directory.  Each input once ended in a traceback or a silently ignored
+# flag.
+MALFORMED = {
+    "represent-alpha-not-a-literal": (
+        ["represent", "--structure", "{pent}", "--weight", "{w}", "--alpha", "abc"],
+        {"w": WEIGHT}),
+    "sweep-r-min-not-a-literal": (["sweep", "--n", "5", "--r-min", "x"], {}),
+    "structure-is-a-directory": (
+        ["check", "--structure", "{dir}", "--weight", "{w}"], {"dir": None, "w": WEIGHT}),
+    "structure-not-utf8": (
+        ["check", "--structure", "{s}", "--weight", "{w}"], {"s": b"\xff\xfe{", "w": WEIGHT}),
+    "counts-not-utf8": (["analyze", "--data", "{c}"], {"c": b"{\"\xe9\": 1}"}),
+    "weight-values-a-list": (
+        ["check", "--structure", "{pent}", "--weight", "{w}"],
+        {"w": {"mode": "rational", "values": [1, 2]}}),
+    "global-scores-a-list": (
+        ["glue-check", "--structure", "{pent}", "--scores", "{s}"],
+        {"s": {"scope": "global", "values": [1]}}),
+    "context-scores-a-list": (
+        ["glue-check", "--structure", "{pent}", "--scores", "{s}"],
+        {"s": {"scope": "per-context", "values": {"C1": [1]}}}),
+    "embedded-link-parameter-not-a-literal": (
+        ["glue-check", "--structure", "{pent}", "--scores", "{s}"],
+        {"s": {"scope": "global", "link": {"kind": "exponential", "beta": "x"},
+               "values": {a: 0 for a in PENTAGON_ATOMS}}}),
+    "maxent-score-not-a-literal": (
+        ["maxent", "--scores", "{s}", "--target", "0.5"], {"s": {"w": "x", "l": 1}}),
+    "structure-reference-not-json": (
+        ["analyze", "--data", "{c}"],
+        {"c": {"structure": "notes", "counts": {}}, "notes": b"hello"}),
+    "exponential-link-overflow": (
+        ["glue-check", "--structure", "{pent}", "--scores", "{s}", "--link", "exponential"],
+        {"s": {"scope": "global", "values": {a: 1000 for a in PENTAGON_ATOMS}}}),
+    "float-weight-overflow": (
+        ["check", "--structure", "{pent}", "--weight", "{w}"],
+        {"w": {"mode": "float", "values": {**WEIGHT["values"], "a1": 10**400}}}),
+    "power-link-given-beta": (
+        ["represent", "--structure", "{pent}", "--weight", "{w}", "--link", "power",
+         "--beta", "2"], {"w": WEIGHT}),
+    "exponential-link-given-k": (
+        ["represent", "--structure", "{pent}", "--weight", "{w}", "--k", "2"],
+        {"w": WEIGHT}),
+}
+
+
+@pytest.mark.parametrize("argv,files", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
+    paths = {"pent": str(DATA / "pentagon.json")}
+    for name, content in files.items():
+        path = tmp_path / name
+        paths[name] = str(path)
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+    assert cli.main([a.format(**paths) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert captured.err.count("\n") == 1
+
+
+# Every settable option per subcommand.  A new flag, or one that comes
+# back, has to be added here on purpose.
+OPTIONS = {
+    "gen-cycle": {"--n", "--out"},
+    "table1": {"--out"},
+    "check": {"--structure", "--weight", "--mode", "--tol", "--out"},
+    "enumerate": {"--structure", "--limit", "--out"},
+    "classify": {"--structure", "--weight", "--mode", "--tol", "--out"},
+    "represent": {"--structure", "--weight", "--alpha", "--link", "--beta", "--k",
+                  "--mode", "--out"},
+    "glue-check": {"--structure", "--scores", "--link", "--beta", "--k", "--tol", "--out"},
+    "sweep": {"--n", "--r-min", "--r-max", "--points", "--out"},
+    "maxent": {"--scores", "--target", "--tol", "--out"},
+    "analyze": {"--data", "--structure", "--z-threshold", "--tol", "--out"},
+}
+
+
+class TestOptions:
+    def subcommand_options(self):
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return {
+            name: [opt for action in p._actions if not isinstance(action, argparse._HelpAction)
+                   for opt in action.option_strings]
+            for name, p in sub.choices.items()
+        }
+
+    def test_option_sets_are_pinned(self):
+        options = self.subcommand_options()
+        assert {name: set(opts) for name, opts in options.items()} == OPTIONS
+        assert sum(len(opts) for opts in options.values()) == 45
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--n", "5", "--tol", "1e-3"],
+        ["analyze", "--data", str(DATA / "counts_beyond.json"), "--mode", "float"],
+    ])
+    def test_dropped_flags_are_usage_errors(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_defaults_come_from_the_library(self):
+        parser = cli.build_parser()
+        enum = parser.parse_args(["enumerate", "--structure", "s.json"])
+        analyze = parser.parse_args(["analyze", "--data", "d.json"])
+        assert enum.limit == pl.states.DEFAULT_ENUMERATION_LIMIT
+        assert analyze.z_threshold == pl.empirical.DEFAULT_Z_THRESHOLD
 
 
 class TestEntryPoints:

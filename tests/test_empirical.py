@@ -86,6 +86,10 @@ BOX_VIOLATION_COUNTS = {
 
 
 class TestCountValidation:
+    def test_counts_must_be_an_object(self, pentagon):
+        with pytest.raises(SchemaError, match="'counts' must be a JSON object"):
+            ingest(pentagon, ["C1"])
+
     def test_unknown_context(self, pentagon):
         with pytest.raises(SchemaError, match="unknown contexts: C9"):
             ingest(pentagon, {"C9": {"a1": 1}})
@@ -475,6 +479,15 @@ class TestAnalyze:
             "classification", "withheld_reason", "note",
         }
         assert doc["note"] == BETWEEN_SAMPLES_NOTE
+
+    def test_estimates_once(self, pentagon, monkeypatch):
+        calls = []
+        real = pl.empirical.estimate_frequencies
+        monkeypatch.setattr(pl.empirical, "estimate_frequencies",
+                            lambda data: calls.append(1) or real(data))
+        data = pl.sample_counts(pentagon, pl.path_weight(pentagon, Fraction(1, 3)), 500, 6)
+        pl.analyze(data)
+        assert len(calls) == 1
 
 
 class TestSampleCounts:

@@ -82,6 +82,21 @@ class TestLinks:
         with pytest.raises(SchemaError):
             pl.link_from_json_dict({"kind": "identity", "beta": 1.0})
 
+    def test_catalogue_rejects_parameters_of_other_kinds(self):
+        with pytest.raises(SchemaError, match="power link does not take: beta"):
+            pl.link_from_json_dict({"kind": "power", "beta": 2.0})
+        with pytest.raises(SchemaError, match="exponential link does not take: k"):
+            pl.link_from_json_dict({"kind": "exponential", "k": 2.0})
+
+    def test_parameters_are_literals_with_dataclass_defaults(self):
+        assert pl.link_from_json_dict({"kind": "power", "k": "3/2"}) == PowerLink(1.5)
+        assert pl.link_from_json_dict({"kind": "power", "k": 3}) == PowerLink(3.0)
+        assert pl.link_from_json_dict({"kind": "exponential"}) == ExponentialLink()
+        with pytest.raises(ValidationError, match="not a rational literal"):
+            pl.link_from_json_dict({"kind": "exponential", "beta": "x"})
+        with pytest.raises(ValidationError, match="too large for a float"):
+            pl.link_from_json_dict({"kind": "exponential", "beta": 10**400})
+
 
 class TestContextSoftmax:
     def test_probabilities_normalized(self, pentagon):
@@ -93,6 +108,22 @@ class TestContextSoftmax:
         for name in pentagon.context_names:
             assert_allclose(sum(family.probabilities[name].values()), 1.0, rtol=1e-14)
             assert all(q > 0 for q in family.coordinates[name].values())
+
+    def test_link_overflow_is_out_of_domain(self, pentagon):
+        scores = GlobalScores({a: Fraction(1000) for a in pentagon.atoms})
+        with pytest.raises(ScoreOutOfDomainError, match="positive finite"):
+            pl.context_softmax(pentagon, scores, ExponentialLink())
+        with pytest.raises(ScoreOutOfDomainError, match="positive finite"):
+            pl.context_softmax(pentagon, GlobalScores({a: 1e200 for a in pentagon.atoms}),
+                               PowerLink(2.0))
+
+    def test_scores_must_be_objects(self):
+        with pytest.raises(SchemaError, match="score 'values' must be a JSON object"):
+            pl.scores_from_json_dict({"scope": "global", "values": [1]})
+        with pytest.raises(SchemaError, match="score 'values' must be a JSON object"):
+            pl.scores_from_json_dict({"scope": "per-context", "values": [1]})
+        with pytest.raises(SchemaError, match="scores for context 'C1' must be"):
+            pl.scores_from_json_dict({"scope": "per-context", "values": {"C1": [1]}})
 
     def test_exact_with_identity_and_fractions(self, triangle):
         scores = GlobalScores({a: Fraction(1, i + 2) for i, a in enumerate(triangle.atoms)})

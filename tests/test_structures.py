@@ -133,6 +133,11 @@ class TestConnectivity:
         assert len(components) == 2
         assert components[0] == frozenset(a.atoms)
 
+    def test_incidence_is_built_once(self):
+        structure = pl.cycle_logic(7)
+        assert pl.incidence(structure) is pl.incidence(structure)
+        assert pl.incidence(structure) is structure.incidence_index
+
     def test_incidence_unknown_atom(self, pentagon):
         inc = pl.incidence(pentagon)
         with pytest.raises(UnknownAtomError):
@@ -154,6 +159,11 @@ class TestJsonRoundTrip:
     def test_missing_field_rejected(self):
         with pytest.raises(SchemaError, match="missing fields"):
             pl.structure_from_json_dict({"atoms": ["a"]})
+
+    def test_non_string_context_member(self):
+        doc = {"atoms": ["a"], "contexts": [{"atoms": [["a"]]}]}
+        with pytest.raises(UnknownAtomError, match="undeclared atom"):
+            pl.structure_from_json_dict(doc)
 
     def test_invalid_json_text(self):
         with pytest.raises(SchemaError, match="invalid JSON"):

@@ -158,6 +158,21 @@ class TestWeightJson:
         with pytest.raises(SchemaError, match="unknown fields"):
             pl.weight_from_json_dict(doc, pentagon)
 
+    def test_values_must_be_an_object(self, pentagon):
+        with pytest.raises(SchemaError, match="weight 'values' must be a JSON object"):
+            pl.weight_from_json_dict({"mode": "rational", "values": [1, 2]}, pentagon)
+
+    def test_float_overflow_is_a_validation_error(self, pentagon):
+        doc = pl.half_weight(pentagon).to_json_dict()
+        doc["mode"] = "float"
+        doc["values"]["x1"] = 10**400
+        with pytest.raises(ValidationError, match="too large for a float"):
+            pl.weight_from_json_dict(doc, pentagon)
+
+    def test_bad_json_text(self, pentagon):
+        with pytest.raises(SchemaError, match="invalid JSON"):
+            pl.weight_from_json("{not json", pentagon)
+
     def test_bad_mode(self, pentagon):
         doc = pl.half_weight(pentagon).to_json_dict()
         doc["mode"] = "decimal"
