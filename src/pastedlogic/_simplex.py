@@ -1,33 +1,40 @@
-"""Exact phase-one simplex over the rationals.
+"""Exact phase-one simplex over the rationals, in integer arithmetic.
 
-Decides feasibility of  A x = b, x >= 0  with Fraction arithmetic, which
-is all that convex-hull membership needs: the columns of A are candidate
-vertices (plus a normalisation row) and x is the mixture.  Bland's rule
-makes termination unconditional, and infeasibility comes with a Farkas
-certificate read off the optimal dual of the artificial objective:
-a vector y with  y . A_j <= 0  for every column j  and  y . b > 0.
+Decides feasibility of  A x = b, x >= 0, which is all that convex-hull
+membership needs: the columns of A are candidate vertices (plus a
+normalisation row) and x is the mixture.  The method is the integer
+revised simplex of Edmonds and Bareiss (*Math. Comp.* 22, 1968): D =
+det B, the adjugate D·B⁻¹, D·B⁻¹ b and the dual D·y stay integers,
+updated by exact division by the previous D.  Bland's rule, unchanged
+(lowest entering index; ties in the ratio test to the lower basic
+index), makes termination unconditional and the pivots those of the
+Fraction tableau.  Infeasibility comes with a Farkas certificate read
+off the optimal dual: a vector y with  y . A_j <= 0  for every column j
+and  y . b > 0.  Both outcomes are checked against the input.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from itertools import compress
+from operator import mul
 from typing import Sequence
 
 __all__ = ["feasible_nonnegative"]
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Rational = int | Fraction
 
 
 def feasible_nonnegative(
-    columns: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
+    columns: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
 ) -> tuple[dict[int, Fraction] | None, list[Fraction] | None]:
     """Solve ``sum_j x_j * columns[j] = rhs`` with ``x >= 0`` exactly.
 
-    Returns ``(x, None)`` on success, with ``x`` a sparse dict of the
-    nonzero coordinates, or ``(None, y)`` with a Farkas certificate of
-    infeasibility.  Both outcomes are verified internally before being
-    returned.
+    Entries are ints or Fractions.  Returns ``(x, None)`` on success,
+    with ``x`` a sparse dict of the nonzero coordinates, or ``(None, y)``
+    with a Farkas certificate of infeasibility.  Both outcomes are
+    verified internally before being returned.
     """
     m = len(rhs)
     n = len(columns)
@@ -35,109 +42,103 @@ def feasible_nonnegative(
         if len(col) != m:
             raise ValueError("column length does not match rhs")
 
-    # Flip rows with negative right-hand side so artificials start feasible.
-    sign = [ONE if rhs[i] >= 0 else -ONE for i in range(m)]
-    width = n + m + 1  # columns, artificials, rhs
-    tableau: list[list[Fraction]] = []
-    for i in range(m):
-        row = [sign[i] * Fraction(columns[j][i]) for j in range(n)]
-        row.extend(ONE if k == i else ZERO for k in range(m))
-        row.append(sign[i] * Fraction(rhs[i]))
-        tableau.append(row)
-    basis = [n + i for i in range(m)]
-
-    # Reduced costs for minimising the sum of artificials.
-    obj = [ZERO] * width
-    for j in range(n + m):
-        cost = ONE if j >= n else ZERO
-        obj[j] = cost - sum(tableau[i][j] for i in range(m))
-    obj[-1] = -sum(tableau[i][-1] for i in range(m))
+    sign = [1 if v >= 0 else -1 for v in rhs]  # flipped rows start feasible
+    flipped = -1 in sign
+    rhs_scale, beta = _clear(list(map(abs, rhs)))  # D·B⁻¹ b
+    sparse = []  # (scale, values, rows); a positive scale moves no pivot
+    for col in columns:
+        rows = list(compress(range(m), col))
+        values = list(filter(None, col))
+        if flipped:
+            values = list(map(mul, map(sign.__getitem__, rows), values))
+        sparse.append((*_clear(values), rows))
+    det = 1
+    inverse = [[int(i == k) for k in range(m)] for i in range(m)]  # D·B⁻¹
+    dual = [1] * m  # D·y
+    basis = list(range(n, n + m))
 
     while True:
-        entering = None
-        for j in range(n + m):  # Bland: lowest eligible index enters
-            if obj[j] < 0:
-                entering = j
+        # D times the reduced cost: -dual·a_j on a column, D - dual_k on
+        # artificial k, which come after all columns.
+        for entering, (_, values, rows) in enumerate(sparse):
+            reduced = -sum(map(mul, map(dual.__getitem__, rows), values))
+            if reduced < 0:
+                alpha = [sum(map(mul, map(r.__getitem__, rows), values)) for r in inverse]
                 break
-        if entering is None:
-            break
+        else:
+            k = next((k for k in range(m) if dual[k] > det), None)
+            if k is None:
+                break
+            entering, reduced, alpha = n + k, det - dual[k], [r[k] for r in inverse]
+
         leaving = None
-        best: Fraction | None = None
         for i in range(m):
-            coeff = tableau[i][entering]
-            if coeff > 0:
-                ratio = tableau[i][-1] / coeff
-                if (
-                    best is None
-                    or ratio < best
-                    or (ratio == best and basis[i] < basis[leaving])
-                ):
-                    best = ratio
-                    leaving = i
+            if alpha[i] > 0:
+                if leaving is not None:
+                    left, right = beta[i] * alpha[leaving], beta[leaving] * alpha[i]
+                    if left > right or (left == right and basis[i] > basis[leaving]):
+                        continue
+                leaving = i
         if leaving is None:
             raise RuntimeError("phase-one objective unbounded; invalid input")
-        _pivot(tableau, obj, basis, leaving, entering)
 
-    optimum = -obj[-1]
-    if optimum == 0:
-        solution: dict[int, Fraction] = {}
+        pivot, pivot_row, pivot_beta = alpha[leaving], inverse[leaving], beta[leaving]
         for i in range(m):
-            if basis[i] < n and tableau[i][-1] != 0:
-                solution[basis[i]] = tableau[i][-1]
+            if i != leaving:
+                a = alpha[i]
+                inverse[i] = [(pivot * x - a * p) // det for x, p in zip(inverse[i], pivot_row)]
+                beta[i] = (pivot * beta[i] - a * pivot_beta) // det
+        dual = [(pivot * y + reduced * p) // det for y, p in zip(dual, pivot_row)]
+        det = pivot
+        basis[leaving] = entering
+
+    if all(beta[i] == 0 for i in range(m) if basis[i] >= n):
+        solution = {
+            basis[i]: Fraction(sparse[basis[i]][0] * beta[i], det * rhs_scale)
+            for i in range(m)
+            if basis[i] < n and beta[i] != 0
+        }
         _verify_solution(columns, rhs, solution)
         return solution, None
 
-    # Dual of the artificial objective: y_i = 1 - reduced cost of slack i,
-    # mapped back through the row flips.
-    y = [sign[i] * (ONE - obj[n + i]) for i in range(m)]
-    _verify_certificate(columns, rhs, y)
-    return None, y
+    # y = D·y / D through the row flips; D·y has the same signs to check.
+    scaled = list(map(mul, sign, dual))
+    _verify_certificate(columns, rhs, scaled)
+    return None, [Fraction(v, det) for v in scaled]
 
 
-def _pivot(
-    tableau: list[list[Fraction]],
-    obj: list[Fraction],
-    basis: list[int],
-    row: int,
-    col: int,
-) -> None:
-    pivot_row = tableau[row]
-    inv = ONE / pivot_row[col]
-    tableau[row] = [v * inv for v in pivot_row]
-    pivot_row = tableau[row]
-    for i, other in enumerate(tableau):
-        if i != row and other[col] != 0:
-            factor = other[col]
-            tableau[i] = [v - factor * p for v, p in zip(other, pivot_row)]
-    if obj[col] != 0:
-        factor = obj[col]
-        obj[:] = [v - factor * p for v, p in zip(obj, pivot_row)]
-    basis[row] = col
+def _clear(values: list[Rational]) -> tuple[int, list[int]]:
+    """The lcm of the denominators, and the values times it, as ints."""
+    if set(map(type, values)) <= {int}:
+        return 1, values
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _verify_solution(
-    columns: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    columns: Sequence[Sequence[Rational]],
+    rhs: Sequence[Rational],
     solution: dict[int, Fraction],
 ) -> None:
     m = len(rhs)
-    total = [ZERO] * m
+    total = [Fraction(0)] * m
     for j, coeff in solution.items():
         if coeff < 0:
             raise RuntimeError("simplex returned a negative coefficient")
-        for i in range(m):
-            total[i] += coeff * columns[j][i]
+        for i, c in enumerate(columns[j]):
+            if c:
+                total[i] += coeff * c
     if any(total[i] != rhs[i] for i in range(m)):
         raise RuntimeError("simplex solution does not reproduce the target")
 
 
 def _verify_certificate(
-    columns: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    y: Sequence[Fraction],
+    columns: Sequence[Sequence[Rational]],
+    rhs: Sequence[Rational],
+    y: Sequence[Rational],
 ) -> None:
-    if sum(yi * bi for yi, bi in zip(y, rhs)) <= 0:
+    if sum(map(mul, y, rhs)) <= 0:
         raise RuntimeError("Farkas certificate does not separate the target")
     for col in columns:
-        if sum(yi * ci for yi, ci in zip(y, col)) > 0:
+        if sum(map(mul, y, col)) > 0:
             raise RuntimeError("Farkas certificate fails on a column")

@@ -97,7 +97,10 @@ def _link(args, embedded=None) -> LinkFunction:
 def _emit(args, payload) -> None:
     text = dumps(payload) if not isinstance(payload, str) else payload
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise PastedLogicError(f"cannot write {args.out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 

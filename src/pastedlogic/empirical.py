@@ -279,7 +279,8 @@ def single_valuedness_test(
 
     For contexts C and C' with totals N and N' and successes k and k',
     the statistic is (f - f') / sqrt(pbar (1 - pbar) (1/N + 1/N')) with
-    pbar = (k + k')/(N + N').  A pooled frequency of exactly 0 or 1
+    pbar = (k + k')/(N + N').  A pooled frequency of exactly 0 or 1, or
+    a variance that underflows to 0.0 (counts beyond about 10**160),
     makes the denominator vanish: a zero gap then counts as agreement,
     a nonzero gap is flagged degenerate and fails the gate.
     """
@@ -299,14 +300,13 @@ def single_valuedness_test(
                 fa, fb = Fraction(ka, na), Fraction(kb, nb)
                 gap = abs(fa - fb)
                 pooled = Fraction(ka + kb, na + nb)
-                if pooled in (0, 1):
+                # Int true division: correctly rounded for counts of any size.
+                variance = float(pooled) * (1.0 - float(pooled)) * (1 / na + 1 / nb)
+                if variance == 0:
                     degenerate = gap != 0
                     z = None if degenerate else 0.0
                 else:
-                    denom = math.sqrt(
-                        float(pooled) * (1.0 - float(pooled)) * (1.0 / na + 1.0 / nb)
-                    )
-                    z = float(fa - fb) / denom
+                    z = float(fa - fb) / math.sqrt(variance)
                     degenerate = False
                 entries.append(
                     PairStatistic(atom, ca, cb, fa, fb, gap, z, degenerate)

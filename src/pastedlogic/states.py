@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from itertools import compress
+from typing import Iterator, Mapping, Sequence
 
 from ._simplex import feasible_nonnegative
 from .errors import (
@@ -67,51 +68,52 @@ def enumerate_two_valued_states(
     """All two-valued states, by backtracking over contexts.
 
     Contexts are processed in index order and candidate 1-atoms tried in
-    atom order, so the output order is deterministic.  If more than
-    ``limit`` states exist an ``EnumerationLimitError`` is raised rather
-    than returning a truncated list.
+    atom order, so the output order is deterministic.  One generator per
+    context on the current path sits on an explicit stack, so depth is
+    not bounded by the recursion limit.  If more than ``limit`` states
+    exist an ``EnumerationLimitError`` is raised rather than returning a
+    truncated list.
     """
     contexts = structure.contexts
     value: dict[str, int] = {}
     found: list[TwoValuedState] = []
 
-    def set_value(atom: str, v: int, trail: list[str]) -> bool:
-        cur = value.get(atom)
-        if cur is None:
-            value[atom] = v
-            trail.append(atom)
-            return True
-        return cur == v
-
-    def descend(level: int) -> None:
-        if level == len(contexts):
-            if limit is not None and len(found) >= limit:
-                raise EnumerationLimitError(
-                    f"more than {limit} two-valued states"
-                )
-            ones = frozenset(a for a, v in value.items() if v == 1)
-            found.append(TwoValuedState(structure, ones))
-            return
-        ctx = contexts[level]
+    def choices(ctx: tuple[str, ...]) -> Iterator[None]:
+        """Fix each consistent 1-atom of ``ctx`` in turn, yielding while
+        it is fixed and undoing it before the next."""
         fixed_ones = [a for a in ctx if value.get(a) == 1]
         if len(fixed_ones) > 1:
             return
         candidates = fixed_ones if fixed_ones else [a for a in ctx if value.get(a) != 0]
-        for chosen in candidates:
-            trail: list[str] = []
-            ok = set_value(chosen, 1, trail)
-            if ok:
-                for other in ctx:
-                    if other != chosen and not set_value(other, 0, trail):
-                        ok = False
+        for chosen in candidates:  # never 0, by the filter above
+            trail = [] if chosen in value else [chosen]
+            value[chosen] = 1
+            for other in ctx:
+                if other != chosen:
+                    cur = value.get(other)
+                    if cur is None:
+                        value[other] = 0
+                        trail.append(other)
+                    elif cur:
                         break
-            if ok:
-                descend(level + 1)
+            else:
+                yield
             for atom in trail:
                 del value[atom]
 
-    descend(0)
-    return tuple(found)
+    stack: list[Iterator[None]] = []  # resumed from here, never nested
+    while True:
+        if len(stack) == len(contexts):
+            if limit is not None and len(found) >= limit:
+                raise EnumerationLimitError(f"more than {limit} two-valued states")
+            ones = frozenset(compress(value, value.values()))
+            found.append(TwoValuedState(structure, ones))
+        else:
+            stack.append(choices(contexts[len(stack)]))
+        while stack and next(stack[-1], True):  # True: that context is done
+            stack.pop()
+        if not stack:
+            return tuple(found)
 
 
 @dataclass(frozen=True)
@@ -177,25 +179,23 @@ def classical_membership(
 
     atoms = structure.atoms
     target = [as_fraction(weight[a]) for a in atoms] + [Fraction(1)]
-    columns = [
-        [Fraction(state[a]) for a in atoms] + [Fraction(1)] for state in states
-    ]
+    columns = [[0] * len(atoms) + [1] for _ in states]
+    for column, state in zip(columns, states):
+        for a in state.ones:
+            column[structure.atom_index[a]] = 1
     solution, farkas = feasible_nonnegative(columns, target)
     if solution is not None:
         return MembershipResult(True, states, dict(solution), None, None, None)
 
     # Separating functional: drop the normalisation row into the bound.
-    c = {a: farkas[i] for i, a in enumerate(atoms)}
-    scale = math.lcm(*(v.denominator for v in c.values()))
-    c = {a: v * scale for a, v in c.items()}
-    bound = max(
-        sum(c[a] for a in state.ones) if state.ones else Fraction(0)
-        for state in states
-    )
-    value = sum(c[a] * as_fraction(weight[a]) for a in atoms)
+    scale = math.lcm(*(v.denominator for v in farkas[:-1]))
+    c = {a: v.numerator * (scale // v.denominator) for a, v in zip(atoms, farkas)}
+    bound = max(sum(c[a] for a in state.ones) for state in states)
+    value = sum(c[a] * target[i] for i, a in enumerate(atoms))
     if value <= bound:
         raise RuntimeError("separating witness failed verification")
-    return MembershipResult(False, states, None, c, bound, value)
+    witness = {a: Fraction(v) for a, v in c.items()}
+    return MembershipResult(False, states, None, witness, Fraction(bound), value)
 
 
 def max_cyclic_value(

@@ -85,6 +85,17 @@ class EventStructure:
         return IncidenceIndex(self, {a: tuple(cs) for a, cs in contexts_of.items()}, shared)
 
     @cached_property
+    def _cycle_form(self) -> CycleForm | None:
+        n = len(self.contexts)
+        if n >= 3:
+            reference = cycle_logic(n)
+            if set(self.atoms) == set(reference.atoms) and set(
+                self.context_sets
+            ) == set(reference.context_sets):
+                return CycleForm(n, reference.atoms[:n], reference.atoms[n:])
+        return None
+
+    @cached_property
     def _context_by_name(self) -> Mapping[str, int]:
         return {name: i for i, name in enumerate(self.context_names)}
 
@@ -201,18 +212,12 @@ def cycle_form(structure: EventStructure) -> CycleForm:
     """Match a structure against the n-cycle logic, or raise.
 
     Recognition is structural on atom names and context sets, so a
-    JSON round trip or a reordered construction still counts.
+    JSON round trip or a reordered construction still counts.  The
+    match, or its failure, is worked out once per structure.
     """
-    n = len(structure.contexts)
-    if n >= 3:
-        reference = cycle_logic(n)
-        if set(structure.atoms) == set(reference.atoms) and set(
-            structure.context_sets
-        ) == set(reference.context_sets):
-            return CycleForm(n, tuple(reference.atoms[:n]), tuple(reference.atoms[n:]))
-    raise NotACycleStructureError(
-        "structure is not an n-cycle of three-atom contexts"
-    )
+    if structure._cycle_form is None:
+        raise NotACycleStructureError("structure is not an n-cycle of three-atom contexts")
+    return structure._cycle_form
 
 
 @dataclass(frozen=True)

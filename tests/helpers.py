@@ -24,3 +24,17 @@ def random_positive_weight(structure, states, rng, blend=Fraction(1, 2)):
     t = Fraction(int(rng.integers(1, 100)), 100) * blend
     values = {a: (1 - t) * uniform[a] + t * mix[a] for a in structure.atoms}
     return pl.make_weight(structure, values)
+
+
+def pentagon_pair():
+    """Two pentagons pasted along the shared context C1 = {a1, a2, x1}."""
+    first = pl.cycle_logic(5)
+    second = [
+        ("a2", "b3", "y2"), ("b3", "b4", "y3"), ("b4", "b5", "y4"), ("b5", "a1", "y5"),
+    ]
+    atoms = list(first.atoms) + ["b3", "b4", "b5", "y2", "y3", "y4", "y5"]
+    return pl.build_event_structure(
+        atoms,
+        list(first.contexts) + second,
+        list(first.context_names) + ["D2", "D3", "D4", "D5"],
+    )

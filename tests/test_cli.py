@@ -280,6 +280,23 @@ class TestAnalyze:
         cli.main(["analyze", "--data", str(DATA / "counts_beyond.json"), "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("contexts", [["C1"], ["C1", "C5"]])
+    def test_huge_counts_fail_the_gate_without_a_traceback(self, tmp_path, capsys, contexts):
+        # One total past the float range, then two sharing an atom: the
+        # second makes the pooled variance underflow to 0.0.
+        doc = json.loads((DATA / "counts_beyond.json").read_text())
+        doc["structure"] = json.loads((DATA / "pentagon.json").read_text())
+        for name in contexts:
+            doc["counts"][name]["a1"] = 10**400
+        data = tmp_path / "huge.json"
+        data.write_text(json.dumps(doc))
+        assert cli.main(["analyze", "--data", str(data)]) == 6
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["withheld_reason"] == (
+            "single-valuedness gate failed: max |z| = inf exceeds 1.96"
+        )
+
     def test_gate_failure_withholds_with_exit_6(self, capsys):
         code = cli.main(["analyze", "--data", str(DATA / "counts_gate_fail.json")])
         assert code == 6
@@ -361,6 +378,9 @@ MALFORMED = {
     "power-link-given-beta": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--link", "power",
          "--beta", "2"], {"w": WEIGHT}),
+    "out-is-a-directory": (["gen-cycle", "--n", "5", "--out", "{dir}"], {"dir": None}),
+    "out-in-a-missing-directory": (
+        ["gen-cycle", "--n", "5", "--out", "{dir}/missing/cycle.json"], {"dir": None}),
     "exponential-link-given-k": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--k", "2"],
         {"w": WEIGHT}),

@@ -13,6 +13,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
+from helpers import pentagon_pair
 from pastedlogic import (
     EmptyContextSampleError,
     NegativeCountError,
@@ -32,20 +33,6 @@ def fork():
 
 def ingest(structure, raw):
     return pl.ingest_counts({"structure": structure.to_json_dict(), "counts": raw})
-
-
-def pentagon_pair():
-    """Two pentagons pasted along the shared context C1 = {a1, a2, x1}."""
-    first = pl.cycle_logic(5)
-    second = [
-        ("a2", "b3", "y2"), ("b3", "b4", "y3"), ("b4", "b5", "y4"), ("b5", "a1", "y5"),
-    ]
-    atoms = list(first.atoms) + ["b3", "b4", "b5", "y2", "y3", "y4", "y5"]
-    return pl.build_event_structure(
-        atoms,
-        list(first.contexts) + second,
-        list(first.context_names) + ["D2", "D3", "D4", "D5"],
-    )
 
 
 def kkt_oracle(structure, p_hat):

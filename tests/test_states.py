@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import pastedlogic as pl
+from helpers import pentagon_pair
 from pastedlogic import (
     EnumerationLimitError,
     NoTwoValuedStatesError,
@@ -21,6 +22,26 @@ def exhaustive_states(structure):
         if all(len(ones & cs) == 1 for cs in structure.context_sets):
             found.append(ones)
     return found
+
+
+# The pasting's 43 states in enumeration order, three to a line.
+PASTING_STATES = """
+a1 a3 b3 x4 y4 | a1 a3 b4 x4 y2 | a1 a3 x4 y2 y3 y4
+a1 a4 b3 x2 y4 | a1 a4 b4 x2 y2 | a1 a4 x2 y2 y3 y4
+a1 b3 x2 x3 x4 y4 | a1 b4 x2 x3 x4 y2 | a1 x2 x3 x4 y2 y3 y4
+a2 a4 b4 x5 y5 | a2 a4 b5 x5 y3 | a2 a4 x5 y3 y4 y5
+a2 a5 b4 x3 y5 | a2 a5 b5 x3 y3 | a2 a5 x3 y3 y4 y5
+a2 b4 x3 x4 x5 y5 | a2 b5 x3 x4 x5 y3 | a2 x3 x4 x5 y3 y4 y5
+a3 a5 b3 b5 x1 | a3 a5 b3 x1 y4 y5 | a3 a5 b4 x1 y2 y5
+a3 a5 b5 x1 y2 y3 | a3 a5 x1 y2 y3 y4 y5 | a3 b3 b5 x1 x4 x5
+a3 b3 x1 x4 x5 y4 y5 | a3 b4 x1 x4 x5 y2 y5 | a3 b5 x1 x4 x5 y2 y3
+a3 x1 x4 x5 y2 y3 y4 y5 | a4 b3 b5 x1 x2 x5 | a4 b3 x1 x2 x5 y4 y5
+a4 b4 x1 x2 x5 y2 y5 | a4 b5 x1 x2 x5 y2 y3 | a4 x1 x2 x5 y2 y3 y4 y5
+a5 b3 b5 x1 x2 x3 | a5 b3 x1 x2 x3 y4 y5 | a5 b4 x1 x2 x3 y2 y5
+a5 b5 x1 x2 x3 y2 y3 | a5 x1 x2 x3 y2 y3 y4 y5 | b3 b5 x1 x2 x3 x4 x5
+b3 x1 x2 x3 x4 x5 y4 y5 | b4 x1 x2 x3 x4 x5 y2 y5 | b5 x1 x2 x3 x4 x5 y2 y3
+x1 x2 x3 x4 x5 y2 y3 y4 y5
+"""
 
 
 class TestEnumeration:
@@ -51,6 +72,30 @@ class TestEnumeration:
     def test_limit(self, pentagon):
         with pytest.raises(EnumerationLimitError):
             pl.enumerate_two_valued_states(pentagon, limit=5)
+
+    def test_state_order_is_pinned(self, pentagon):
+        states = pl.enumerate_two_valued_states(pentagon)
+        assert [sorted(s.ones) for s in states] == [
+            ["a1", "a3", "x4"], ["a1", "a4", "x2"], ["a1", "x2", "x3", "x4"],
+            ["a2", "a4", "x5"], ["a2", "a5", "x3"], ["a2", "x3", "x4", "x5"],
+            ["a3", "a5", "x1"], ["a3", "x1", "x4", "x5"], ["a4", "x1", "x2", "x5"],
+            ["a5", "x1", "x2", "x3"], ["x1", "x2", "x3", "x4", "x5"],
+        ]
+        states = pl.enumerate_two_valued_states(pentagon_pair())
+        expected = [s.strip() for line in PASTING_STATES.strip().splitlines()
+                    for s in line.split("|")]
+        assert [" ".join(sorted(s.ones)) for s in states] == expected
+
+    def test_deep_structures_do_not_hit_the_recursion_limit(self):
+        with pytest.raises(EnumerationLimitError):
+            pl.enumerate_two_valued_states(pl.cycle_logic(1500), limit=1)
+        n = 1200
+        chain = pl.build_event_structure(
+            [f"a{i}" for i in range(n + 1)], [[f"a{i}", f"a{i + 1}"] for i in range(n)]
+        )
+        states = pl.enumerate_two_valued_states(chain)
+        assert [len(s.ones) for s in states] == [n // 2 + 1, n // 2]
+        assert "a0" in states[0].ones and "a1" in states[1].ones
 
     def test_structure_without_states(self):
         tight = pl.build_event_structure(

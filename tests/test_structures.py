@@ -3,6 +3,7 @@ import json
 import pytest
 
 import pastedlogic as pl
+from pastedlogic import structures
 from pastedlogic import (
     DuplicateAtomError,
     DuplicateContextError,
@@ -115,6 +116,20 @@ class TestCycleForm:
         )
         with pytest.raises(NotACycleStructureError):
             pl.cycle_form(renamed)
+
+    def test_match_and_failure_are_worked_out_once(self, monkeypatch):
+        pentagon = pl.cycle_logic(5)
+        tight = pl.build_event_structure(
+            ["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]
+        )
+        built = []
+        cycle_logic = structures.cycle_logic
+        monkeypatch.setattr(structures, "cycle_logic", lambda n: built.append(n) or cycle_logic(n))
+        assert pl.cycle_form(pentagon) is pl.cycle_form(pentagon)
+        for _ in range(2):
+            with pytest.raises(NotACycleStructureError):
+                pl.cycle_form(tight)
+        assert built == [5, 3]
 
 
 class TestConnectivity:
