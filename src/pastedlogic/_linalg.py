@@ -12,11 +12,11 @@ so the first one in the column is taken.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 from .errors import SingularKKTError
+from .numeric import clear_denominators
 
 __all__ = ["solve_exact", "independent_rows"]
 
@@ -27,12 +27,7 @@ def _integer_rows(
     """Each row with its right-hand side appended, scaled to integers.
     Entries are ints or Fractions (anything with ``numerator`` and
     ``denominator``)."""
-    out = []
-    for row, b in zip(rows, rhs):
-        values = [*row, b]
-        scale = math.lcm(*(v.denominator for v in values))
-        out.append([v.numerator * (scale // v.denominator) for v in values])
-    return out
+    return [clear_denominators([*row, b])[1] for row, b in zip(rows, rhs)]
 
 
 def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
@@ -44,8 +39,8 @@ def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -
         raise ValueError("matrix is not square or rhs length mismatches")
     # One common denominator for the right-hand side keeps its large
     # denominators in one column instead of scaling every row.
-    d = math.lcm(*(b.denominator for b in rhs))
-    a = _integer_rows(matrix, [b * d for b in rhs])
+    d, scaled_rhs = clear_denominators(list(rhs))
+    a = _integer_rows(matrix, scaled_rhs)
     prev = 1
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)

@@ -15,11 +15,12 @@ and  y . b > 0.  Both outcomes are checked against the input.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import compress
 from operator import mul
 from typing import Sequence
+
+from .numeric import clear_denominators
 
 __all__ = ["feasible_nonnegative"]
 
@@ -44,14 +45,14 @@ def feasible_nonnegative(
 
     sign = [1 if v >= 0 else -1 for v in rhs]  # flipped rows start feasible
     flipped = -1 in sign
-    rhs_scale, beta = _clear(list(map(abs, rhs)))  # D·B⁻¹ b
+    rhs_scale, beta = clear_denominators(list(map(abs, rhs)))  # D·B⁻¹ b
     sparse = []  # (scale, values, rows); a positive scale moves no pivot
     for col in columns:
         rows = list(compress(range(m), col))
         values = list(filter(None, col))
         if flipped:
             values = list(map(mul, map(sign.__getitem__, rows), values))
-        sparse.append((*_clear(values), rows))
+        sparse.append((*clear_denominators(values), rows))
     det = 1
     inverse = [[int(i == k) for k in range(m)] for i in range(m)]  # D·B⁻¹
     dual = [1] * m  # D·y
@@ -105,14 +106,6 @@ def feasible_nonnegative(
     scaled = list(map(mul, sign, dual))
     _verify_certificate(columns, rhs, scaled)
     return None, [Fraction(v, det) for v in scaled]
-
-
-def _clear(values: list[Rational]) -> tuple[int, list[int]]:
-    """The lcm of the denominators, and the values times it, as ints."""
-    if set(map(type, values)) <= {int}:
-        return 1, values
-    scale = math.lcm(*(v.denominator for v in values))
-    return scale, [v.numerator * (scale // v.denominator) for v in values]
 
 
 def _verify_solution(

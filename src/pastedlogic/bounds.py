@@ -24,11 +24,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
 
 from .errors import InvalidCycleLengthError, NotACycleStructureError
 from .numeric import DEFAULT_TOL, numeric_to_json
-from .states import MembershipResult, TwoValuedState, classical_membership
+from .states import MembershipResult, classical_membership
 from .structures import EventStructure, cycle_form
 from .weights import (
     AdmissibilityReport,
@@ -145,7 +144,6 @@ def classify_weight(
     structure: EventStructure,
     weight: Weight,
     tol: float = DEFAULT_TOL,
-    states: Sequence[TwoValuedState] | None = None,
 ) -> RegionReport:
     """Admissibility, then exact membership, then the theta comparison.
 
@@ -156,7 +154,7 @@ def classify_weight(
     if not adm.admissible:
         return RegionReport(LABEL_NOT_ADMISSIBLE, adm, None, None, None, None)
 
-    membership = classical_membership(structure, weight, states, tol)
+    membership = classical_membership(structure, weight, tol=tol)
 
     s: Numeric | None = None
     b: CycleBounds | None = None

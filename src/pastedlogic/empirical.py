@@ -26,13 +26,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from ._linalg import independent_rows, solve_exact
 from .bounds import RegionReport, classify_weight
 from .errors import (
     EmptyContextSampleError,
     NegativeCountError,
+    PastedLogicError,
     SchemaError,
     UnknownAtomError,
 )
@@ -468,7 +469,12 @@ def sample_counts(
     order from one seeded generator, so the result is a pure function of
     (structure, weight, sizes, seed).
     """
-    import numpy as np  # only sampling needs numpy; keep it off import time
+    try:
+        import numpy as np  # only sampling needs numpy; keep it off import time
+    except ImportError:
+        raise PastedLogicError(
+            "sample_counts needs numpy: pip install 'pastedlogic[sample]'"
+        ) from None
 
     rng = np.random.default_rng(seed)
     raw: dict[str, dict[str, int]] = {}

@@ -46,6 +46,15 @@ def as_fraction(value: Any) -> Fraction:
     return Fraction(value)
 
 
+def clear_denominators(values: list) -> tuple[int, list[int]]:
+    """The lcm of the denominators of ints and Fractions, and the values
+    times it, as ints; an all-int list comes back as it is, with scale 1."""
+    if set(map(type, values)) <= {int}:
+        return 1, values
+    scale = math.lcm(*(v.denominator for v in values))
+    return scale, [v.numerator * (scale // v.denominator) for v in values]
+
+
 def as_float(value: Any) -> float:
     """float(), with overflow reported as a ValidationError."""
     try:

@@ -21,7 +21,6 @@ for small alpha > 0 makes every normaliser equal alpha.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from typing import Any, Iterable, Mapping, Sequence
@@ -428,9 +427,7 @@ def gluing_check(
         if len(holders) < 2:
             continue
         values = [family.probabilities[name][atom] for name in holders]
-        atom_disc[atom] = max(
-            (abs(u - v) for u in values for v in values), default=zero
-        )
+        atom_disc[atom] = max(values) - min(values)
 
     pair_spread: dict[tuple[str, str], Numeric] = {}
     for pair, shared in inc.shared_atoms.items():
@@ -477,49 +474,34 @@ def _fundamental_cycles(
         neighbours[n].sort(key=pos.__getitem__)
 
     parent: dict[str, str | None] = {}
-    depth: dict[str, int] = {}
-    tree_edges: set[frozenset[str]] = set()
-    order: list[str] = []
     for root in names:
         if root in parent:
             continue
         parent[root] = None
-        depth[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            order.append(u)
+        queue = [root]
+        for u in queue:  # breadth first: the queue grows as it is read
             for v in neighbours[u]:
                 if v not in parent:
                     parent[v] = u
-                    depth[v] = depth[u] + 1
-                    tree_edges.add(frozenset((u, v)))
                     queue.append(v)
 
+    def to_root(node: str) -> list[str]:
+        path = [node]
+        while parent[path[-1]] is not None:
+            path.append(parent[path[-1]])
+        return path
+
     cycles: list[tuple[str, ...]] = []
-    seen: set[frozenset[str]] = set()
     for u in names:
         for v in neighbours[u]:
-            edge = frozenset((u, v))
-            if edge in tree_edges or edge in seen or pos[u] > pos[v]:
-                continue
-            seen.add(edge)
-            up_u, up_v = [u], [v]
-            a, b = u, v
-            while depth[a] > depth[b]:
-                a = parent[a]
-                up_u.append(a)
-            while depth[b] > depth[a]:
-                b = parent[b]
-                up_v.append(b)
-            while a != b:
-                a = parent[a]
-                b = parent[b]
-                up_u.append(a)
-                up_v.append(b)
+            if pos[u] > pos[v] or parent[v] == u or parent[u] == v:
+                continue  # each non-tree edge once
+            up_u, up_v = to_root(u), to_root(v)
+            on_v = set(up_v)
+            i = next(i for i, a in enumerate(up_u) if a in on_v)  # the lca
+            j = up_v.index(up_u[i])
             # u ... lca followed by the reversed v-side, then close at u.
-            path = up_u + up_v[-2::-1]
-            cycles.append(tuple(path + [u]))
+            cycles.append(tuple(up_u[: i + 1] + up_v[:j][::-1] + [u]))
     return tuple(cycles)
 
 
@@ -540,7 +522,7 @@ def glue_to_weight(
     for name, ctx in zip(structure.context_names, structure.contexts):
         for a in ctx:
             values.setdefault(a, family.probabilities[name][a])
-    mode = RATIONAL if family.is_exact() else FLOAT
+    mode = RATIONAL if report.exact else FLOAT
     return make_weight(structure, values, mode)
 
 
@@ -682,11 +664,13 @@ def maxent_softmax(
             f"{min(u)} and {max(u)}"
         )
 
-    def mean(beta: float) -> float:
+    def unnormalised(beta: float) -> list[float]:
         shift = max(beta * v for v in u)
-        w = [math.exp(beta * v - shift) for v in u]
-        z = sum(w)
-        return sum(v * wi for v, wi in zip(u, w)) / z
+        return [math.exp(beta * v - shift) for v in u]
+
+    def mean(beta: float) -> float:
+        w = unnormalised(beta)
+        return sum(v * wi for v, wi in zip(u, w)) / sum(w)
 
     lo, hi = -1.0, 1.0
     while mean(lo) > target_mean:
@@ -698,7 +682,6 @@ def maxent_softmax(
         if hi > 2.0**40:
             raise TargetOutOfRangeError("no bracket below 2**40 for the target mean")
 
-    beta = 0.5 * (lo + hi)
     for _ in range(400):
         beta = 0.5 * (lo + hi)
         m = mean(beta)
@@ -709,8 +692,7 @@ def maxent_softmax(
         else:
             hi = beta
 
-    shift = max(beta * v for v in u)
-    w = [math.exp(beta * v - shift) for v in u]
+    w = unnormalised(beta)
     z = sum(w)
     distribution = {n: wi / z for n, wi in zip(names, w)}
     return beta, distribution

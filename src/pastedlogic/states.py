@@ -12,7 +12,6 @@ c . v.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import compress
@@ -23,8 +22,9 @@ from .errors import (
     EnumerationLimitError,
     NoTwoValuedStatesError,
     NotAdmissibleError,
+    UnknownAtomError,
 )
-from .numeric import RATIONAL, as_fraction, numeric_to_json
+from .numeric import DEFAULT_TOL, as_fraction, clear_denominators, numeric_to_json
 from .structures import EventStructure, cycle_form
 from .weights import Weight, check_admissible, make_weight
 
@@ -48,8 +48,6 @@ class TwoValuedState:
 
     def __getitem__(self, atom: str) -> int:
         if atom not in self.structure.atom_index:
-            from .errors import UnknownAtomError
-
             raise UnknownAtomError(f"unknown atom {atom!r}")
         return 1 if atom in self.ones else 0
 
@@ -156,7 +154,7 @@ def classical_membership(
     structure: EventStructure,
     weight: Weight,
     states: Sequence[TwoValuedState] | None = None,
-    tol: float = 1e-9,
+    tol: float = DEFAULT_TOL,
 ) -> MembershipResult:
     """Decide whether a weight is a convex mixture of two-valued states.
 
@@ -188,8 +186,7 @@ def classical_membership(
         return MembershipResult(True, states, dict(solution), None, None, None)
 
     # Separating functional: drop the normalisation row into the bound.
-    scale = math.lcm(*(v.denominator for v in farkas[:-1]))
-    c = {a: v.numerator * (scale // v.denominator) for a, v in zip(atoms, farkas)}
+    c = dict(zip(atoms, clear_denominators(farkas[:-1])[1]))
     bound = max(sum(c[a] for a in state.ones) for state in states)
     value = sum(c[a] * target[i] for i, a in enumerate(atoms))
     if value <= bound:
@@ -198,16 +195,8 @@ def classical_membership(
     return MembershipResult(False, states, None, witness, Fraction(bound), value)
 
 
-def max_cyclic_value(
-    structure: EventStructure, states: Sequence[TwoValuedState] | None = None
-) -> Fraction:
-    """Largest cyclic sum any two-valued state attains: the independence
-    number of the n-cycle, (n-1)/2 rounded down."""
-    form = cycle_form(structure)
-    if states is None:
-        states = enumerate_two_valued_states(structure)
-    if not states:
-        raise NoTwoValuedStatesError("no two-valued states to maximise over")
-    return Fraction(
-        max(sum(1 for a in form.cyclic_atoms if state[a]) for state in states)
-    )
+def max_cyclic_value(structure: EventStructure) -> Fraction:
+    """Largest cyclic sum any two-valued state attains: n // 2, the
+    independence number of the n-cycle.  A state's cyclic 1-atoms are
+    pairwise non-adjacent, and some state has 1 on every other one."""
+    return Fraction(cycle_form(structure).n // 2)

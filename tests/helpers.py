@@ -38,3 +38,27 @@ def pentagon_pair():
         list(first.contexts) + second,
         list(first.context_names) + ["D2", "D3", "D4", "D5"],
     )
+
+
+def grid_logic(k):
+    """A k x k grid of contexts G{i}_{j}: one atom per grid edge, shared by
+    the two contexts it joins, plus a private atom p{i}_{j} per context.
+    The context-overlap graph is the grid itself, with (k-1)^2
+    independent cycles."""
+    edge_atoms = {(i, j): [] for i in range(k) for j in range(k)}
+    atoms = []
+    for i in range(k):
+        for j in range(k):
+            for di, dj, tag in ((0, 1, "h"), (1, 0, "v")):
+                if i + di < k and j + dj < k:
+                    atom = f"{tag}{i}_{j}"
+                    atoms.append(atom)
+                    edge_atoms[(i, j)].append(atom)
+                    edge_atoms[(i + di, j + dj)].append(atom)
+    contexts, names = [], []
+    for i in range(k):
+        for j in range(k):
+            atoms.append(f"p{i}_{j}")
+            contexts.append(edge_atoms[(i, j)] + [f"p{i}_{j}"])
+            names.append(f"G{i}_{j}")
+    return pl.build_event_structure(atoms, contexts, names)

@@ -499,6 +499,24 @@ class TestSampleCounts:
         )
         assert out.stdout.strip() == "False"
 
+    def test_missing_numpy_is_a_one_line_error_naming_the_extra(self):
+        probe = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import pastedlogic as pl\n"
+            "s = pl.cycle_logic(5)\n"
+            "try:\n"
+            "    pl.sample_counts(s, pl.half_weight(s), 10, 0)\n"
+            "except pl.PastedLogicError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout.count("\n") == 1
+        assert "pastedlogic[sample]" in out.stdout
+        assert out.stderr == ""
+
     def test_zero_probability_atoms_never_drawn(self, pentagon):
         data = pl.sample_counts(pentagon, pl.half_weight(pentagon), 100, 7)
         for name, ctx in zip(pentagon.context_names, pentagon.contexts):

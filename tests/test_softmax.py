@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
-from helpers import random_positive_weight
+from helpers import grid_logic, pentagon_pair, random_positive_weight
 from pastedlogic import (
     AlphaOutOfRangeError,
     DegenerateScoresError,
@@ -228,6 +228,100 @@ class TestGluing:
         assert report.glued
         assert report.atom_discrepancies == {}
         assert pl.glue_to_weight(family).mode == "float"
+
+
+def cycle_basis(structure):
+    """The fundamental cycles ``gluing_check`` reports for a structure."""
+    family = pl.context_softmax(
+        structure, GlobalScores({a: 0.0 for a in structure.atoms}), ExponentialLink(1.0)
+    )
+    return [cycle for cycle, _ in pl.gluing_check(family).cycle_deviations]
+
+
+def random_structure(rng):
+    """A seeded random structure: up to 20 distinct contexts of 1-4 atoms."""
+    atoms = [f"t{i}" for i in range(int(rng.integers(3, 26)))]
+    contexts = set()
+    for _ in range(int(rng.integers(1, 21))):
+        size = int(rng.integers(1, min(4, len(atoms)) + 1))
+        contexts.add(frozenset(rng.choice(atoms, size=size, replace=False).tolist()))
+    used = set().union(*contexts)
+    return pl.build_event_structure(
+        [a for a in atoms if a in used], sorted(sorted(c) for c in contexts)
+    )
+
+
+class TestCycleBasis:
+    def test_grid_cycles_are_pinned(self):
+        assert cycle_basis(grid_logic(3)) == [
+            ("G1_0", "G0_0", "G0_1", "G1_1", "G1_0"),
+            ("G1_1", "G0_1", "G0_2", "G1_2", "G1_1"),
+            ("G2_0", "G1_0", "G0_0", "G0_1", "G1_1", "G2_1", "G2_0"),
+            ("G2_1", "G1_1", "G0_1", "G0_2", "G1_2", "G2_2", "G2_1"),
+        ]
+
+    def test_pasting_cycles_are_pinned(self):
+        assert cycle_basis(pentagon_pair()) == [
+            ("C2", "C1", "D2", "C2"),
+            ("C3", "C2", "C1", "C5", "C4", "C3"),
+            ("C5", "C1", "D5", "C5"),
+            ("D3", "D2", "C1", "D5", "D4", "D3"),
+        ]
+
+    def test_random_structures_get_a_cycle_basis(self):
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            structure = random_structure(rng)
+            sets = dict(zip(structure.context_names, structure.context_sets))
+            edges = [
+                (u, v) for i, u in enumerate(sets) for v in list(sets)[i + 1:]
+                if sets[u] & sets[v]
+            ]
+            root = {name: name for name in sets}
+
+            def find(name):
+                while root[name] != name:
+                    name = root[name]
+                return name
+
+            for u, v in edges:
+                root[find(u)] = find(v)
+            components = len({find(name) for name in sets})
+            cycles = cycle_basis(structure)
+            assert len(cycles) == len(edges) - len(sets) + components
+            for cycle in cycles:
+                assert cycle[0] == cycle[-1]
+                assert len(set(cycle)) == len(cycle) - 1 >= 3
+                assert all(sets[u] & sets[v] for u, v in zip(cycle, cycle[1:]))
+
+
+class TestAtomDiscrepancies:
+    @pytest.mark.parametrize("exact", [False, True])
+    def test_matches_the_pairwise_maximum(self, exact):
+        # The hub atom s sits in four contexts, the spokes in two each.
+        star = pl.build_event_structure(
+            ["s", "b1", "b2", "b3", "b4", "c"],
+            [["s", "b1"], ["s", "b2", "c"], ["s", "b3"], ["s", "b4"], ["b1", "b2", "b3", "b4"]],
+        )
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            values = {
+                name: {
+                    a: Fraction(int(rng.integers(1, 50)), 7) if exact else float(rng.normal())
+                    for a in ctx
+                }
+                for name, ctx in zip(star.context_names, star.contexts)
+            }
+            link = IdentityLink() if exact else ExponentialLink(1.0)
+            family = pl.context_softmax(star, PerContextScores(values), link)
+            expected = {}
+            for atom, holders in pl.incidence(star).contexts_of.items():
+                probs = [family.probabilities[name][atom] for name in holders]
+                if len(probs) > 1:
+                    expected[atom] = max(abs(u - v) for u in probs for v in probs)
+            discrepancies = pl.gluing_check(family).atom_discrepancies
+            assert discrepancies == expected
+            assert all(type(d) is type(expected[a]) for a, d in discrepancies.items())
 
 
 class TestRepresentation:

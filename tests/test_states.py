@@ -106,8 +106,29 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8, 9])
     def test_max_cyclic_value_is_floor_half(self, n):
         structure = pl.cycle_logic(n)
+        cyclic = set(pl.cycle_form(structure).cyclic_atoms)
         states = pl.enumerate_two_valued_states(structure)
-        assert pl.max_cyclic_value(structure, states) == n // 2
+        enumerated = max(len(s.ones & cyclic) for s in states)
+        assert pl.max_cyclic_value(structure) == enumerated == n // 2
+
+    @pytest.mark.parametrize("n", [29, 41, 101])
+    def test_max_cyclic_value_does_not_enumerate(self, n, monkeypatch):
+        # L_29 > 10**6, so enumerating would raise EnumerationLimitError.
+        structure = pl.cycle_logic(n)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("max_cyclic_value enumerated the states")
+
+        monkeypatch.setattr(pl.states, "enumerate_two_valued_states", refuse)
+        value = pl.max_cyclic_value(structure)
+        assert value == n // 2 and isinstance(value, Fraction)
+
+    @pytest.mark.parametrize("n", range(3, 22))
+    def test_state_count_is_lucas_number(self, n):
+        lucas = [2, 1]
+        while len(lucas) <= n:
+            lucas.append(lucas[-1] + lucas[-2])
+        assert len(pl.enumerate_two_valued_states(pl.cycle_logic(n))) == lucas[n]
 
 
 class TestMembership:
@@ -213,3 +234,52 @@ class TestMembership:
             frozenset({"a1", "a3"}): Fraction(1, 2),
             frozenset({"a2", "a4"}): Fraction(1, 2),
         }
+
+
+def half_blend_weight(structure, states, rng):
+    """A seeded admissible rational weight: the half weight blended with a
+    random mixture of up to three states.  Blends near the half weight
+    leave the classical polytope of an odd cycle."""
+    half = pl.half_weight(structure)
+    picks = rng.choice(len(states), size=int(rng.integers(1, 4)), replace=False)
+    raw = [Fraction(int(rng.integers(1, 30))) for _ in picks]
+    mix = {a: Fraction(0) for a in structure.atoms}
+    for coeff, idx in zip(raw, picks):
+        for a in states[idx].ones:
+            mix[a] += coeff / sum(raw)
+    t = Fraction(int(rng.integers(0, 101)), 100)
+    return pl.make_weight(
+        structure, {a: t * half[a] + (1 - t) * mix[a] for a in structure.atoms}
+    )
+
+
+class TestCycleClosedForms:
+    """Odd cycles are t-perfect (Chvatal 1975): an admissible weight is
+    classical exactly when its cyclic sum is at most (n-1)/2, and even
+    cycles, being bipartite, admit no nonclassical weight."""
+
+    @pytest.mark.parametrize("n", range(4, 12))
+    def test_lp_label_and_witness_match_the_closed_form(self, n):
+        structure = pl.cycle_logic(n)
+        states = pl.enumerate_two_valued_states(structure)
+        rng = np.random.default_rng(n)
+        labels = []
+        for _ in range(30):
+            w = half_blend_weight(structure, states, rng)
+            result = pl.classical_membership(structure, w, states)
+            expected = n % 2 == 0 or pl.cyclic_sum(structure, w) <= Fraction(n - 1, 2)
+            assert result.classical == expected
+            labels.append(result.classical)
+            if result.classical:
+                continue
+            # The odd-cycle facet sum a_i <= (n-1)/2, rewritten through
+            # x_i = 1 - a_i - a_(i+1), up to a positive scale.
+            scale = result.witness["a1"]
+            assert scale > 0
+            assert result.witness == {
+                a: scale if a.startswith("a") else -scale * Fraction(n + 1, 2)
+                for a in structure.atoms
+            }
+            assert result.witness_bound == -scale
+        if n % 2:
+            assert not all(labels), "the sample should reach the nonclassical region"
