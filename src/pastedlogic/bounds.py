@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidCycleLengthError, NotACycleStructureError
-from .numeric import DEFAULT_TOL, numeric_to_json
+from .numeric import DEFAULT_TOL, fields_to_json
 from .states import MembershipResult, classical_membership
 from .structures import EventStructure, cycle_form
 from .weights import (
@@ -34,6 +34,7 @@ from .weights import (
     Numeric,
     Weight,
     check_admissible,
+    check_same_structure,
     cyclic_sum,
 )
 
@@ -66,15 +67,11 @@ class CycleBounds:
     odd: bool
     theta_applicable: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "classical_bound": numeric_to_json(self.classical_bound),
-            "theta": numeric_to_json(self.theta),
-            "half_weight_value": numeric_to_json(self.half_weight_value),
-            "odd": self.odd,
-            "theta_applicable": self.theta_applicable,
-        }
+    to_json_dict = fields_to_json
+
+    def exceeds_theta(self, cyclic_sum: Numeric) -> bool:
+        """Whether a cyclic sum lies past theta, compared as a float."""
+        return float(cyclic_sum) > self.theta
 
 
 def cycle_bounds(n: int) -> CycleBounds:
@@ -125,19 +122,7 @@ class RegionReport:
     beyond_theta: bool | None
 
     def to_json_dict(self) -> dict:
-        doc: dict = {
-            "label": self.label,
-            "admissibility": self.admissibility.to_json_dict(),
-        }
-        if self.membership is not None:
-            doc["membership"] = self.membership.to_json_dict()
-        if self.cyclic_sum is not None:
-            doc["cyclic_sum"] = numeric_to_json(self.cyclic_sum)
-        if self.bounds is not None:
-            doc["bounds"] = self.bounds.to_json_dict()
-        if self.beyond_theta is not None:
-            doc["beyond_theta"] = self.beyond_theta
-        return doc
+        return {k: v for k, v in fields_to_json(self).items() if v is not None}
 
 
 def classify_weight(
@@ -150,6 +135,7 @@ def classify_weight(
     The theta comparison runs only on odd cycles of length >= 5; on the
     triangle and on even cycles ``beyond_theta`` stays None.
     """
+    check_same_structure(structure, weight)
     adm = check_admissible(weight, tol)
     if not adm.admissible:
         return RegionReport(LABEL_NOT_ADMISSIBLE, adm, None, None, None, None)
@@ -167,7 +153,7 @@ def classify_weight(
         s = cyclic_sum(structure, weight)
         b = cycle_bounds(form.n)
         if b.theta_applicable:
-            beyond = float(s) > b.theta
+            beyond = b.exceeds_theta(s)
 
     if membership.classical:
         label = LABEL_CLASSICAL

@@ -33,7 +33,6 @@ from .numeric import (
     dumps,
     load_json,
     numeric_from_json,
-    numeric_to_json,
     values_from_json,
 )
 from .softmax import (
@@ -133,20 +132,18 @@ def cmd_table1(args) -> int:
                     "limit r -> infinity, not attained; at r = 10^12 the "
                     "cyclic atoms sit within 1e-12 of 0"
                 ),
-                "values": {a: numeric_to_json(midpoint[a]) for a in columns},
-                "proxy_max_gap": numeric_to_json(
-                    max(float(abs(proxy[a] - midpoint[a])) for a in columns)
-                ),
+                "values": {a: midpoint[a] for a in columns},
+                "proxy_max_gap": max(float(abs(proxy[a] - midpoint[a])) for a in columns),
             },
             {
                 "regime": "uniform",
                 "r": "1",
-                "values": {a: numeric_to_json(uniform[a]) for a in columns},
+                "values": {a: uniform[a] for a in columns},
             },
             {
                 "regime": "half-weight",
                 "r": "0",
-                "values": {a: numeric_to_json(half[a]) for a in columns},
+                "values": {a: half[a] for a in columns},
             },
         ],
     }
@@ -165,10 +162,7 @@ def cmd_check(args) -> int:
 def cmd_enumerate(args) -> int:
     structure = _load_structure(args.structure)
     states = enumerate_two_valued_states(structure, args.limit)
-    _emit(
-        args,
-        {"count": len(states), "states": [s.to_json_dict() for s in states]},
-    )
+    _emit(args, {"count": len(states), "states": states})
     return EXIT_OK
 
 
@@ -186,9 +180,7 @@ def cmd_represent(args) -> int:
     link = _link(args)
     alpha = None if args.alpha is None else numeric_from_json(args.alpha)
     scores = represent_weight(structure, weight, link, alpha)
-    payload = scores.to_json_dict()
-    payload["link"] = link.to_json_dict()
-    _emit(args, payload)
+    _emit(args, {**scores.to_json_dict(), "link": link})
     return EXIT_OK
 
 
@@ -217,14 +209,14 @@ def cmd_sweep(args) -> int:
     hi = numeric_from_json(args.r_max)
     if not hi > lo >= 0:
         raise ValidationError("need 0 <= r-min < r-max")
+    if args.points < 1:
+        raise ValidationError("--points must be at least 1")
     lines = ["r,cyclic_sum,exceeds_classical,exceeds_theta"]
     for i in range(1, args.points + 1):
         r = lo + (hi - lo) * Fraction(i, args.points + 1)
         s = cyclic_sum(structure, path_weight(structure, r))
         above_classical = int(s > bounds.classical_bound)
-        above_theta = (
-            int(float(s) > bounds.theta) if bounds.theta_applicable else ""
-        )
+        above_theta = int(bounds.exceeds_theta(s)) if bounds.theta_applicable else ""
         lines.append(f"{r},{s},{above_classical},{above_theta}")
     _emit(args, "\n".join(lines) + "\n")
     return EXIT_OK
@@ -233,13 +225,7 @@ def cmd_sweep(args) -> int:
 def cmd_maxent(args) -> int:
     scores = values_from_json(load_json(args.scores), "scores file")
     beta, distribution = maxent_softmax(scores, args.target, args.tol)
-    _emit(
-        args,
-        {
-            "beta": numeric_to_json(beta),
-            "distribution": {k: numeric_to_json(v) for k, v in distribution.items()},
-        },
-    )
+    _emit(args, {"beta": beta, "distribution": distribution})
     return EXIT_OK
 
 
@@ -258,8 +244,16 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors leave by the same one ``error:`` line and exit code
+    as every other validation problem; subparsers inherit this."""
+
+    def error(self, message):
+        self.exit(EXIT_VALIDATION, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pastedlogic",
         description=(
             "Admissible weights on pasted event structures: softmax gluing, "

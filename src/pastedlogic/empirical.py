@@ -25,6 +25,7 @@ import io
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -37,7 +38,7 @@ from .errors import (
     SchemaError,
     UnknownAtomError,
 )
-from .numeric import DEFAULT_TOL, load_json, numeric_to_json, read_text
+from .numeric import DEFAULT_TOL, fields_to_json, load_json, numeric_to_json, read_text
 from .structures import EventStructure, incidence, structure_from_json_dict
 from .weights import Weight, make_weight
 
@@ -206,14 +207,7 @@ class FrequencyEstimates:
     frequencies: Mapping[str, Mapping[str, Fraction]]
     totals: Mapping[str, int]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "frequencies": {
-                n: {a: numeric_to_json(f) for a, f in t.items()}
-                for n, t in self.frequencies.items()
-            },
-            "totals": dict(self.totals),
-        }
+    to_json_dict = fields_to_json
 
 
 def estimate_frequencies(data: CountData) -> FrequencyEstimates:
@@ -249,7 +243,7 @@ class PairStatistic:
             "freq_a": numeric_to_json(self.freq_a),
             "freq_b": numeric_to_json(self.freq_b),
             "gap": numeric_to_json(self.gap),
-            "z": None if self.z is None else numeric_to_json(self.z),
+            "z": numeric_to_json(self.z),
             "degenerate": self.degenerate,
         }
 
@@ -264,13 +258,7 @@ class SingleValuednessReport:
     max_abs_z: float
     passed: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "threshold": numeric_to_json(self.threshold),
-            "entries": [e.to_json_dict() for e in self.entries],
-            "max_abs_z": numeric_to_json(self.max_abs_z),
-            "passed": self.passed,
-        }
+    to_json_dict = fields_to_json
 
 
 def single_valuedness_test(
@@ -290,33 +278,26 @@ def single_valuedness_test(
     max_abs = 0.0
     passed = True
     for atom in data.structure.atoms:
-        holders = inc.contexts_of[atom]
-        if len(holders) < 2:
-            continue
-        for i in range(len(holders)):
-            for j in range(i + 1, len(holders)):
-                ca, cb = holders[i], holders[j]
-                na, nb = data.totals[ca], data.totals[cb]
-                ka, kb = data.counts[ca][atom], data.counts[cb][atom]
-                fa, fb = Fraction(ka, na), Fraction(kb, nb)
-                gap = abs(fa - fb)
-                pooled = Fraction(ka + kb, na + nb)
-                # Int true division: correctly rounded for counts of any size.
-                variance = float(pooled) * (1.0 - float(pooled)) * (1 / na + 1 / nb)
-                if variance == 0:
-                    degenerate = gap != 0
-                    z = None if degenerate else 0.0
-                else:
-                    z = float(fa - fb) / math.sqrt(variance)
-                    degenerate = False
-                entries.append(
-                    PairStatistic(atom, ca, cb, fa, fb, gap, z, degenerate)
-                )
-                if degenerate:
-                    passed = False
-                    max_abs = math.inf
-                elif z is not None:
-                    max_abs = max(max_abs, abs(z))
+        for ca, cb in combinations(inc.contexts_of[atom], 2):
+            na, nb = data.totals[ca], data.totals[cb]
+            ka, kb = data.counts[ca][atom], data.counts[cb][atom]
+            fa, fb = Fraction(ka, na), Fraction(kb, nb)
+            gap = abs(fa - fb)
+            pooled = Fraction(ka + kb, na + nb)
+            # Int true division: correctly rounded for counts of any size.
+            variance = float(pooled) * (1.0 - float(pooled)) * (1 / na + 1 / nb)
+            if variance == 0:
+                degenerate = gap != 0
+                z = None if degenerate else 0.0
+            else:
+                z = float(fa - fb) / math.sqrt(variance)
+                degenerate = False
+            entries.append(PairStatistic(atom, ca, cb, fa, fb, gap, z, degenerate))
+            if degenerate:
+                passed = False
+                max_abs = math.inf
+            elif z is not None:
+                max_abs = max(max_abs, abs(z))
     passed = passed and max_abs <= z_threshold
     return SingleValuednessReport(float(z_threshold), tuple(entries), max_abs, passed)
 
@@ -346,14 +327,7 @@ class ReconstructedWeight:
     multipliers: Mapping[str, Fraction]
     box_violations: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "p_hat": self.p_hat.to_json_dict(),
-            "p_star": self.p_star.to_json_dict(),
-            "residuals": {n: numeric_to_json(r) for n, r in self.residuals.items()},
-            "multipliers": {n: numeric_to_json(m) for n, m in self.multipliers.items()},
-            "box_violations": list(self.box_violations),
-        }
+    to_json_dict = fields_to_json
 
 
 def reconstruct_weight(data: CountData) -> ReconstructedWeight:
@@ -408,17 +382,7 @@ class AnalysisReport:
     withheld_reason: str | None
     note: str = BETWEEN_SAMPLES_NOTE
 
-    def to_json_dict(self) -> dict:
-        return {
-            "frequencies": self.frequencies.to_json_dict(),
-            "single_valuedness": self.single_valuedness.to_json_dict(),
-            "reconstruction": self.reconstruction.to_json_dict(),
-            "classification": (
-                None if self.classification is None else self.classification.to_json_dict()
-            ),
-            "withheld_reason": self.withheld_reason,
-            "note": self.note,
-        }
+    to_json_dict = fields_to_json
 
 
 def analyze(

@@ -5,15 +5,18 @@ Values live in one of two modes.  ``"rational"`` values are
 input); all comparisons in that mode are exact.  ``"float"`` values are
 binary doubles compared against a tolerance.  JSON output renders
 rationals as ``"num/den"`` strings and floats as numbers rounded to 12
-significant digits, which keeps every report byte-deterministic.  Input
-files and literals are read here too, and every way they can be
-malformed is a ValidationError.
+significant digits, which keeps every report byte-deterministic.  A
+report renders from its fields: ``fields_to_json`` lists them in
+declaration order, leaves out the structure the report is about, and
+passes each through ``render``.  Input files and literals are read here
+too, and every way they can be malformed is a ValidationError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -173,7 +176,19 @@ def render(obj: Any) -> Any:
         return [render(v) for v in obj]
     if isinstance(obj, frozenset):
         return sorted(obj)
+    if hasattr(obj, "to_json_dict"):
+        return obj.to_json_dict()
     return numeric_to_json(obj)
+
+
+def fields_to_json(report: Any) -> dict:
+    """A dataclass report's fields in declaration order, each rendered;
+    the ``structure`` a report is about is not printed."""
+    return {
+        f.name: render(getattr(report, f.name))
+        for f in fields(report)
+        if f.name != "structure"
+    }
 
 
 def dumps(obj: Any) -> str:

@@ -45,12 +45,16 @@ from .numeric import (
     FLOAT,
     RATIONAL,
     as_float,
+    fields_to_json,
     numeric_from_json,
     numeric_to_json,
+    render,
     values_from_json,
 )
 from .structures import EventStructure, connected_components, cycle_form, incidence
-from .weights import Numeric, Weight, check_admissible, half_weight, make_weight, path_weight
+from .weights import (
+    Numeric, Weight, check_admissible, check_same_structure, half_weight, make_weight, path_weight,
+)
 
 __all__ = [
     "LinkFunction",
@@ -222,7 +226,7 @@ class GlobalScores:
     def to_json_dict(self) -> dict:
         return {
             "scope": "global",
-            "values": {a: numeric_to_json(v) for a, v in self.values.items()},
+            "values": render(self.values),
         }
 
 
@@ -253,10 +257,7 @@ class PerContextScores:
     def to_json_dict(self) -> dict:
         return {
             "scope": "per-context",
-            "values": {
-                name: {a: numeric_to_json(v) for a, v in table.items()}
-                for name, table in self.values.items()
-            },
+            "values": render(self.values),
         }
 
 
@@ -309,21 +310,7 @@ class ContextDistributionFamily:
             for p in table.values()
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "link": self.link.to_json_dict(),
-            "probabilities": {
-                n: {a: numeric_to_json(p) for a, p in t.items()}
-                for n, t in self.probabilities.items()
-            },
-            "coordinates": {
-                n: {a: numeric_to_json(q) for a, q in t.items()}
-                for n, t in self.coordinates.items()
-            },
-            "normalizers": {
-                n: numeric_to_json(z) for n, z in self.normalizers.items()
-            },
-        }
+    to_json_dict = fields_to_json
 
 
 def context_softmax(
@@ -398,9 +385,7 @@ class GluingReport:
             "glued": self.glued,
             "exact": self.exact,
             "tolerance": numeric_to_json(self.tolerance),
-            "atom_discrepancies": {
-                a: numeric_to_json(v) for a, v in self.atom_discrepancies.items()
-            },
+            "atom_discrepancies": render(self.atom_discrepancies),
             "pair_ratio_spreads": {
                 f"{p[0]}|{p[1]}": numeric_to_json(v)
                 for p, v in self.pair_ratio_spreads.items()
@@ -542,6 +527,7 @@ def represent_weight(
     default scale alpha = r/2 * min(1, 1/max p) keeps alpha * p inside
     the guaranteed range interval (0, r) of the link.
     """
+    check_same_structure(structure, weight)
     report = check_admissible(weight)
     if not report.admissible:
         raise NotAdmissibleError(report)
@@ -618,6 +604,9 @@ def boundary_path(
     ``represent_weight`` to certify that it really is representable.
     """
     form = cycle_form(structure)
+    if target is None:
+        target = half_weight(structure)
+    check_same_structure(structure, target)
     rs = list(r_values)
     if not rs:
         raise ValidationError("need at least one r value")
@@ -626,8 +615,6 @@ def boundary_path(
     for earlier, later in zip(rs, rs[1:]):
         if not later < earlier:
             raise ValidationError("r values must be strictly decreasing")
-    if target is None:
-        target = half_weight(structure)
 
     out: list[tuple[Weight, float]] = []
     for r in rs:

@@ -24,9 +24,9 @@ from .errors import (
     NotAdmissibleError,
     UnknownAtomError,
 )
-from .numeric import DEFAULT_TOL, as_fraction, clear_denominators, numeric_to_json
+from .numeric import DEFAULT_TOL, as_fraction, clear_denominators, numeric_to_json, render
 from .structures import EventStructure, cycle_form
-from .weights import Weight, check_admissible, make_weight
+from .weights import Weight, check_admissible, check_same_structure, make_weight
 
 __all__ = [
     "TwoValuedState",
@@ -142,9 +142,7 @@ class MembershipResult:
                 sorted(self.states[i].ones) for i in sorted(self.coefficients)
             ]
         else:
-            doc["witness"] = {
-                a: numeric_to_json(c) for a, c in self.witness.items()
-            }
+            doc["witness"] = render(self.witness)
             doc["witness_bound"] = numeric_to_json(self.witness_bound)
             doc["witness_value"] = numeric_to_json(self.witness_value)
         return doc
@@ -164,6 +162,7 @@ def classical_membership(
     caller always knows which point was tested.  The answer is exact and
     self-certifying either way.
     """
+    check_same_structure(structure, weight)
     report = check_admissible(weight, tol)
     if not report.admissible:
         raise NotAdmissibleError(report)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -29,7 +30,7 @@ from .errors import (
     UnknownAtomError,
     ValidationError,
 )
-from .numeric import dumps, load_json
+from .numeric import load_json
 
 __all__ = [
     "EventStructure",
@@ -67,22 +68,22 @@ class EventStructure:
 
     @cached_property
     def incidence_index(self) -> IncidenceIndex:
-        contexts_of: dict[str, list[str]] = {a: [] for a in self.atoms}
-        for name, ctx in zip(self.context_names, self.contexts):
+        holders: dict[str, list[int]] = {a: [] for a in self.atoms}
+        for i, ctx in enumerate(self.contexts):
             for a in ctx:
-                contexts_of[a].append(name)
-        shared: dict[tuple[str, str], tuple[str, ...]] = {}
+                holders[a].append(i)
+        # Each atom joins the overlap of every pair of its holders; atoms
+        # come in atom order, and the pairs are sorted into context order.
+        shared: dict[tuple[int, int], list[str]] = {}
+        for a, hs in holders.items():
+            for pair in combinations(hs, 2):
+                shared.setdefault(pair, []).append(a)
         names = self.context_names
-        sets = self.context_sets
-        order = self.atom_index
-        for i in range(len(names)):
-            for j in range(i + 1, len(names)):
-                common = sets[i] & sets[j]
-                if common:
-                    shared[(names[i], names[j])] = tuple(
-                        sorted(common, key=order.__getitem__)
-                    )
-        return IncidenceIndex(self, {a: tuple(cs) for a, cs in contexts_of.items()}, shared)
+        return IncidenceIndex(
+            self,
+            {a: tuple(names[i] for i in hs) for a, hs in holders.items()},
+            {(names[i], names[j]): tuple(common) for (i, j), common in sorted(shared.items())},
+        )
 
     @cached_property
     def _cycle_form(self) -> CycleForm | None:
@@ -116,9 +117,6 @@ class EventStructure:
                 for name, ctx in zip(self.context_names, self.contexts)
             ],
         }
-
-    def dumps(self) -> str:
-        return dumps(self.to_json_dict())
 
 
 def build_event_structure(

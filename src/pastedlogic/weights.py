@@ -29,6 +29,7 @@ from .numeric import (
     RATIONAL,
     as_fraction,
     coerce_values,
+    fields_to_json,
     load_json,
     numeric_to_json,
     values_from_json,
@@ -44,6 +45,7 @@ __all__ = [
     "to_rational",
     "to_float",
     "check_admissible",
+    "check_same_structure",
     "half_weight",
     "path_weight",
     "cyclic_sum",
@@ -76,6 +78,13 @@ class Weight:
             "mode": self.mode,
             "values": {a: numeric_to_json(v) for a, v in self.items()},
         }
+
+
+def check_same_structure(structure: EventStructure, weight: Weight) -> None:
+    """Raise ValidationError unless the weight lives on ``structure``
+    (the same object, or an equal one such as a JSON round trip)."""
+    if not (weight.structure is structure or weight.structure == structure):
+        raise ValidationError("the weight is over a different structure")
 
 
 def make_weight(
@@ -150,15 +159,7 @@ class AdmissibilityReport:
     values_in_box: bool
     admissible: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "tolerance": numeric_to_json(self.tolerance),
-            "context_sums": {n: numeric_to_json(s) for n, s in self.context_sums.items()},
-            "max_deviation": numeric_to_json(self.max_deviation),
-            "values_in_box": self.values_in_box,
-            "admissible": self.admissible,
-        }
+    to_json_dict = fields_to_json
 
 
 def check_admissible(weight: Weight, tol: float = DEFAULT_TOL) -> AdmissibilityReport:
@@ -222,6 +223,7 @@ def path_weight(structure: EventStructure, r: Any) -> Weight:
 
 def cyclic_sum(structure: EventStructure, weight: Weight) -> Numeric:
     """Sum of the weight over the cyclic atoms a1..an."""
+    check_same_structure(structure, weight)
     form = cycle_form(structure)
     zero: Numeric = Fraction(0) if weight.mode == RATIONAL else 0.0
     return sum((weight[a] for a in form.cyclic_atoms), zero)

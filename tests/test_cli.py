@@ -346,6 +346,7 @@ MALFORMED = {
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--alpha", "abc"],
         {"w": WEIGHT}),
     "sweep-r-min-not-a-literal": (["sweep", "--n", "5", "--r-min", "x"], {}),
+    "sweep-points-not-positive": (["sweep", "--n", "5", "--points", "-3"], {}),
     "structure-is-a-directory": (
         ["check", "--structure", "{dir}", "--weight", "{w}"], {"dir": None, "w": WEIGHT}),
     "structure-not-utf8": (
@@ -446,7 +447,18 @@ class TestOptions:
         with pytest.raises(SystemExit) as exc:
             cli.main(argv)
         assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["gen-cycle", "--n", "abc"], ["gen-cycle"], []])
+    def test_subcommand_usage_errors_are_one_line(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
     def test_defaults_come_from_the_library(self):
         parser = cli.build_parser()

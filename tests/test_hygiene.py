@@ -5,14 +5,22 @@ parses each module of ``src/pastedlogic`` and fails on a name bound by a
 module-level import that the module never reads.  ``__init__.py``
 re-exports by design and ``from __future__`` imports bind nothing, so
 both are exempt; a name listed in ``__all__`` counts as used.
+
+The benchmark's tracer wraps package functions by name, so every name it
+lists must still exist: a rename in ``src`` would otherwise break only
+``perfbench/run.py --trace 1``.
 """
 
 import ast
+import importlib
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).parent.parent / "src" / "pastedlogic"
+ROOT = Path(__file__).parent.parent
+PACKAGE = ROOT / "src" / "pastedlogic"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -51,3 +59,17 @@ def test_no_unused_module_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from typing import Mapping, Sequence\nimport math\nx: Sequence = []\n"
     assert unused_imports(source) == ["line 1: Mapping", "line 2: math"]
+
+
+def test_the_tracer_names_resolve(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # leave perfbench/ untouched
+    spec = importlib.util.spec_from_file_location("_tracer", ROOT / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = [
+        f"{layer}.{name}"
+        for layer, names in tracer.LAYER_FUNCTIONS.items()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"pastedlogic.{layer}"), name, None))
+    ]
+    assert len(tracer.LAYER_FUNCTIONS) >= 10 and missing == []

@@ -1,0 +1,109 @@
+"""Report bytes and the rendering policy in ``numeric``.
+
+Each file under ``tests/data/reports`` holds ``dumps(report.to_json_dict())``
+as the hand-written renderers produced it before reports rendered from
+their fields; regenerate one only on purpose.  Swapping two fields of a
+report class changes its key order, so it fails here.
+"""
+
+from dataclasses import dataclass
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import pastedlogic as pl
+from helpers import pentagon_pair
+from pastedlogic.numeric import dumps, fields_to_json, render
+
+DATA = Path(__file__).parent / "data"
+PINS = DATA / "reports"
+
+
+def _family_exact():
+    pentagon = pl.cycle_logic(5)
+    scores = {
+        name: {a: Fraction(k + 1, 3 + i) for k, a in enumerate(ctx)}
+        for i, (name, ctx) in enumerate(zip(pentagon.context_names, pentagon.contexts))
+    }
+    return pl.context_softmax(pentagon, pl.PerContextScores(scores), pl.IdentityLink())
+
+
+def _family_float():
+    pentagon = pl.cycle_logic(5)
+    scores = {a: 0.1 * (i + 1) for i, a in enumerate(pentagon.atoms)}
+    return pl.context_softmax(pentagon, pl.GlobalScores(scores), pl.ExponentialLink(0.7))
+
+
+def _uniform(structure, value):
+    return pl.make_weight(structure, {a: value for a in structure.atoms})
+
+
+def _counts():
+    return pl.ingest_counts(DATA / "counts_beyond.json")
+
+
+CASES = {
+    "family_exact": _family_exact,
+    "family_float": _family_float,
+    "region_not_admissible": lambda: pl.classify_weight(
+        pl.cycle_logic(5), _uniform(pl.cycle_logic(5), Fraction(1, 2))),
+    "region_triangle": lambda: pl.classify_weight(
+        pl.cycle_logic(3), pl.path_weight(pl.cycle_logic(3), Fraction(1))),
+    "region_pasting": lambda: pl.classify_weight(
+        pentagon_pair(), _uniform(pentagon_pair(), Fraction(1, 3))),
+    "region_beyond_theta": lambda: pl.classify_weight(
+        pl.cycle_logic(5), pl.half_weight(pl.cycle_logic(5))),
+    "admissibility_rational": lambda: pl.check_admissible(
+        pl.path_weight(pl.cycle_logic(5), Fraction(1, 3))),
+    "admissibility_float": lambda: pl.check_admissible(
+        pl.path_weight(pl.cycle_logic(5), 0.3)),
+    "frequencies": lambda: pl.estimate_frequencies(_counts()),
+    "single_valuedness": lambda: pl.single_valuedness_test(_counts()),
+    "reconstruction": lambda: pl.reconstruct_weight(_counts()),
+    "analysis_withheld": lambda: pl.analyze(
+        pl.ingest_counts(DATA / "counts_gate_fail.json")),
+}
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_report_bytes_are_pinned(name):
+    expected = (PINS / f"{name}.json").read_text(encoding="utf-8")
+    assert dumps(CASES[name]().to_json_dict()) == expected
+
+
+def test_every_pin_has_a_case():
+    assert sorted(p.stem for p in PINS.glob("*.json")) == sorted(CASES)
+
+
+def test_region_report_leaves_out_what_it_lacks():
+    doc = CASES["region_pasting"]().to_json_dict()
+    assert list(doc) == ["label", "admissibility", "membership"]
+    doc = CASES["region_triangle"]().to_json_dict()
+    assert "cyclic_sum" in doc and "beyond_theta" not in doc
+
+
+@dataclass(frozen=True)
+class _Report:
+    structure: object
+    ratio: Fraction
+    nested: pl.CycleBounds
+    table: dict
+    missing: None = None
+
+
+class TestFieldsToJson:
+    def test_fields_in_order_without_the_structure(self):
+        report = _Report(pl.cycle_logic(3), Fraction(2, 3), pl.cycle_bounds(3),
+                         {"b": 0.1 + 0.2, "a": (Fraction(1, 2),)})
+        assert fields_to_json(report) == {
+            "ratio": "2/3",
+            "nested": pl.cycle_bounds(3).to_json_dict(),
+            "table": {"b": 0.3, "a": ["1/2"]},
+            "missing": None,
+        }
+
+    def test_render_uses_to_json_dict_below_the_containers(self):
+        weight = pl.half_weight(pl.cycle_logic(3))
+        assert render({"w": [weight]}) == {"w": [weight.to_json_dict()]}
+        assert render(weight) == weight.to_json_dict()

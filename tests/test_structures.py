@@ -1,4 +1,6 @@
+import itertools
 import json
+import random
 
 import pytest
 
@@ -152,6 +154,32 @@ class TestConnectivity:
         structure = pl.cycle_logic(7)
         assert pl.incidence(structure) is pl.incidence(structure)
         assert pl.incidence(structure) is structure.incidence_index
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_shared_atoms_match_the_pairwise_intersections(self, seed):
+        # Reference: intersect every context pair, in context order, with
+        # atoms in atom order.  Atom names are shuffled so that neither
+        # order is alphabetical.
+        rng = random.Random(seed)
+        atoms = [f"t{i}" for i in range(rng.randint(4, 12))]
+        rng.shuffle(atoms)
+        draws = (sorted(rng.sample(atoms, rng.randint(1, 4))) for _ in range(rng.randint(1, 10)))
+        contexts = list(dict.fromkeys(map(tuple, draws)))
+        rng.shuffle(contexts)
+        used = [a for a in atoms if any(a in c for c in contexts)]
+        names = [f"K{rng.randint(0, 999)}_{i}" for i in range(len(contexts))]
+        structure = pl.build_event_structure(used, contexts, names)
+        sets = structure.context_sets
+        expected = {}
+        for i, j in itertools.combinations(range(len(names)), 2):
+            common = [a for a in structure.atoms if a in sets[i] & sets[j]]
+            if common:
+                expected[(names[i], names[j])] = tuple(common)
+        inc = pl.incidence(structure)
+        assert list(inc.shared_atoms.items()) == list(expected.items())
+        assert inc.contexts_of == {
+            a: tuple(n for n, s in zip(names, sets) if a in s) for a in structure.atoms
+        }
 
     def test_incidence_unknown_atom(self, pentagon):
         inc = pl.incidence(pentagon)

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -178,3 +179,38 @@ class TestWeightJson:
         doc["mode"] = "decimal"
         with pytest.raises(SchemaError, match="mode"):
             pl.weight_from_json_dict(doc, pentagon)
+
+
+class TestForeignStructure:
+    """A weight is decided only on the structure it was built over; an
+    equal structure, such as one read back from JSON, counts as that."""
+
+    CALLS = {
+        "classify_weight": lambda s, w: pl.classify_weight(s, w),
+        "cyclic_sum": lambda s, w: pl.cyclic_sum(s, w),
+        "classical_membership": lambda s, w: pl.classical_membership(s, w),
+        "represent_weight": lambda s, w: pl.represent_weight(s, w, pl.ExponentialLink()),
+        "boundary_path": lambda s, w: pl.boundary_path(
+            s, pl.ExponentialLink(), [1, Fraction(1, 2)], target=w),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_a_weight_over_another_structure_is_rejected(self, name):
+        weight = pl.path_weight(pl.cycle_logic(7), 1)
+        with pytest.raises(ValidationError, match="different structure"):
+            self.CALLS[name](pl.cycle_logic(5), weight)
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_an_equal_structure_from_json_is_accepted(self, name):
+        pentagon = pl.cycle_logic(5)
+        copy = pl.structure_from_json(json.dumps(pentagon.to_json_dict()))
+        assert copy == pentagon and copy is not pentagon
+        weight = pl.path_weight(copy, 1)
+        same = self.CALLS[name](pentagon, pl.path_weight(pentagon, 1))
+        assert repr(self.CALLS[name](pentagon, weight)) == repr(same)
+
+    def test_classify_checks_the_structure_before_admissibility(self):
+        triangle = pl.cycle_logic(3)
+        foreign = pl.make_weight(triangle, {a: Fraction(1) for a in triangle.atoms})
+        with pytest.raises(ValidationError, match="different structure"):
+            pl.classify_weight(pl.cycle_logic(5), foreign)
