@@ -80,6 +80,7 @@ from .softmax import (
 )
 from .states import (
     MembershipResult,
+    StateSpace,
     TwoValuedState,
     classical_membership,
     enumerate_two_valued_states,

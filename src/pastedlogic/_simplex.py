@@ -11,6 +11,12 @@ index), makes termination unconditional and the pivots those of the
 Fraction tableau.  Infeasibility comes with a Farkas certificate read
 off the optimal dual: a vector y with  y . A_j <= 0  for every column j
 and  y . b > 0.  Both outcomes are checked against the input.
+
+The columns are either listed, and then scanned for the entering one,
+or given as a ``VertexFamily`` of 0/1 vertices too many to list.  Bland's
+entering column is then the family's first vertex whose dual sum
+exceeds a threshold, and the certificate is checked against the
+family's maximum; the pivots are those of the scan over the full list.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import compress
 from operator import mul
-from typing import Sequence
+from typing import Protocol, Sequence, runtime_checkable
 
 from .numeric import clear_denominators
 
@@ -27,32 +33,87 @@ __all__ = ["feasible_nonnegative"]
 Rational = int | Fraction
 
 
+@runtime_checkable
+class VertexFamily(Protocol):
+    """0/1 columns given implicitly, each with a 1 in the last
+    (normalisation) row: the vertices of a polytope, too many to list.
+
+    Column j holds a 1 in the rows ``positions(j)`` and in the last row.
+    ``first_above(w, t)`` is the lowest j whose sum of ``w`` over
+    ``positions(j)`` exceeds ``t``, or None; ``max_value(w)`` is the
+    largest such sum.  ``StateSpace`` is one.
+    """
+
+    count: int
+
+    def positions(self, j: int) -> Sequence[int]: ...
+
+    def first_above(self, w: Sequence[Rational], t: Rational) -> int | None: ...
+
+    def max_value(self, w: Sequence[Rational]) -> Rational: ...
+
+
+class _ListPricing:
+    """Pricing over an explicit column list: the lowest index with a
+    negative reduced cost, found by scanning the sparse columns."""
+
+    def __init__(self, columns: Sequence[Sequence[Rational]], sign: list[int]):
+        m, flipped = len(sign), -1 in sign
+        self.count = len(columns)
+        self.sparse = []  # (scale, values, rows); a positive scale moves no pivot
+        for col in columns:
+            if len(col) != m:
+                raise ValueError("column length does not match rhs")
+            rows = list(compress(range(m), col))
+            values = list(filter(None, col))
+            if flipped:
+                values = list(map(mul, map(sign.__getitem__, rows), values))
+            self.sparse.append((*clear_denominators(values), rows))
+
+    def column(self, j: int) -> tuple[int, list[int], list[int]]:
+        return self.sparse[j]
+
+    def entering(self, dual: list[int]) -> int | None:
+        for j, (_, values, rows) in enumerate(self.sparse):
+            if sum(map(mul, map(dual.__getitem__, rows), values)) > 0:
+                return j
+        return None
+
+
+class _FamilyPricing:
+    """Pricing over a vertex family: the row flips fold into ``w``, and
+    the normalisation row into the threshold."""
+
+    def __init__(self, family: VertexFamily, sign: list[int]):
+        self.family, self.sign, self.count = family, sign, family.count
+
+    def column(self, j: int) -> tuple[int, list[int], list[int]]:
+        rows = [*self.family.positions(j), len(self.sign) - 1]
+        return 1, list(map(self.sign.__getitem__, rows)), rows
+
+    def entering(self, dual: list[int]) -> int | None:
+        w = list(map(mul, dual, self.sign))
+        return self.family.first_above(w, -w.pop())
+
+
 def feasible_nonnegative(
-    columns: Sequence[Sequence[Rational]], rhs: Sequence[Rational]
+    columns: Sequence[Sequence[Rational]] | VertexFamily, rhs: Sequence[Rational]
 ) -> tuple[dict[int, Fraction] | None, list[Fraction] | None]:
     """Solve ``sum_j x_j * columns[j] = rhs`` with ``x >= 0`` exactly.
 
-    Entries are ints or Fractions.  Returns ``(x, None)`` on success,
-    with ``x`` a sparse dict of the nonzero coordinates, or ``(None, y)``
-    with a Farkas certificate of infeasibility.  Both outcomes are
-    verified internally before being returned.
+    Entries are ints or Fractions.  ``columns`` is a list of columns or
+    a ``VertexFamily``, which is priced without listing its columns.
+    Returns ``(x, None)`` on success, with ``x`` a sparse dict of the
+    nonzero coordinates, or ``(None, y)`` with a Farkas certificate of
+    infeasibility.  Both outcomes are verified internally before being
+    returned.
     """
     m = len(rhs)
-    n = len(columns)
-    for col in columns:
-        if len(col) != m:
-            raise ValueError("column length does not match rhs")
-
     sign = [1 if v >= 0 else -1 for v in rhs]  # flipped rows start feasible
-    flipped = -1 in sign
+    family = isinstance(columns, VertexFamily)
+    pricing = _FamilyPricing(columns, sign) if family else _ListPricing(columns, sign)
+    n = pricing.count
     rhs_scale, beta = clear_denominators(list(map(abs, rhs)))  # D·B⁻¹ b
-    sparse = []  # (scale, values, rows); a positive scale moves no pivot
-    for col in columns:
-        rows = list(compress(range(m), col))
-        values = list(filter(None, col))
-        if flipped:
-            values = list(map(mul, map(sign.__getitem__, rows), values))
-        sparse.append((*clear_denominators(values), rows))
     det = 1
     inverse = [[int(i == k) for k in range(m)] for i in range(m)]  # D·B⁻¹
     dual = [1] * m  # D·y
@@ -61,11 +122,11 @@ def feasible_nonnegative(
     while True:
         # D times the reduced cost: -dual·a_j on a column, D - dual_k on
         # artificial k, which come after all columns.
-        for entering, (_, values, rows) in enumerate(sparse):
+        entering = pricing.entering(dual)
+        if entering is not None:
+            _, values, rows = pricing.column(entering)
             reduced = -sum(map(mul, map(dual.__getitem__, rows), values))
-            if reduced < 0:
-                alpha = [sum(map(mul, map(r.__getitem__, rows), values)) for r in inverse]
-                break
+            alpha = [sum(map(mul, map(r.__getitem__, rows), values)) for r in inverse]
         else:
             k = next((k for k in range(m) if dual[k] > det), None)
             if k is None:
@@ -95,7 +156,7 @@ def feasible_nonnegative(
 
     if all(beta[i] == 0 for i in range(m) if basis[i] >= n):
         solution = {
-            basis[i]: Fraction(sparse[basis[i]][0] * beta[i], det * rhs_scale)
+            basis[i]: Fraction(pricing.column(basis[i])[0] * beta[i], det * rhs_scale)
             for i in range(m)
             if basis[i] < n and beta[i] != 0
         }
@@ -109,7 +170,7 @@ def feasible_nonnegative(
 
 
 def _verify_solution(
-    columns: Sequence[Sequence[Rational]],
+    columns: Sequence[Sequence[Rational]] | VertexFamily,
     rhs: Sequence[Rational],
     solution: dict[int, Fraction],
 ) -> None:
@@ -118,7 +179,13 @@ def _verify_solution(
     for j, coeff in solution.items():
         if coeff < 0:
             raise RuntimeError("simplex returned a negative coefficient")
-        for i, c in enumerate(columns[j]):
+        if isinstance(columns, VertexFamily):
+            column = [0] * m
+            for i in [*columns.positions(j), m - 1]:
+                column[i] = 1
+        else:
+            column = columns[j]
+        for i, c in enumerate(column):
             if c:
                 total[i] += coeff * c
     if any(total[i] != rhs[i] for i in range(m)):
@@ -126,12 +193,16 @@ def _verify_solution(
 
 
 def _verify_certificate(
-    columns: Sequence[Sequence[Rational]],
+    columns: Sequence[Sequence[Rational]] | VertexFamily,
     rhs: Sequence[Rational],
     y: Sequence[Rational],
 ) -> None:
     if sum(map(mul, y, rhs)) <= 0:
         raise RuntimeError("Farkas certificate does not separate the target")
+    if isinstance(columns, VertexFamily):
+        if columns.max_value(y[:-1]) + y[-1] > 0:
+            raise RuntimeError("Farkas certificate fails on a column")
+        return
     for col in columns:
         if sum(map(mul, y, col)) > 0:
             raise RuntimeError("Farkas certificate fails on a column")

@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidCycleLengthError, NotACycleStructureError
-from .numeric import DEFAULT_TOL, fields_to_json
-from .states import MembershipResult, classical_membership
+from .numeric import DEFAULT_TOL, RATIONAL, fields_to_json
+from .states import MembershipResult, _decide_membership
 from .structures import EventStructure, cycle_form
 from .weights import (
     AdmissibilityReport,
@@ -133,14 +133,17 @@ def classify_weight(
     """Admissibility, then exact membership, then the theta comparison.
 
     The theta comparison runs only on odd cycles of length >= 5; on the
-    triangle and on even cycles ``beyond_theta`` stays None.
+    triangle and on even cycles ``beyond_theta`` stays None.  On a cycle
+    an exact weight's membership verdict is checked against the closed
+    form: classical exactly when the cyclic sum is at most the classical
+    bound, which on even cycles every admissible weight meets.
     """
     check_same_structure(structure, weight)
     adm = check_admissible(weight, tol)
     if not adm.admissible:
         return RegionReport(LABEL_NOT_ADMISSIBLE, adm, None, None, None, None)
 
-    membership = classical_membership(structure, weight, tol=tol)
+    membership = _decide_membership(structure, weight)
 
     s: Numeric | None = None
     b: CycleBounds | None = None
@@ -154,6 +157,11 @@ def classify_weight(
         b = cycle_bounds(form.n)
         if b.theta_applicable:
             beyond = b.exceeds_theta(s)
+        # Float points are rationalized before the LP and may sit just
+        # outside the admissible polytope, so only exact weights are held
+        # to the closed form.
+        if weight.mode == RATIONAL and membership.classical != (s <= b.classical_bound):
+            raise RuntimeError("membership LP disagrees with the cycle closed form")
 
     if membership.classical:
         label = LABEL_CLASSICAL

@@ -2,19 +2,28 @@
 
 A two-valued state is a 0/1 weight: exactly one atom of every context
 gets the value 1.  On intertwined structures the shared atoms make these
-assignments globally rigid, so enumeration is a backtracking search over
-contexts.  The convex hull of the two-valued states is the classical
-polytope; membership of a weight is decided exactly over the rationals,
-and both answers carry certificates -- an explicit convex decomposition,
-or a separating functional c with  c . p > beta = max over states of
-c . v.
+assignments globally rigid.  The states are held as a frontier table,
+not listed by a search: contexts are taken in index order, and after
+each one only the values of the *frontier* -- the atoms already
+assigned that a later context still contains -- decide which choices
+remain (the transfer-matrix, or path-decomposition, dynamic program of
+Arnborg and Proskurowski, *Discrete Appl. Math.* 23, 1989).  The table
+counts, ranks and unranks the states and maximises a linear function
+over all of them without visiting them one by one.
+
+The convex hull of the two-valued states is the classical polytope;
+membership of a weight is decided exactly over the rationals by a
+simplex that prices against the table, and both answers carry
+certificates -- an explicit convex decomposition, or a separating
+functional c with  c . p > beta = max over states of c . v.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import compress
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from ._simplex import feasible_nonnegative
@@ -30,6 +39,7 @@ from .weights import Weight, check_admissible, check_same_structure, make_weight
 
 __all__ = [
     "TwoValuedState",
+    "StateSpace",
     "MembershipResult",
     "enumerate_two_valued_states",
     "classical_membership",
@@ -37,6 +47,8 @@ __all__ = [
 ]
 
 DEFAULT_ENUMERATION_LIMIT = 10**6
+
+Rational = int | Fraction
 
 
 @dataclass(frozen=True)
@@ -60,58 +72,207 @@ class TwoValuedState:
         return {a: self[a] for a in self.structure.atoms}
 
 
+# One table level: per node, its transitions (gain, child).  ``gain`` is
+# the position of the atom the transition newly sets to 1, or -1 when the
+# context's 1-atom was fixed by an earlier context.
+Level = list[tuple[tuple[int, int], ...]]
+
+
+def _frontier_table(structure: EventStructure) -> tuple[list[Level], list[list[int]]]:
+    """The pruned frontier table and, per level, each node's count of
+    completions.
+
+    The forward pass follows the rules of a backtracking search: at
+    context i, a frontier with two 1-atoms in the context is dead, one
+    1-atom is the only candidate, and otherwise every unassigned atom of
+    the context is a candidate, in context order.  The backward pass
+    counts completions and drops every transition that has none.
+    """
+    index = structure.atom_index
+    contexts = [tuple(index[a] for a in ctx) for ctx in structure.contexts]
+    last_use = {p: i for i, ctx in enumerate(contexts) for p in ctx}
+    frontier: tuple[int, ...] = ()
+    keys: dict[tuple[int, ...], int] = {(): 0}  # frontier values -> node
+    levels: list[Level] = []
+    for i, ctx in enumerate(contexts):
+        following = tuple(p for p in frontier if last_use[p] > i) + tuple(
+            p for p in ctx if p not in frontier and last_use[p] > i
+        )
+        next_keys: dict[tuple[int, ...], int] = {}
+        level: Level = []
+        for key in keys:
+            value = dict(zip(frontier, key))
+            fixed = [p for p in ctx if value.get(p) == 1]
+            fresh = {p: 0 for p in ctx if p not in value}
+            candidates = fixed if fixed else fresh
+            transitions = []
+            for chosen in candidates if len(fixed) <= 1 else ():
+                assigned = value | fresh | {chosen: 1}
+                child = tuple(assigned[p] for p in following)
+                node = next_keys.setdefault(child, len(next_keys))
+                transitions.append((-1 if fixed else chosen, node))
+            level.append(tuple(transitions))
+        levels.append(level)
+        frontier, keys = following, next_keys
+
+    live = {node: node for node in keys.values()}  # old node -> kept node
+    counts = [1] * len(live)  # the last frontier is empty: one node or none
+    all_counts = [counts]
+    for i in reversed(range(len(levels))):
+        kept_level: Level = []
+        kept_counts: list[int] = []
+        renumber = {}
+        for node, transitions in enumerate(levels[i]):
+            kept = tuple((gain, live[child]) for gain, child in transitions if child in live)
+            if kept:
+                renumber[node] = len(kept_level)
+                kept_level.append(kept)
+                kept_counts.append(sum(counts[child] for _, child in kept))
+        levels[i], live, counts = kept_level, renumber, kept_counts
+        all_counts.append(counts)
+    all_counts.reverse()
+    return levels, all_counts
+
+
+class StateSpace:
+    """All two-valued states of a structure, without listing them.
+
+    A sequence of ``TwoValuedState`` in ``enumerate_two_valued_states``
+    order: contexts in index order, candidate 1-atoms in context order.
+    ``count`` is a plain int.  It can pass the machine word (the
+    101-cycle has about 1.3e21 states), where ``len()`` raises
+    ``OverflowError``; the library reads ``count``.
+
+    The weights ``w`` taken by ``max_value`` and ``first_above`` are
+    indexed by atom position, and a state's sum is  sum of w_a over its
+    1-atoms a.  Every query walks the table once: O(number of
+    transitions), whatever the number of states.
+    """
+
+    def __init__(self, structure: EventStructure):
+        self.structure = structure
+        self._levels, self._counts = _frontier_table(structure)
+        self.count: int = self._counts[0][0] if self._counts[0] else 0
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __bool__(self) -> bool:
+        return self.count > 0
+
+    def __getitem__(self, i: int) -> TwoValuedState:
+        atoms = self.structure.atoms
+        return TwoValuedState(self.structure, frozenset(atoms[p] for p in self.positions(i)))
+
+    def __iter__(self) -> Iterator[TwoValuedState]:
+        """Depth-first over the table, one frame per context on an
+        explicit stack, so depth is not bounded by the recursion limit."""
+        if not self.count:
+            return
+        atoms, levels, depth = self.structure.atoms, self._levels, len(self._levels)
+        ones: list[int] = []
+        stack = [iter(levels[0][0])]
+        marks = [0]  # len(ones) when each frame was entered
+        while stack:
+            del ones[marks[-1]:]
+            step = next(stack[-1], None)
+            if step is None:
+                stack.pop()
+                marks.pop()
+                continue
+            gain, child = step
+            if gain >= 0:
+                ones.append(gain)
+            if len(stack) == depth:
+                yield TwoValuedState(self.structure, frozenset(atoms[p] for p in ones))
+            else:
+                stack.append(iter(levels[len(stack)][child]))
+                marks.append(len(ones))
+
+    def positions(self, i: int) -> list[int]:
+        """Atom positions of the 1-atoms of state ``i``, ascending."""
+        i = operator.index(i)
+        if i < 0:
+            i += self.count
+        if not 0 <= i < self.count:
+            raise IndexError("state index out of range")
+        ones, node = [], 0
+        for level, counts in zip(self._levels, self._counts[1:]):
+            for gain, child in level[node]:
+                if i < counts[child]:
+                    break
+                i -= counts[child]
+            if gain >= 0:
+                ones.append(gain)
+            node = child
+        return sorted(ones)
+
+    def index(self, state: TwoValuedState) -> int:
+        """The rank of ``state``; ValueError if it is not in the space."""
+        ones = {self.structure.atom_index.get(a) for a in state.ones}
+        rank, node = 0, 0
+        for level, counts in zip(self._levels if self.count else (), self._counts[1:]):
+            for gain, child in level[node]:
+                if gain < 0 or gain in ones:
+                    break
+                rank += counts[child]
+            node = child
+        if rank < self.count and self[rank] == state:
+            return rank
+        raise ValueError("not a two-valued state of this structure")
+
+    def _best_completions(self, w: Sequence[Rational]) -> tuple[list[list[Rational]], list]:
+        """Per level and node, the largest sum any completion adds
+        (max-plus, from the last context back), and ``w`` with a 0 at
+        position -1 for the transitions that gain nothing."""
+        if not self.count:
+            raise NoTwoValuedStatesError("no two-valued states")
+        gains = [*w, 0]
+        best: list[Rational] = [0]
+        table = [best]
+        for level in reversed(self._levels):
+            best = [max(gains[g] + best[c] for g, c in node) for node in level]
+            table.append(best)
+        table.reverse()
+        return table, gains
+
+    def max_value(self, w: Sequence[Rational]) -> Rational:
+        """The largest sum of ``w`` over the 1-atoms of any state."""
+        return self._best_completions(w)[0][0][0]
+
+    def first_above(self, w: Sequence[Rational], t: Rational) -> int | None:
+        """The lowest index of a state whose sum of ``w`` exceeds ``t``,
+        or None.  The descent takes, at each context, the first
+        transition some completion of which clears ``t``; every state
+        in the subtrees it skips sums to at most ``t``."""
+        best, gains = self._best_completions(w)
+        if best[0][0] <= t:
+            return None
+        rank, node, total = 0, 0, 0
+        for level, counts, after in zip(self._levels, self._counts[1:], best[1:]):
+            for gain, child in level[node]:
+                if total + gains[gain] + after[child] > t:
+                    break
+                rank += counts[child]
+            total += gains[gain]
+            node = child
+        return rank
+
+
 def enumerate_two_valued_states(
     structure: EventStructure, limit: int | None = DEFAULT_ENUMERATION_LIMIT
 ) -> tuple[TwoValuedState, ...]:
-    """All two-valued states, by backtracking over contexts.
+    """All two-valued states, listed from the structure's state space.
 
-    Contexts are processed in index order and candidate 1-atoms tried in
-    atom order, so the output order is deterministic.  One generator per
-    context on the current path sits on an explicit stack, so depth is
-    not bounded by the recursion limit.  If more than ``limit`` states
-    exist an ``EnumerationLimitError`` is raised rather than returning a
-    truncated list.
+    The order is deterministic: contexts in index order, candidate
+    1-atoms in atom order.  If more than ``limit`` states exist an
+    ``EnumerationLimitError`` is raised, from the count and before any
+    state is built, rather than returning a truncated list.
     """
-    contexts = structure.contexts
-    value: dict[str, int] = {}
-    found: list[TwoValuedState] = []
-
-    def choices(ctx: tuple[str, ...]) -> Iterator[None]:
-        """Fix each consistent 1-atom of ``ctx`` in turn, yielding while
-        it is fixed and undoing it before the next."""
-        fixed_ones = [a for a in ctx if value.get(a) == 1]
-        if len(fixed_ones) > 1:
-            return
-        candidates = fixed_ones if fixed_ones else [a for a in ctx if value.get(a) != 0]
-        for chosen in candidates:  # never 0, by the filter above
-            trail = [] if chosen in value else [chosen]
-            value[chosen] = 1
-            for other in ctx:
-                if other != chosen:
-                    cur = value.get(other)
-                    if cur is None:
-                        value[other] = 0
-                        trail.append(other)
-                    elif cur:
-                        break
-            else:
-                yield
-            for atom in trail:
-                del value[atom]
-
-    stack: list[Iterator[None]] = []  # resumed from here, never nested
-    while True:
-        if len(stack) == len(contexts):
-            if limit is not None and len(found) >= limit:
-                raise EnumerationLimitError(f"more than {limit} two-valued states")
-            ones = frozenset(compress(value, value.values()))
-            found.append(TwoValuedState(structure, ones))
-        else:
-            stack.append(choices(contexts[len(stack)]))
-        while stack and next(stack[-1], True):  # True: that context is done
-            stack.pop()
-        if not stack:
-            return tuple(found)
+    space = structure.state_space
+    if limit is not None and space.count > limit:
+        raise EnumerationLimitError(f"more than {limit} two-valued states")
+    return tuple(space)
 
 
 @dataclass(frozen=True)
@@ -122,11 +283,12 @@ class MembershipResult:
     rational mixture weights, nonzero entries only.  Not classical:
     ``witness`` is an integer-scaled functional with
     ``witness_value = c . p`` strictly above
-    ``witness_bound = max over states of c . v``.
+    ``witness_bound = max over states of c . v``.  Without an explicit
+    list, ``states`` is the structure's ``StateSpace``.
     """
 
     classical: bool
-    states: tuple[TwoValuedState, ...]
+    states: Sequence[TwoValuedState]
     coefficients: Mapping[int, Fraction] | None
     witness: Mapping[str, Fraction] | None
     witness_bound: Fraction | None
@@ -160,37 +322,50 @@ def classical_membership(
     mode).  Float weights are converted to exact rationals by binary
     decomposition and the decision is made for that exact point, so the
     caller always knows which point was tested.  The answer is exact and
-    self-certifying either way.
+    self-certifying either way.  Without ``states`` the simplex prices
+    against the structure's state space; an explicit list is scanned.
     """
     check_same_structure(structure, weight)
     report = check_admissible(weight, tol)
     if not report.admissible:
         raise NotAdmissibleError(report)
-    if states is None:
-        states = enumerate_two_valued_states(structure)
-    states = tuple(states)
-    if not states:
-        raise NoTwoValuedStatesError(
-            "no two-valued states: the classical polytope is empty"
-        )
+    return _decide_membership(structure, weight, states)
 
+
+def _decide_membership(
+    structure: EventStructure,
+    weight: Weight,
+    states: Sequence[TwoValuedState] | None = None,
+) -> MembershipResult:
+    """``classical_membership`` for a weight already checked admissible
+    on ``structure``."""
     atoms = structure.atoms
     target = [as_fraction(weight[a]) for a in atoms] + [Fraction(1)]
-    columns = [[0] * len(atoms) + [1] for _ in states]
-    for column, state in zip(columns, states):
-        for a in state.ones:
-            column[structure.atom_index[a]] = 1
+    if states is None:
+        space = columns = states = structure.state_space
+    else:
+        space, states = None, tuple(states)
+        columns = [[0] * len(atoms) + [1] for _ in states]
+        for column, state in zip(columns, states):
+            for a in state.ones:
+                column[structure.atom_index[a]] = 1
+    if not states:
+        raise NoTwoValuedStatesError("no two-valued states: the classical polytope is empty")
     solution, farkas = feasible_nonnegative(columns, target)
     if solution is not None:
         return MembershipResult(True, states, dict(solution), None, None, None)
 
     # Separating functional: drop the normalisation row into the bound.
-    c = dict(zip(atoms, clear_denominators(farkas[:-1])[1]))
-    bound = max(sum(c[a] for a in state.ones) for state in states)
-    value = sum(c[a] * target[i] for i, a in enumerate(atoms))
+    c = clear_denominators(farkas[:-1])[1]
+    if space is not None:
+        bound = space.max_value(c)
+    else:
+        by_atom = dict(zip(atoms, c))
+        bound = max(sum(by_atom[a] for a in state.ones) for state in states)
+    value = sum(map(mul, c, target))
     if value <= bound:
         raise RuntimeError("separating witness failed verification")
-    witness = {a: Fraction(v) for a, v in c.items()}
+    witness = {a: Fraction(v) for a, v in zip(atoms, c)}
     return MembershipResult(False, states, None, witness, Fraction(bound), value)
 
 

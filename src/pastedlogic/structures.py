@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from .errors import (
     DuplicateAtomError,
@@ -31,6 +31,9 @@ from .errors import (
     ValidationError,
 )
 from .numeric import load_json
+
+if TYPE_CHECKING:
+    from .states import StateSpace
 
 __all__ = [
     "EventStructure",
@@ -95,6 +98,13 @@ class EventStructure:
             ) == set(reference.context_sets):
                 return CycleForm(n, reference.atoms[:n], reference.atoms[n:])
         return None
+
+    @cached_property
+    def state_space(self) -> StateSpace:
+        """The two-valued states as a frontier table, built once."""
+        from .states import StateSpace  # states imports this module
+
+        return StateSpace(self)
 
     @cached_property
     def _context_by_name(self) -> Mapping[str, int]:

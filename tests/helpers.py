@@ -1,6 +1,7 @@
 """Small construction helpers shared by the test modules."""
 
 from fractions import Fraction
+from itertools import compress
 
 import pastedlogic as pl
 
@@ -62,3 +63,65 @@ def grid_logic(k):
             contexts.append(edge_atoms[(i, j)] + [f"p{i}_{j}"])
             names.append(f"G{i}_{j}")
     return pl.build_event_structure(atoms, contexts, names)
+
+
+def random_structure(rng):
+    """A seeded random structure: up to 20 distinct contexts of 1-4 atoms."""
+    atoms = [f"t{i}" for i in range(int(rng.integers(3, 26)))]
+    contexts = set()
+    for _ in range(int(rng.integers(1, 21))):
+        size = int(rng.integers(1, min(4, len(atoms)) + 1))
+        contexts.add(frozenset(rng.choice(atoms, size=size, replace=False).tolist()))
+    used = set().union(*contexts)
+    return pl.build_event_structure(
+        [a for a in atoms if a in used], sorted(sorted(c) for c in contexts)
+    )
+
+
+def reference_two_valued_states(structure):
+    """All two-valued states by backtracking over contexts: the search
+    the library ran before its frontier table, kept as the reference for
+    the table's order.
+
+    Contexts are processed in index order and candidate 1-atoms tried in
+    atom order.  One generator per context on the current path sits on
+    an explicit stack, so depth is not bounded by the recursion limit.
+    """
+    contexts = structure.contexts
+    value = {}
+    found = []
+
+    def choices(ctx):
+        """Fix each consistent 1-atom of ``ctx`` in turn, yielding while
+        it is fixed and undoing it before the next."""
+        fixed_ones = [a for a in ctx if value.get(a) == 1]
+        if len(fixed_ones) > 1:
+            return
+        candidates = fixed_ones if fixed_ones else [a for a in ctx if value.get(a) != 0]
+        for chosen in candidates:  # never 0, by the filter above
+            trail = [] if chosen in value else [chosen]
+            value[chosen] = 1
+            for other in ctx:
+                if other != chosen:
+                    cur = value.get(other)
+                    if cur is None:
+                        value[other] = 0
+                        trail.append(other)
+                    elif cur:
+                        break
+            else:
+                yield
+            for atom in trail:
+                del value[atom]
+
+    stack = []  # resumed from here, never nested
+    while True:
+        if len(stack) == len(contexts):
+            ones = frozenset(compress(value, value.values()))
+            found.append(pl.TwoValuedState(structure, ones))
+        else:
+            stack.append(choices(contexts[len(stack)]))
+        while stack and next(stack[-1], True):  # True: that context is done
+            stack.pop()
+        if not stack:
+            return tuple(found)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
+from helpers import pentagon_pair
 from pastedlogic import InvalidCycleLengthError
 
 
@@ -120,3 +122,95 @@ class TestClassify:
         assert doc["cyclic_sum"] == "5/2"
         assert doc["bounds"]["n"] == 5
         assert doc["membership"]["classical"] is False
+
+
+def pasting_weight(r):
+    pasting = pentagon_pair()
+    values = {a: (r if a[0] in "xy" else 1) / Fraction(2 + r) for a in pasting.atoms}
+    return pasting, pl.make_weight(pasting, values)
+
+
+class TestMembershipPath:
+    """What ``classify_weight`` runs on the way to a label."""
+
+    def test_no_state_is_listed(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("classify_weight listed the two-valued states")
+
+        monkeypatch.setattr(pl.states, "enumerate_two_valued_states", refuse)
+        monkeypatch.setattr(pl.StateSpace, "__iter__", refuse)
+        labels = set()
+        for n in range(5, 14):
+            structure = pl.cycle_logic(n)
+            for r in [0, Fraction(1, 10), Fraction(3, 10), 1]:
+                labels.add(pl.classify_weight(structure, pl.path_weight(structure, r)).label)
+        for r in [0, Fraction(1, 3), 1]:
+            labels.add(pl.classify_weight(*pasting_weight(r)).label)
+        assert labels == {"classical", "admissible-nonclassical", "beyond-theta"}
+
+    def test_admissibility_is_checked_once(self, pentagon, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pl.check_admissible(*args, **kwargs)
+
+        monkeypatch.setattr(pl.bounds, "check_admissible", counted)
+        monkeypatch.setattr(pl.states, "check_admissible", counted)
+        pl.classify_weight(pentagon, pl.half_weight(pentagon))
+        assert len(calls) == 1
+        pl.classical_membership(pentagon, pl.half_weight(pentagon))
+        assert len(calls) == 2
+
+    def test_a_flipped_verdict_is_caught_on_exact_cycle_weights(self, monkeypatch):
+        decide = pl.bounds._decide_membership
+
+        def flipped(*args, **kwargs):
+            result = decide(*args, **kwargs)
+            return dataclasses.replace(result, classical=not result.classical)
+
+        monkeypatch.setattr(pl.bounds, "_decide_membership", flipped)
+        for n, r in [(5, 0), (5, 1), (6, 0), (3, 1)]:
+            structure = pl.cycle_logic(n)
+            with pytest.raises(RuntimeError, match="closed form"):
+                pl.classify_weight(structure, pl.path_weight(structure, r))
+        # Float copies and structures that are not cycles are not checked:
+        # the flipped verdict goes through.
+        pentagon = pl.cycle_logic(5)
+        for structure, weight in [(pentagon, pl.path_weight(pentagon, 0.5)), pasting_weight(1)]:
+            report = pl.classify_weight(structure, weight)
+            assert report.membership.classical != decide(structure, weight).classical
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+class TestLargeCycles:
+    """Cycles far past what listing the states could reach: L_41 is about
+    3.7e8 and L_101 about 1.3e21."""
+
+    @pytest.mark.parametrize("n", [41, 101])
+    def test_paths_past_the_classical_bound(self, n):
+        structure = pl.cycle_logic(n)
+        assert structure.state_space.count == lucas(n)
+        r_classical, r_theta = pl.path_thresholds(n)
+        theta = Fraction(r_theta).limit_denominator(10**6)
+        regions = {
+            "beyond-theta": [Fraction(0), theta / 2],
+            "admissible-nonclassical": [(theta + r_classical) / 2],
+        }
+        facet = {a: 1 if a.startswith("a") else -Fraction(n + 1, 2) for a in structure.atoms}
+        for label, rs in regions.items():
+            for r in rs:
+                report = pl.classify_weight(structure, pl.path_weight(structure, r))
+                assert report.label == label
+                assert report.cyclic_sum > report.bounds.classical_bound
+                membership = report.membership
+                assert membership.states is structure.state_space
+                assert membership.witness == facet
+                assert membership.witness_bound == -1
+                assert membership.witness_value > -1

@@ -120,6 +120,18 @@ class TestEnumerate:
     def test_limit_exceeded_exits_2(self, pent_file, capsys):
         assert cli.main(["enumerate", "--structure", pent_file, "--limit", "5"]) == 2
 
+    @pytest.mark.parametrize("n", [29, 1500])
+    def test_too_many_states_are_refused_from_the_count(self, n, tmp_path, capsys, monkeypatch):
+        path = tmp_path / "cycle.json"
+        assert cli.main(["gen-cycle", "--n", str(n), "--out", str(path)]) == 0
+
+        def refuse(self):
+            raise AssertionError("states were listed before the refusal")
+
+        monkeypatch.setattr(pl.StateSpace, "__iter__", refuse)
+        assert cli.main(["enumerate", "--structure", str(path)]) == 2
+        assert capsys.readouterr().err == "error: more than 1000000 two-valued states\n"
+
 
 class TestClassify:
     @pytest.mark.parametrize(

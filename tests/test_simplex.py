@@ -14,9 +14,10 @@ from random import Random
 import pytest
 
 import pastedlogic as pl
-from helpers import pentagon_pair
+from helpers import grid_logic, pentagon_pair
 from pastedlogic import _simplex, states as states_module
 from pastedlogic._simplex import feasible_nonnegative
+from pastedlogic.numeric import dumps
 
 
 def reference_feasible_nonnegative(columns, rhs):
@@ -162,3 +163,50 @@ def test_membership_matches_the_fraction_tableau(monkeypatch):
             assert list(got.coefficients.items()) == list(want.coefficients.items())
         verdicts.add(got.classical)
     assert verdicts == {True, False}
+
+
+def grid_mixture_cases():
+    """Seeded rational mixtures of three states on the 2x2 and 3x3 grids,
+    blended with the point that gives every atom of a context the same
+    value where the grid allows it."""
+    rng = Random(8)
+    for k in (2, 3):
+        structure = grid_logic(k)
+        states = pl.enumerate_two_valued_states(structure)
+        for _ in range(6):
+            picks = rng.sample(range(len(states)), 3)
+            raw = [rng.randint(1, 9) for _ in picks]
+            values = {a: Fraction(0) for a in structure.atoms}
+            for coeff, i in zip(raw, picks):
+                for a in states[i].ones:
+                    values[a] += Fraction(coeff, sum(raw))
+            yield structure, states, pl.make_weight(structure, values)
+
+
+def test_the_state_space_prices_like_the_explicit_list():
+    verdicts = set()
+    cases = [*membership_cases(), *grid_mixture_cases()]
+    for structure, states, weight in cases:
+        listed = pl.classical_membership(structure, weight, states)
+        priced = pl.classical_membership(structure, weight)
+        assert priced.states is structure.state_space
+        assert dumps(priced.to_json_dict()) == dumps(listed.to_json_dict())
+        if listed.classical:
+            assert list(priced.coefficients.items()) == list(listed.coefficients.items())
+        else:
+            assert (priced.witness, priced.witness_bound, priced.witness_value) == (
+                listed.witness, listed.witness_bound, listed.witness_value
+            )
+        verdicts.add(listed.classical)
+    assert verdicts == {True, False}
+
+
+def test_tampered_answers_are_rejected_on_the_state_space():
+    space = pl.cycle_logic(5).state_space
+    # Rows: the ten atoms by position (a1 first), then normalisation.
+    a1, normalisation = [1] + [0] * 10, [0] * 10 + [1]
+    _simplex._verify_certificate(space, a1, [1] + [0] * 9 + [-1])
+    with pytest.raises(RuntimeError):  # states with a1 = 1 get y . v = 2
+        _simplex._verify_certificate(space, normalisation, [1] + [0] * 9 + [1])
+    with pytest.raises(RuntimeError):  # state 0 has a1 = 1 as well
+        _simplex._verify_solution(space, normalisation, {0: Fraction(1)})

@@ -6,7 +6,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
-from helpers import grid_logic, pentagon_pair, random_positive_weight
+from helpers import grid_logic, pentagon_pair, random_positive_weight, random_structure
 from pastedlogic import (
     AlphaOutOfRangeError,
     DegenerateScoresError,
@@ -236,19 +236,6 @@ def cycle_basis(structure):
         structure, GlobalScores({a: 0.0 for a in structure.atoms}), ExponentialLink(1.0)
     )
     return [cycle for cycle, _ in pl.gluing_check(family).cycle_deviations]
-
-
-def random_structure(rng):
-    """A seeded random structure: up to 20 distinct contexts of 1-4 atoms."""
-    atoms = [f"t{i}" for i in range(int(rng.integers(3, 26)))]
-    contexts = set()
-    for _ in range(int(rng.integers(1, 21))):
-        size = int(rng.integers(1, min(4, len(atoms)) + 1))
-        contexts.add(frozenset(rng.choice(atoms, size=size, replace=False).tolist()))
-    used = set().union(*contexts)
-    return pl.build_event_structure(
-        [a for a in atoms if a in used], sorted(sorted(c) for c in contexts)
-    )
 
 
 class TestCycleBasis:

@@ -5,12 +5,19 @@ import numpy as np
 import pytest
 
 import pastedlogic as pl
-from helpers import pentagon_pair
+from helpers import grid_logic, pentagon_pair, random_structure, reference_two_valued_states
 from pastedlogic import (
     EnumerationLimitError,
     NoTwoValuedStatesError,
     NotAdmissibleError,
 )
+
+
+def lucas(n):
+    a, b = 2, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
 
 
 def exhaustive_states(structure):
@@ -125,10 +132,113 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("n", range(3, 22))
     def test_state_count_is_lucas_number(self, n):
-        lucas = [2, 1]
-        while len(lucas) <= n:
-            lucas.append(lucas[-1] + lucas[-2])
-        assert len(pl.enumerate_two_valued_states(pl.cycle_logic(n))) == lucas[n]
+        assert len(pl.enumerate_two_valued_states(pl.cycle_logic(n))) == lucas(n)
+
+
+NAMED_STRUCTURES = {
+    **{f"C{n}": (lambda n=n: pl.cycle_logic(n)) for n in range(3, 22)},
+    "pasting": pentagon_pair,
+    "grid2": lambda: grid_logic(2),
+    "grid3": lambda: grid_logic(3),
+}
+
+
+def state_sums(states, structure, w):
+    index = structure.atom_index
+    return [sum(w[index[a]] for a in state.ones) for state in states]
+
+
+class TestStateSpace:
+    """The frontier table against the backtracking reference."""
+
+    @pytest.mark.parametrize("name", NAMED_STRUCTURES)
+    def test_order_matches_the_reference(self, name):
+        structure = NAMED_STRUCTURES[name]()
+        space = structure.state_space
+        reference = reference_two_valued_states(structure)
+        assert space.count == len(reference)
+        assert [s.ones for s in space] == [s.ones for s in reference]
+        assert pl.enumerate_two_valued_states(structure) == reference
+
+    def test_order_matches_the_reference_on_random_structures(self):
+        rng = np.random.default_rng(8)
+        empty = 0
+        for _ in range(300):
+            structure = random_structure(rng)
+            space = structure.state_space
+            reference = reference_two_valued_states(structure)
+            assert space.count == len(reference)
+            assert [s.ones for s in space] == [s.ones for s in reference]
+            empty += not reference
+            if reference:
+                w = [int(v) for v in rng.integers(-3, 4, size=len(structure.atoms))]
+                sums = state_sums(reference, structure, w)
+                t = sums[int(rng.integers(len(sums)))]
+                assert space.max_value(w) == max(sums)
+                assert space.first_above(w, t) == next((i for i, v in enumerate(sums) if v > t), None)
+        assert 0 < empty < 200
+
+    @pytest.mark.parametrize("name", ["C9", "pasting", "grid3"])
+    def test_rank_unrank_round_trip(self, name):
+        structure = NAMED_STRUCTURES[name]()
+        space = structure.state_space
+        for i, state in enumerate(space):
+            assert space[i] == state
+            assert space.index(state) == i
+            assert space.positions(i) == sorted(structure.atom_index[a] for a in state.ones)
+        assert space[-1] == space[space.count - 1]
+        with pytest.raises(IndexError):
+            space[space.count]
+        not_a_state = pl.TwoValuedState(structure, space[0].ones | space[1].ones)
+        with pytest.raises(ValueError):
+            space.index(not_a_state)
+        with pytest.raises(ValueError):
+            space.index(pl.TwoValuedState(pl.cycle_logic(4), frozenset({"a1", "a3"})))
+
+    def test_structure_without_states(self):
+        tight = pl.build_event_structure(
+            ["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]
+        )
+        space = tight.state_space
+        assert space.count == 0 and not space and list(space) == []
+        with pytest.raises(IndexError):
+            space[0]
+        with pytest.raises(ValueError):
+            space.index(pl.TwoValuedState(tight, frozenset({"a"})))
+        with pytest.raises(NoTwoValuedStatesError):
+            space.max_value([1, 1, 1])
+
+    @pytest.mark.parametrize("name", ["C7", "C8", "pasting", "grid3"])
+    def test_max_value_and_first_above_match_brute_force(self, name):
+        structure = NAMED_STRUCTURES[name]()
+        space = structure.state_space
+        states = list(space)
+        rng = np.random.default_rng(len(name))
+        for _ in range(25):
+            w = [int(v) for v in rng.integers(-4, 5, size=len(structure.atoms))]
+            sums = state_sums(states, structure, w)
+            assert space.max_value(w) == max(sums)
+            # Thresholds at a state's own sum test the strict inequality.
+            for t in {*rng.choice(sums, size=4).tolist(), min(sums) - 1, max(sums)}:
+                want = next((i for i, v in enumerate(sums) if v > t), None)
+                assert space.first_above(w, t) == want
+        w = [Fraction(1, 3)] * len(structure.atoms)
+        assert space.max_value(w) == max(state_sums(states, structure, w))
+
+    @pytest.mark.parametrize("n", [41, 101, 1500])
+    def test_count_is_lucas_without_listing(self, n, monkeypatch):
+        def refuse(self):
+            raise AssertionError("the space was listed")
+
+        monkeypatch.setattr(pl.StateSpace, "__iter__", refuse)
+        space = pl.cycle_logic(n).state_space
+        assert space.count == lucas(n)
+        with pytest.raises(EnumerationLimitError):
+            pl.enumerate_two_valued_states(pl.cycle_logic(n))
+        assert space
+        if n == 101:
+            with pytest.raises(OverflowError):
+                len(space)
 
 
 class TestMembership:
