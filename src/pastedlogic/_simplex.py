@@ -12,19 +12,17 @@ Fraction tableau.  Infeasibility comes with a Farkas certificate read
 off the optimal dual: a vector y with  y . A_j <= 0  for every column j
 and  y . b > 0.  Both outcomes are checked against the input.
 
-The columns are either listed, and then scanned for the entering one,
-or given as a ``VertexFamily`` of 0/1 vertices too many to list.  Bland's
-entering column is then the family's first vertex whose dual sum
-exceeds a threshold, and the certificate is checked against the
-family's maximum; the pivots are those of the scan over the full list.
+The columns are given as a ``VertexFamily`` of 0/1 vertices, too many to
+list.  Bland's entering column is the family's first vertex whose dual
+sum exceeds a threshold, and the certificate is checked against the
+family's maximum; the pivots are those of a scan over the full list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from operator import mul
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Protocol, Sequence
 
 from .numeric import clear_denominators
 
@@ -33,7 +31,6 @@ __all__ = ["feasible_nonnegative"]
 Rational = int | Fraction
 
 
-@runtime_checkable
 class VertexFamily(Protocol):
     """0/1 columns given implicitly, each with a 1 in the last
     (normalisation) row: the vertices of a polytope, too many to list.
@@ -53,66 +50,20 @@ class VertexFamily(Protocol):
     def max_value(self, w: Sequence[Rational]) -> Rational: ...
 
 
-class _ListPricing:
-    """Pricing over an explicit column list: the lowest index with a
-    negative reduced cost, found by scanning the sparse columns."""
-
-    def __init__(self, columns: Sequence[Sequence[Rational]], sign: list[int]):
-        m, flipped = len(sign), -1 in sign
-        self.count = len(columns)
-        self.sparse = []  # (scale, values, rows); a positive scale moves no pivot
-        for col in columns:
-            if len(col) != m:
-                raise ValueError("column length does not match rhs")
-            rows = list(compress(range(m), col))
-            values = list(filter(None, col))
-            if flipped:
-                values = list(map(mul, map(sign.__getitem__, rows), values))
-            self.sparse.append((*clear_denominators(values), rows))
-
-    def column(self, j: int) -> tuple[int, list[int], list[int]]:
-        return self.sparse[j]
-
-    def entering(self, dual: list[int]) -> int | None:
-        for j, (_, values, rows) in enumerate(self.sparse):
-            if sum(map(mul, map(dual.__getitem__, rows), values)) > 0:
-                return j
-        return None
-
-
-class _FamilyPricing:
-    """Pricing over a vertex family: the row flips fold into ``w``, and
-    the normalisation row into the threshold."""
-
-    def __init__(self, family: VertexFamily, sign: list[int]):
-        self.family, self.sign, self.count = family, sign, family.count
-
-    def column(self, j: int) -> tuple[int, list[int], list[int]]:
-        rows = [*self.family.positions(j), len(self.sign) - 1]
-        return 1, list(map(self.sign.__getitem__, rows)), rows
-
-    def entering(self, dual: list[int]) -> int | None:
-        w = list(map(mul, dual, self.sign))
-        return self.family.first_above(w, -w.pop())
-
-
 def feasible_nonnegative(
-    columns: Sequence[Sequence[Rational]] | VertexFamily, rhs: Sequence[Rational]
+    family: VertexFamily, rhs: Sequence[Rational]
 ) -> tuple[dict[int, Fraction] | None, list[Fraction] | None]:
-    """Solve ``sum_j x_j * columns[j] = rhs`` with ``x >= 0`` exactly.
+    """Solve ``sum_j x_j * column_j = rhs`` with ``x >= 0`` exactly, over
+    the columns of ``family``, priced without listing them.
 
-    Entries are ints or Fractions.  ``columns`` is a list of columns or
-    a ``VertexFamily``, which is priced without listing its columns.
-    Returns ``(x, None)`` on success, with ``x`` a sparse dict of the
-    nonzero coordinates, or ``(None, y)`` with a Farkas certificate of
-    infeasibility.  Both outcomes are verified internally before being
-    returned.
+    Entries of ``rhs`` are ints or Fractions; its last entry is the
+    normalisation row.  Returns ``(x, None)`` on success, with ``x`` a
+    sparse dict of the nonzero coordinates, or ``(None, y)`` with a
+    Farkas certificate of infeasibility.  Both outcomes are verified
+    internally before being returned.
     """
-    m = len(rhs)
+    m, n = len(rhs), family.count
     sign = [1 if v >= 0 else -1 for v in rhs]  # flipped rows start feasible
-    family = isinstance(columns, VertexFamily)
-    pricing = _FamilyPricing(columns, sign) if family else _ListPricing(columns, sign)
-    n = pricing.count
     rhs_scale, beta = clear_denominators(list(map(abs, rhs)))  # D·B⁻¹ b
     det = 1
     inverse = [[int(i == k) for k in range(m)] for i in range(m)]  # D·B⁻¹
@@ -121,10 +72,13 @@ def feasible_nonnegative(
 
     while True:
         # D times the reduced cost: -dual·a_j on a column, D - dual_k on
-        # artificial k, which come after all columns.
-        entering = pricing.entering(dual)
+        # artificial k, which come after all columns.  The row flips fold
+        # into w, and the normalisation row into the threshold.
+        w = list(map(mul, dual, sign))
+        entering = family.first_above(w, -w.pop())
         if entering is not None:
-            _, values, rows = pricing.column(entering)
+            rows = [*family.positions(entering), m - 1]
+            values = list(map(sign.__getitem__, rows))
             reduced = -sum(map(mul, map(dual.__getitem__, rows), values))
             alpha = [sum(map(mul, map(r.__getitem__, rows), values)) for r in inverse]
         else:
@@ -156,53 +110,37 @@ def feasible_nonnegative(
 
     if all(beta[i] == 0 for i in range(m) if basis[i] >= n):
         solution = {
-            basis[i]: Fraction(pricing.column(basis[i])[0] * beta[i], det * rhs_scale)
+            basis[i]: Fraction(beta[i], det * rhs_scale)
             for i in range(m)
             if basis[i] < n and beta[i] != 0
         }
-        _verify_solution(columns, rhs, solution)
+        _verify_solution(family, rhs, solution)
         return solution, None
 
     # y = D·y / D through the row flips; D·y has the same signs to check.
     scaled = list(map(mul, sign, dual))
-    _verify_certificate(columns, rhs, scaled)
+    _verify_certificate(family, rhs, scaled)
     return None, [Fraction(v, det) for v in scaled]
 
 
 def _verify_solution(
-    columns: Sequence[Sequence[Rational]] | VertexFamily,
-    rhs: Sequence[Rational],
-    solution: dict[int, Fraction],
+    family: VertexFamily, rhs: Sequence[Rational], solution: dict[int, Fraction]
 ) -> None:
     m = len(rhs)
     total = [Fraction(0)] * m
     for j, coeff in solution.items():
         if coeff < 0:
             raise RuntimeError("simplex returned a negative coefficient")
-        if isinstance(columns, VertexFamily):
-            column = [0] * m
-            for i in [*columns.positions(j), m - 1]:
-                column[i] = 1
-        else:
-            column = columns[j]
-        for i, c in enumerate(column):
-            if c:
-                total[i] += coeff * c
+        for i in [*family.positions(j), m - 1]:
+            total[i] += coeff
     if any(total[i] != rhs[i] for i in range(m)):
         raise RuntimeError("simplex solution does not reproduce the target")
 
 
 def _verify_certificate(
-    columns: Sequence[Sequence[Rational]] | VertexFamily,
-    rhs: Sequence[Rational],
-    y: Sequence[Rational],
+    family: VertexFamily, rhs: Sequence[Rational], y: Sequence[Rational]
 ) -> None:
     if sum(map(mul, y, rhs)) <= 0:
         raise RuntimeError("Farkas certificate does not separate the target")
-    if isinstance(columns, VertexFamily):
-        if columns.max_value(y[:-1]) + y[-1] > 0:
-            raise RuntimeError("Farkas certificate fails on a column")
-        return
-    for col in columns:
-        if sum(map(mul, y, col)) > 0:
-            raise RuntimeError("Farkas certificate fails on a column")
+    if family.max_value(y[:-1]) + y[-1] > 0:
+        raise RuntimeError("Farkas certificate fails on a column")

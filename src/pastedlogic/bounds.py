@@ -21,12 +21,13 @@ even cycles, where the closed form above is not the relevant value.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidCycleLengthError, NotACycleStructureError
-from .numeric import DEFAULT_TOL, RATIONAL, fields_to_json
+from .numeric import DEFAULT_TOL, RATIONAL, as_fraction, fields_to_json
 from .states import MembershipResult, _decide_membership
 from .structures import EventStructure, cycle_form
 from .weights import (
@@ -70,8 +71,48 @@ class CycleBounds:
     to_json_dict = fields_to_json
 
     def exceeds_theta(self, cyclic_sum: Numeric) -> bool:
-        """Whether a cyclic sum lies past theta, compared as a float."""
-        return float(cyclic_sum) > self.theta
+        """Whether a cyclic sum lies past theta, decided exactly.
+
+        For 0 < s < n,  s > n c/(1+c)  holds exactly when  c < s/(n-s),
+        with c = cos(pi/n).  That is decided on rational brackets of c,
+        refined until they separate, which they do because c is
+        irrational for n >= 4; at n = 3, c is 1/2 and compared as such.
+        """
+        s = as_fraction(cyclic_sum)
+        if not 0 < s < self.n:
+            return s > 0
+        q = s / (self.n - s)
+        if self.n == 3:
+            return q > Fraction(1, 2)
+        terms = 8
+        while True:
+            lo, hi = _cos_pi_over(self.n, terms)
+            if hi <= q or lo >= q:
+                return hi <= q
+            terms *= 2
+
+
+def _between(terms: list[Fraction]) -> tuple[Fraction, Fraction]:
+    """The last two partial sums of an alternating series whose terms
+    shrink in size, in order: its sum lies strictly between them."""
+    before = sum(terms[:-1])
+    return tuple(sorted((before, before + terms[-1])))
+
+
+@functools.cache
+def _cos_pi_over(n: int, terms: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < cos(pi/n) < hi: pi from Machin's formula
+    16 atan(1/5) - 4 atan(1/239), then the Taylor series of cos at each
+    end of the bracket of pi/n, where cos is decreasing."""
+    k = range(terms + 1)
+    a5, a239 = (_between([Fraction((-1) ** i, (2 * i + 1) * b ** (2 * i + 1)) for i in k])
+                for b in (5, 239))
+    pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+
+    def cos(x: Fraction) -> tuple[Fraction, Fraction]:
+        return _between([(-1) ** i * x ** (2 * i) / math.factorial(2 * i) for i in k])
+
+    return cos(pi_hi / n)[0], cos(pi_lo / n)[1]
 
 
 def cycle_bounds(n: int) -> CycleBounds:

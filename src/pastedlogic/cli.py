@@ -109,7 +109,7 @@ def _emit(args, payload) -> None:
 
 def cmd_gen_cycle(args) -> int:
     structure = cycle_logic(args.n)
-    _emit(args, structure.to_json_dict())
+    _emit(args, structure)
     return EXIT_OK
 
 
@@ -155,7 +155,7 @@ def cmd_check(args) -> int:
     structure = _load_structure(args.structure)
     weight = _load_weight(args.weight, structure, args.mode)
     report = check_admissible(weight, args.tol)
-    _emit(args, report.to_json_dict())
+    _emit(args, report)
     return EXIT_OK if report.admissible else EXIT_NOT_ADMISSIBLE
 
 
@@ -170,7 +170,7 @@ def cmd_classify(args) -> int:
     structure = _load_structure(args.structure)
     weight = _load_weight(args.weight, structure, args.mode)
     report = classify_weight(structure, weight, args.tol)
-    _emit(args, report.to_json_dict())
+    _emit(args, report)
     return _LABEL_EXIT[report.label]
 
 
@@ -196,7 +196,7 @@ def cmd_glue_check(args) -> int:
     link = _link(args, embedded)
     family = context_softmax(structure, scores, link)
     report = gluing_check(family, args.tol)
-    _emit(args, report.to_json_dict())
+    _emit(args, report)
     return EXIT_OK if report.glued else EXIT_NONCLASSICAL
 
 
@@ -235,7 +235,7 @@ def cmd_analyze(args) -> int:
         structure=_load_structure(args.structure) if args.structure else None,
     )
     report = analyze(data, args.z_threshold, args.tol)
-    _emit(args, report.to_json_dict())
+    _emit(args, report)
     if report.classification is None:
         return EXIT_WITHHELD
     return _LABEL_EXIT[report.classification.label]

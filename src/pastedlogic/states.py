@@ -279,16 +279,15 @@ def enumerate_two_valued_states(
 class MembershipResult:
     """Verdict plus certificate for one membership query.
 
-    Classical: ``coefficients`` maps state indices (into ``states``) to
-    rational mixture weights, nonzero entries only.  Not classical:
-    ``witness`` is an integer-scaled functional with
-    ``witness_value = c . p`` strictly above
-    ``witness_bound = max over states of c . v``.  Without an explicit
-    list, ``states`` is the structure's ``StateSpace``.
+    ``states`` is the structure's ``StateSpace``.  Classical:
+    ``coefficients`` maps state indices (into ``states``) to rational
+    mixture weights, nonzero entries only.  Not classical: ``witness``
+    is an integer-scaled functional with ``witness_value = c . p``
+    strictly above ``witness_bound = max over states of c . v``.
     """
 
     classical: bool
-    states: Sequence[TwoValuedState]
+    states: StateSpace
     coefficients: Mapping[int, Fraction] | None
     witness: Mapping[str, Fraction] | None
     witness_bound: Fraction | None
@@ -311,62 +310,44 @@ class MembershipResult:
 
 
 def classical_membership(
-    structure: EventStructure,
-    weight: Weight,
-    states: Sequence[TwoValuedState] | None = None,
-    tol: float = DEFAULT_TOL,
+    structure: EventStructure, weight: Weight, *, tol: float = DEFAULT_TOL
 ) -> MembershipResult:
     """Decide whether a weight is a convex mixture of two-valued states.
 
     The weight must be admissible (checked first, at ``tol`` in float
     mode).  Float weights are converted to exact rationals by binary
     decomposition and the decision is made for that exact point, so the
-    caller always knows which point was tested.  The answer is exact and
-    self-certifying either way.  Without ``states`` the simplex prices
-    against the structure's state space; an explicit list is scanned.
+    caller always knows which point was tested.  The simplex prices
+    against the structure's state space, and the answer is exact and
+    self-certifying either way.
     """
     check_same_structure(structure, weight)
     report = check_admissible(weight, tol)
     if not report.admissible:
         raise NotAdmissibleError(report)
-    return _decide_membership(structure, weight, states)
+    return _decide_membership(structure, weight)
 
 
-def _decide_membership(
-    structure: EventStructure,
-    weight: Weight,
-    states: Sequence[TwoValuedState] | None = None,
-) -> MembershipResult:
+def _decide_membership(structure: EventStructure, weight: Weight) -> MembershipResult:
     """``classical_membership`` for a weight already checked admissible
     on ``structure``."""
     atoms = structure.atoms
     target = [as_fraction(weight[a]) for a in atoms] + [Fraction(1)]
-    if states is None:
-        space = columns = states = structure.state_space
-    else:
-        space, states = None, tuple(states)
-        columns = [[0] * len(atoms) + [1] for _ in states]
-        for column, state in zip(columns, states):
-            for a in state.ones:
-                column[structure.atom_index[a]] = 1
-    if not states:
+    space = structure.state_space
+    if not space.count:
         raise NoTwoValuedStatesError("no two-valued states: the classical polytope is empty")
-    solution, farkas = feasible_nonnegative(columns, target)
+    solution, farkas = feasible_nonnegative(space, target)
     if solution is not None:
-        return MembershipResult(True, states, dict(solution), None, None, None)
+        return MembershipResult(True, space, solution, None, None, None)
 
     # Separating functional: drop the normalisation row into the bound.
     c = clear_denominators(farkas[:-1])[1]
-    if space is not None:
-        bound = space.max_value(c)
-    else:
-        by_atom = dict(zip(atoms, c))
-        bound = max(sum(by_atom[a] for a in state.ones) for state in states)
+    bound = space.max_value(c)
     value = sum(map(mul, c, target))
     if value <= bound:
         raise RuntimeError("separating witness failed verification")
     witness = {a: Fraction(v) for a, v in zip(atoms, c)}
-    return MembershipResult(False, states, None, witness, Fraction(bound), value)
+    return MembershipResult(False, space, None, witness, Fraction(bound), value)
 
 
 def max_cyclic_value(structure: EventStructure) -> Fraction:

@@ -78,6 +78,33 @@ def random_structure(rng):
     )
 
 
+class ListFamily:
+    """A ``VertexFamily`` over an explicit list of 0/1 vertices, each given
+    by the rows it holds a 1 in besides the normalisation row; the
+    simplex's queries scan the list.  Vertices may repeat."""
+
+    def __init__(self, vertices):
+        self.vertices = [sorted(set(v)) for v in vertices]
+        self.count = len(self.vertices)
+
+    def positions(self, j):
+        return self.vertices[j]
+
+    def sums(self, w):
+        return [sum(w[i] for i in v) for v in self.vertices]
+
+    def first_above(self, w, t):
+        return next((j for j, s in enumerate(self.sums(w)) if s > t), None)
+
+    def max_value(self, w):
+        return max(self.sums(w), default=float("-inf"))
+
+    def columns(self, m):
+        """The vertices as explicit columns of ``m`` rows, the last one
+        the normalisation row."""
+        return [[int(i in v or i == m - 1) for i in range(m)] for v in self.vertices]
+
+
 def reference_two_valued_states(structure):
     """All two-valued states by backtracking over contexts: the search
     the library ran before its frontier table, kept as the reference for

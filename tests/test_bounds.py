@@ -42,6 +42,44 @@ class TestCycleBounds:
             pl.cycle_bounds(2)
 
 
+class TestExactTheta:
+    """``exceeds_theta`` decides  s > n cos(pi/n)/(1 + cos(pi/n))  without
+    floats."""
+
+    # isqrt(5 * 10**80) / 10**40 is sqrt(5) rounded down at 40 digits.
+    BELOW_SQRT5 = Fraction(math.isqrt(5 * 10**80), 10**40)
+    ABOVE_SQRT5 = BELOW_SQRT5 + Fraction(1, 10**40)
+
+    def test_both_sides_of_sqrt5(self, pentagon):
+        b = pl.cycle_bounds(5)
+        assert float(self.BELOW_SQRT5) == float(self.ABOVE_SQRT5)
+        assert b.exceeds_theta(self.ABOVE_SQRT5)
+        assert not b.exceeds_theta(self.BELOW_SQRT5)
+        for s, label in [(self.ABOVE_SQRT5, "beyond-theta"), (self.BELOW_SQRT5, "admissible-nonclassical")]:
+            report = pl.classify_weight(pentagon, pl.path_weight(pentagon, 5 / s - 2))
+            assert report.cyclic_sum == s
+            assert report.label == label
+            assert report.beyond_theta is (label == "beyond-theta")
+
+    @pytest.mark.parametrize("n", [5, 7, 9, 41, 101])
+    def test_agrees_with_the_float_comparison_away_from_theta(self, n):
+        b = pl.cycle_bounds(n)
+        for factor in (1 - 1e-9, 1 + 1e-9):
+            s = b.theta * factor
+            assert b.exceeds_theta(s) == (s > b.theta)
+            assert b.exceeds_theta(Fraction(s)) == (s > b.theta)
+
+    def test_outside_zero_to_n(self):
+        b = pl.cycle_bounds(7)
+        assert b.exceeds_theta(7) and b.exceeds_theta(Fraction(15, 2))
+        assert not b.exceeds_theta(0) and not b.exceeds_theta(-1.5)
+
+    def test_triangle_theta_is_one(self):
+        b = pl.cycle_bounds(3)
+        assert not b.exceeds_theta(1)
+        assert b.exceeds_theta(Fraction(1001, 1000))
+
+
 class TestPathThresholds:
     def test_pentagon(self):
         r_classical, r_theta = pl.path_thresholds(5)

@@ -4,7 +4,9 @@ The repository has no linter configured, so this test is the guard: it
 parses each module of ``src/pastedlogic`` and fails on a name bound by a
 module-level import that the module never reads.  ``__init__.py``
 re-exports by design and ``from __future__`` imports bind nothing, so
-both are exempt; a name listed in ``__all__`` counts as used.
+both are exempt; a name listed in ``__all__`` counts as used.  Likewise
+every private module-level function or class is referred to somewhere
+in the package besides its own definition.
 
 The benchmark's tracer wraps package functions by name, so every name it
 lists must still exist: a rename in ``src`` would otherwise break only
@@ -59,6 +61,43 @@ def test_no_unused_module_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from typing import Mapping, Sequence\nimport math\nx: Sequence = []\n"
     assert unused_imports(source) == ["line 1: Mapping", "line 2: math"]
+
+
+def unreferenced_private(sources: list[str]) -> list[str]:
+    """Module-level functions and classes named with one leading
+    underscore that no module refers to outside their own definition."""
+    defined, referenced = set(), set()
+    for source in sources:
+        for node in ast.parse(source).body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if own.startswith("_") and not own.startswith("__"):
+                    defined.add(own)
+            names = {
+                getattr(sub, "id", None) or getattr(sub, "attr", None) or sub.name
+                for sub in ast.walk(node)
+                if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))
+            }
+            referenced |= names - {own}
+    return sorted(defined - referenced)
+
+
+def test_no_unreferenced_private_definitions():
+    sources = [p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")]
+    assert unreferenced_private(sources) == []
+
+
+def test_the_check_sees_an_unused_private_helper():
+    source = (
+        "def _used():\n    pass\n\n"
+        "def _unused():\n    return _unused()\n\n"
+        "class _Dead:\n    pass\n\n"
+        "def __getattr__(name):\n    pass\n\n"
+        "x = _used()\n"
+    )
+    assert unreferenced_private([source]) == ["_Dead", "_unused"]
+    assert unreferenced_private([source, "from m import _Dead\n"]) == ["_unused"]
 
 
 def test_the_tracer_names_resolve(monkeypatch):

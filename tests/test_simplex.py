@@ -8,16 +8,17 @@ solver must take the same pivots, so it must return the same ``x`` and
 the same ``y``, value for value and in the same order.
 """
 
+import math
 from fractions import Fraction
 from random import Random
 
 import pytest
 
 import pastedlogic as pl
-from helpers import grid_logic, pentagon_pair
-from pastedlogic import _simplex, states as states_module
+from helpers import ListFamily, grid_logic, pentagon_pair, reference_two_valued_states
+from pastedlogic import _simplex
 from pastedlogic._simplex import feasible_nonnegative
-from pastedlogic.numeric import dumps
+from pastedlogic.numeric import as_fraction
 
 
 def reference_feasible_nonnegative(columns, rhs):
@@ -77,62 +78,68 @@ def assert_same(got, want):
         assert all(type(v) is Fraction for v in x.values())
 
 
-ENTRIES = [0, 0, 0, 1, 1, 2, -1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
+RHS_ENTRIES = [0, 0, 0, 1, 1, 2, -1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
 
 
 def random_lp(rng):
-    """Small LPs with repeated columns and zero right-hand sides, so that
-    ratio ties and degenerate pivots are common."""
-    m, n = rng.randint(1, 5), rng.randint(1, 9)
-    columns = [[rng.choice(ENTRIES) for _ in range(m)] for _ in range(n)]
+    """Small families of 0/1 vertices with repeats, and signed rational
+    right-hand sides, so that ratio ties, degenerate pivots and flipped
+    rows are common."""
+    m, n = rng.randint(2, 6), rng.randint(0, 9)
+    vertices = [{i for i in range(m - 1) if rng.random() < 0.4} for _ in range(n)]
     if n > 1 and rng.random() < 0.3:
-        columns[rng.randrange(n)] = list(columns[rng.randrange(n)])
+        vertices[rng.randrange(n)] = set(vertices[rng.randrange(n)])
+    family = ListFamily(vertices)
     if rng.random() < 0.5:  # feasible by construction
+        columns = family.columns(m)
         x = [rng.choice([0, 0, 1, Fraction(1, 3), 2]) for _ in range(n)]
         rhs = [sum(x[j] * columns[j][i] for j in range(n)) for i in range(m)]
     else:
-        rhs = [rng.choice(ENTRIES + [Fraction(-7, 4), 3]) for _ in range(m)]
-    return columns, rhs
+        rhs = [rng.choice(RHS_ENTRIES + [Fraction(-7, 4), 3]) for _ in range(m)]
+    return family, rhs
 
 
 def test_random_lps_match_the_fraction_tableau():
     rng = Random(20261018)
-    outcomes = {"feasible": 0, "infeasible": 0}
+    outcomes = {"feasible": 0, "infeasible": 0, "negative": 0}
     for _ in range(600):
-        columns, rhs = random_lp(rng)
-        want = reference_feasible_nonnegative(columns, rhs)
-        assert_same(feasible_nonnegative(columns, rhs), want)
+        family, rhs = random_lp(rng)
+        want = reference_feasible_nonnegative(family.columns(len(rhs)), rhs)
+        assert_same(feasible_nonnegative(family, rhs), want)
         outcomes["feasible" if want[0] is not None else "infeasible"] += 1
+        outcomes["negative"] += min(rhs) < 0
     assert min(outcomes.values()) > 100
 
 
 def test_degenerate_tie_is_broken_by_the_lower_basic_index():
-    # Column 0 enters with rows 0 and 2 tied at ratio 0: the artificial
-    # of row 0 (basic index 1) leaves, not that of row 2 (index 3), and
-    # the certificate depends on it.
-    columns, rhs = [[1, 0, 1]], [0, 1, 0]
-    want = reference_feasible_nonnegative(columns, rhs)
+    # The vertex {0} enters with rows 0 and 2 tied at ratio 0: the
+    # artificial of row 0 (basic index 1) leaves, not that of row 2
+    # (index 3), and the certificate depends on it.
+    family, rhs = ListFamily([{0}]), [0, 1, 0]
+    want = reference_feasible_nonnegative(family.columns(3), rhs)
     assert want == (None, [-1, 1, 1])
-    assert_same(feasible_nonnegative(columns, rhs), want)
+    assert_same(feasible_nonnegative(family, rhs), want)
 
 
-def test_empty_system_is_feasible():
-    assert feasible_nonnegative([], []) == ({}, None)
-    assert feasible_nonnegative([[], []], []) == ({}, None)
-
-
-def test_shape_mismatch_raises():
-    with pytest.raises(ValueError):
-        feasible_nonnegative([[1, 2], [1]], [1, 1])
+def test_empty_family():
+    empty = ListFamily([])
+    assert feasible_nonnegative(empty, [0]) == ({}, None)
+    assert feasible_nonnegative(empty, [1]) == (None, [Fraction(1)])
+    assert reference_feasible_nonnegative([], [1]) == (None, [1])
 
 
 def test_tampered_answers_are_rejected():
-    with pytest.raises(RuntimeError):
-        _simplex._verify_certificate([[1, 0], [0, 1]], [1, 1], [1, -1])
-    with pytest.raises(RuntimeError):
-        _simplex._verify_certificate([[-1, 0]], [1, -1], [0, 1])
-    with pytest.raises(RuntimeError):
-        _simplex._verify_solution([[1, 0], [0, 1]], [1, 1], {0: Fraction(1)})
+    family = ListFamily([{0}, set()])  # columns [1, 1] and [0, 1]
+    _simplex._verify_certificate(family, [1, -1], [1, -1])
+    _simplex._verify_solution(family, [1, 1], {0: Fraction(1)})
+    with pytest.raises(RuntimeError, match="separate"):
+        _simplex._verify_certificate(family, [1, 1], [1, -1])
+    with pytest.raises(RuntimeError, match="fails on a column"):  # y . [1, 1] = 1
+        _simplex._verify_certificate(family, [0, -1], [2, -1])
+    with pytest.raises(RuntimeError, match="reproduce"):
+        _simplex._verify_solution(family, [1, 1], {1: Fraction(1)})
+    with pytest.raises(RuntimeError, match="negative"):
+        _simplex._verify_solution(family, [0, 0], {0: Fraction(-1), 1: Fraction(1)})
 
 
 def membership_cases():
@@ -140,29 +147,13 @@ def membership_cases():
     the half weight, float copies, and path-like weights on a pasting."""
     for n in range(5, 12):
         structure = pl.cycle_logic(n)
-        states = pl.enumerate_two_valued_states(structure)
         rc = Fraction(2, n - 1)
         for r in [0, Fraction(1, 4), rc * Fraction(9, 10), rc, rc * Fraction(6, 5), 1, 0.7, 1.0]:
-            yield structure, states, pl.path_weight(structure, r)
+            yield structure, pl.path_weight(structure, r)
     pasting = pentagon_pair()
-    states = pl.enumerate_two_valued_states(pasting)
     for r in [0, Fraction(1, 3), 1]:
         values = {a: (r if a[0] in "xy" else 1) / Fraction(2 + r) for a in pasting.atoms}
-        yield pasting, states, pl.make_weight(pasting, values)
-
-
-def test_membership_matches_the_fraction_tableau(monkeypatch):
-    verdicts = set()
-    for structure, states, weight in membership_cases():
-        got = pl.classical_membership(structure, weight, states)
-        with monkeypatch.context() as patch:
-            patch.setattr(states_module, "feasible_nonnegative", reference_feasible_nonnegative)
-            want = pl.classical_membership(structure, weight, states)
-        assert got == want
-        if got.classical:
-            assert list(got.coefficients.items()) == list(want.coefficients.items())
-        verdicts.add(got.classical)
-    assert verdicts == {True, False}
+        yield pasting, pl.make_weight(pasting, values)
 
 
 def grid_mixture_cases():
@@ -172,7 +163,7 @@ def grid_mixture_cases():
     rng = Random(8)
     for k in (2, 3):
         structure = grid_logic(k)
-        states = pl.enumerate_two_valued_states(structure)
+        states = reference_two_valued_states(structure)
         for _ in range(6):
             picks = rng.sample(range(len(states)), 3)
             raw = [rng.randint(1, 9) for _ in picks]
@@ -180,24 +171,65 @@ def grid_mixture_cases():
             for coeff, i in zip(raw, picks):
                 for a in states[i].ones:
                     values[a] += Fraction(coeff, sum(raw))
-            yield structure, states, pl.make_weight(structure, values)
+            yield structure, pl.make_weight(structure, values)
+
+
+def negative_rhs_case():
+    """A float weight admissible at the default tol whose exact point has
+    x1 < 0: the half weight on C5 with a1 raised by 1e-12."""
+    pentagon = pl.cycle_logic(5)
+    values = dict(pl.to_float(pl.half_weight(pentagon)).values)
+    values["a1"] += 1e-12
+    values["x1"] = -1e-12
+    return pentagon, pl.make_weight(pentagon, values, mode="float")
+
+
+def test_membership_matches_the_fraction_tableau():
+    verdicts = set()
+    cases = [*membership_cases(), *grid_mixture_cases(), negative_rhs_case()]
+    for structure, weight in cases:
+        got = pl.classical_membership(structure, weight)
+        assert got.states is structure.state_space
+        atoms = structure.atoms
+        states = reference_two_valued_states(structure)
+        columns = [[int(a in s.ones) for a in atoms] + [1] for s in states]
+        target = [as_fraction(weight[a]) for a in atoms] + [1]
+        x, y = reference_feasible_nonnegative(columns, target)
+        assert got.classical == (x is not None)
+        if got.classical:
+            assert list(got.coefficients.items()) == list(x.items())
+            assert [got.states[i] for i in got.coefficients] == [states[i] for i in x]
+        else:
+            scale = math.lcm(*(v.denominator for v in y[:-1]))
+            c = dict(zip(atoms, (v * scale for v in y[:-1])))
+            assert got.witness == c
+            assert got.witness_bound == max(sum(c[a] for a in s.ones) for s in states)
+            assert got.witness_value == sum(c[a] * v for a, v in zip(atoms, target))
+        verdicts.add(got.classical)
+    assert verdicts == {True, False}
+    assert min(as_fraction(v) for v in cases[-1][1].values.values()) < 0
 
 
 def test_the_state_space_prices_like_the_explicit_list():
+    # The simplex sees the states only through their pricing queries:
+    # the frontier table must answer each one as a scan over the listed
+    # states does, so the whole run takes the same pivots.
     verdicts = set()
-    cases = [*membership_cases(), *grid_mixture_cases()]
-    for structure, states, weight in cases:
-        listed = pl.classical_membership(structure, weight, states)
-        priced = pl.classical_membership(structure, weight)
-        assert priced.states is structure.state_space
-        assert dumps(priced.to_json_dict()) == dumps(listed.to_json_dict())
-        if listed.classical:
-            assert list(priced.coefficients.items()) == list(listed.coefficients.items())
-        else:
-            assert (priced.witness, priced.witness_bound, priced.witness_value) == (
-                listed.witness, listed.witness_bound, listed.witness_value
-            )
-        verdicts.add(listed.classical)
+    for structure, weight in [*membership_cases(), *grid_mixture_cases()]:
+        atoms, space = structure.atoms, structure.state_space
+        position = structure.atom_index
+        states = reference_two_valued_states(structure)
+        listed = ListFamily([{position[a] for a in s.ones} for s in states])
+        assert space.count == listed.count
+        assert [space.positions(j) for j in range(space.count)] == listed.vertices
+        target = [as_fraction(weight[a]) for a in atoms] + [Fraction(1)]
+        got = feasible_nonnegative(space, target)
+        assert_same(got, feasible_nonnegative(listed, target))
+        for w in (target[:-1], [-v for v in target[:-1]], [i % 3 - 1 for i in range(len(atoms))]):
+            assert space.max_value(w) == listed.max_value(w)
+            for t in (-1, 0, Fraction(1, 2), 1, space.max_value(w)):
+                assert space.first_above(w, t) == listed.first_above(w, t)
+        verdicts.add(got[0] is not None)
     assert verdicts == {True, False}
 
 

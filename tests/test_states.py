@@ -68,7 +68,7 @@ class TestEnumeration:
             w = state.as_weight()
             assert pl.check_admissible(w).admissible
             assert all(state[a] in (0, 1) for a in pentagon.atoms)
-            result = pl.classical_membership(pentagon, w, pentagon_states)
+            result = pl.classical_membership(pentagon, w)
             assert result.classical
 
     def test_deterministic_order(self, pentagon):
@@ -289,19 +289,27 @@ class TestMembership:
             for a in pentagon_states[idx].ones:
                 values[a] += lam_i
         mix = pl.make_weight(pentagon, values)
-        result = pl.classical_membership(pentagon, mix, pentagon_states)
+        result = pl.classical_membership(pentagon, mix)
         assert result.classical
 
     def test_beyond_polytope_witness_separates_every_state(
         self, pentagon, pentagon_states
     ):
         w = pl.path_weight(pentagon, Fraction(1, 5))
-        result = pl.classical_membership(pentagon, w, pentagon_states)
+        result = pl.classical_membership(pentagon, w)
         assert not result.classical
         c = result.witness
         for state in pentagon_states:
             assert sum(c[a] for a in state.ones) <= result.witness_bound
         assert result.witness_value > result.witness_bound
+
+    def test_tol_is_keyword_only(self, pentagon, pentagon_states):
+        half = pl.half_weight(pentagon)
+        with pytest.raises(TypeError):
+            pl.classical_membership(pentagon, half, pentagon_states)
+        with pytest.raises(TypeError):
+            pl.classical_membership(pentagon, half, 1e-9)
+        assert not pl.classical_membership(pentagon, half, tol=1e-9).classical
 
     def test_not_admissible_rejected(self, pentagon):
         bad = pl.make_weight(pentagon, {a: Fraction(1, 2) for a in pentagon.atoms})
@@ -376,7 +384,7 @@ class TestCycleClosedForms:
         labels = []
         for _ in range(30):
             w = half_blend_weight(structure, states, rng)
-            result = pl.classical_membership(structure, w, states)
+            result = pl.classical_membership(structure, w)
             expected = n % 2 == 0 or pl.cyclic_sum(structure, w) <= Fraction(n - 1, 2)
             assert result.classical == expected
             labels.append(result.classical)
