@@ -12,6 +12,13 @@ Fraction tableau.  Infeasibility comes with a Farkas certificate read
 off the optimal dual: a vector y with  y . A_j <= 0  for every column j
 and  y . b > 0.  Both outcomes are checked against the input.
 
+The adjugate is mostly zeros and small integers, so it is held by
+columns, each a dict of its nonzeros: the entering column's image
+D·B⁻¹ a_j is the sum of the columns at the rows where a_j is 1, and a
+pivot is a rank-one update that touches only nonzeros.  Each division
+is exact entry by entry, because every entry it yields is an entry of
+the new D·B⁻¹ (or of D·B⁻¹ b, or of D·y), an integer by Cramer's rule.
+
 The columns are given as a ``VertexFamily`` of 0/1 vertices, too many to
 list.  Bland's entering column is the family's first vertex whose dual
 sum exceeds a threshold, and the certificate is checked against the
@@ -66,45 +73,78 @@ def feasible_nonnegative(
     sign = [1 if v >= 0 else -1 for v in rhs]  # flipped rows start feasible
     rhs_scale, beta = clear_denominators(list(map(abs, rhs)))  # D·B⁻¹ b
     det = 1
-    inverse = [[int(i == k) for k in range(m)] for i in range(m)]  # D·B⁻¹
-    dual = [1] * m  # D·y
+    # D·B⁻¹ by columns, nonzeros only, and D·y.  Column k and dual[k]
+    # carry the flip of row k, so a vertex column enters as plain 0/1.
+    adjugate = [{k: s} for k, s in enumerate(sign)]
+    dual = sign[:]
     basis = list(range(n, n + m))
 
     while True:
         # D times the reduced cost: -dual·a_j on a column, D - dual_k on
-        # artificial k, which come after all columns.  The row flips fold
-        # into w, and the normalisation row into the threshold.
-        w = list(map(mul, dual, sign))
-        entering = family.first_above(w, -w.pop())
+        # artificial k, which come after all columns.  The normalisation
+        # row folds into the threshold.
+        entering = family.first_above(dual[:-1], -dual[-1])
+        alpha = [0] * m  # D·B⁻¹ times the entering column
         if entering is not None:
             rows = [*family.positions(entering), m - 1]
-            values = list(map(sign.__getitem__, rows))
-            reduced = -sum(map(mul, map(dual.__getitem__, rows), values))
-            alpha = [sum(map(mul, map(r.__getitem__, rows), values)) for r in inverse]
+            reduced = -sum(map(dual.__getitem__, rows))
+            for k in rows:
+                for i, x in adjugate[k].items():
+                    alpha[i] += x
         else:
-            k = next((k for k in range(m) if dual[k] > det), None)
+            k = next((k for k in range(m) if dual[k] * sign[k] > det), None)
             if k is None:
                 break
-            entering, reduced, alpha = n + k, det - dual[k], [r[k] for r in inverse]
+            entering, reduced = n + k, det - dual[k] * sign[k]
+            for i, x in adjugate[k].items():
+                alpha[i] = x * sign[k]
 
         leaving = None
-        for i in range(m):
-            if alpha[i] > 0:
+        for i, a in enumerate(alpha):
+            if a > 0:
                 if leaving is not None:
-                    left, right = beta[i] * alpha[leaving], beta[leaving] * alpha[i]
+                    left, right = beta[i] * alpha[leaving], beta[leaving] * a
                     if left > right or (left == right and basis[i] > basis[leaving]):
                         continue
                 leaving = i
         if leaving is None:
             raise RuntimeError("phase-one objective unbounded; invalid input")
 
-        pivot, pivot_row, pivot_beta = alpha[leaving], inverse[leaving], beta[leaving]
-        for i in range(m):
-            if i != leaving:
-                a = alpha[i]
-                inverse[i] = [(pivot * x - a * p) // det for x, p in zip(inverse[i], pivot_row)]
-                beta[i] = (pivot * beta[i] - a * pivot_beta) // det
-        dual = [(pivot * y + reduced * p) // det for y, p in zip(dual, pivot_row)]
+        # Bareiss: an entry x in row i of a column whose leaving-row entry
+        # is p becomes (pivot·x - alpha_i·p) / det, an entry of the new
+        # D·B⁻¹ and so an integer: each division is exact on its own.
+        # With alpha_leaving lowered by det, the same formula keeps the
+        # leaving row as it is.  When pivot == det only the columns with
+        # a nonzero p change, and only in the rows where alpha is nonzero.
+        pivot, pivot_beta = alpha[leaving], beta[leaving]
+        alpha[leaving] -= det
+        changed = [(i, a) for i, a in enumerate(alpha) if a]
+        pivot_row = {}
+        for k, column in enumerate(adjugate):
+            p = column.get(leaving)
+            if p is None:
+                if pivot != det:
+                    adjugate[k] = {i: pivot * x // det for i, x in column.items()}
+                continue
+            pivot_row[k] = p
+            if pivot == det:
+                for i, a in changed:
+                    x = column.get(i, 0) - a * p // det
+                    if x:
+                        column[i] = x
+                    else:
+                        del column[i]
+            else:
+                combined = {i: pivot * x for i, x in column.items()}
+                for i, a in changed:
+                    combined[i] = combined.get(i, 0) - a * p
+                adjugate[k] = {i: x // det for i, x in combined.items() if x}
+        beta = [(pivot * b - a * pivot_beta) // det for b, a in zip(beta, alpha)]
+        if pivot == det:
+            for k, p in pivot_row.items():
+                dual[k] += reduced * p // det
+        else:
+            dual = [(pivot * y + reduced * pivot_row.get(k, 0)) // det for k, y in enumerate(dual)]
         det = pivot
         basis[leaving] = entering
 
@@ -117,10 +157,9 @@ def feasible_nonnegative(
         _verify_solution(family, rhs, solution)
         return solution, None
 
-    # y = D·y / D through the row flips; D·y has the same signs to check.
-    scaled = list(map(mul, sign, dual))
-    _verify_certificate(family, rhs, scaled)
-    return None, [Fraction(v, det) for v in scaled]
+    # y = D·y / D, the row flips already folded in; D·y has its signs.
+    _verify_certificate(family, rhs, dual)
+    return None, [Fraction(v, det) for v in dual]
 
 
 def _verify_solution(

@@ -23,7 +23,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterator, Mapping, Sequence
 
 from ._simplex import feasible_nonnegative
@@ -134,6 +134,15 @@ def _frontier_table(structure: EventStructure) -> tuple[list[Level], list[list[i
     return levels, all_counts
 
 
+def _compile(level: Level) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
+    """A level as flat lists: the gain and child of each node's first
+    transition, and ``(node, gain, child)`` for every further one."""
+    g0 = [node[0][0] for node in level]
+    c0 = [node[0][1] for node in level]
+    extra = [(i, g, c) for i, node in enumerate(level) for g, c in node[1:]]
+    return g0, c0, extra
+
+
 class StateSpace:
     """All two-valued states of a structure, without listing them.
 
@@ -146,13 +155,17 @@ class StateSpace:
     The weights ``w`` taken by ``max_value`` and ``first_above`` are
     indexed by atom position, and a state's sum is  sum of w_a over its
     1-atoms a.  Every query walks the table once: O(number of
-    transitions), whatever the number of states.
+    transitions), whatever the number of states.  For the max-plus pass
+    each level is also compiled into flat lists (``_compile``): the first
+    transitions of all its nodes are priced by a few list operations, and
+    only the further transitions take a loop.
     """
 
     def __init__(self, structure: EventStructure):
         self.structure = structure
         self._levels, self._counts = _frontier_table(structure)
         self.count: int = self._counts[0][0] if self._counts[0] else 0
+        self._compiled = [_compile(level) for level in reversed(self._levels)]
 
     def __len__(self) -> int:
         return self.count
@@ -228,11 +241,16 @@ class StateSpace:
         if not self.count:
             raise NoTwoValuedStatesError("no two-valued states")
         gains = [*w, 0]
-        best: list[Rational] = [0]
-        table = [best]
-        for level in reversed(self._levels):
-            best = [max(gains[g] + best[c] for g, c in node) for node in level]
+        after: list[Rational] = [0]
+        table = [after]
+        for g0, c0, extra in self._compiled:
+            best = list(map(add, map(gains.__getitem__, g0), map(after.__getitem__, c0)))
+            for node, g, c in extra:
+                value = gains[g] + after[c]
+                if value > best[node]:
+                    best[node] = value
             table.append(best)
+            after = best
         table.reverse()
         return table, gains
 

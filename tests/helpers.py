@@ -81,11 +81,17 @@ def random_structure(rng):
 class ListFamily:
     """A ``VertexFamily`` over an explicit list of 0/1 vertices, each given
     by the rows it holds a 1 in besides the normalisation row; the
-    simplex's queries scan the list.  Vertices may repeat."""
+    simplex's queries scan the list.  Vertices may repeat.
+
+    The simplex prices once per pivot.  ``first_above`` counts its calls
+    and fails past ``max_calls``, a generous 50 per vertex plus 50, so a
+    solver that cycles fails its test instead of hanging it."""
 
     def __init__(self, vertices):
         self.vertices = [sorted(set(v)) for v in vertices]
         self.count = len(self.vertices)
+        self.calls = 0
+        self.max_calls = 50 * (self.count + 1)
 
     def positions(self, j):
         return self.vertices[j]
@@ -94,6 +100,9 @@ class ListFamily:
         return [sum(w[i] for i in v) for v in self.vertices]
 
     def first_above(self, w, t):
+        self.calls += 1
+        if self.calls > self.max_calls:
+            raise AssertionError(f"more than {self.max_calls} pricing calls: the simplex cycles")
         return next((j for j, s in enumerate(self.sums(w)) if s > t), None)
 
     def max_value(self, w):

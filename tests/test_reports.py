@@ -9,11 +9,12 @@ report class changes its key order, so it fails here.
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 
 import pastedlogic as pl
-from helpers import pentagon_pair
+from helpers import grid_logic, pentagon_pair
 from pastedlogic.numeric import dumps, fields_to_json, render
 
 DATA = Path(__file__).parent / "data"
@@ -39,6 +40,18 @@ def _uniform(structure, value):
     return pl.make_weight(structure, {a: value for a in structure.atoms})
 
 
+def _grid_mixture(k):
+    """The uniform mix of six states drawn by ``Random(1)`` from the k x k
+    grid's state space: thousands of degenerate Bland pivots."""
+    structure = grid_logic(k)
+    space = structure.state_space
+    values = {a: Fraction(0) for a in structure.atoms}
+    for i in Random(1).sample(range(space.count), 6):
+        for a in space[i].ones:
+            values[a] += Fraction(1, 6)
+    return structure, pl.make_weight(structure, values)
+
+
 def _counts():
     return pl.ingest_counts(DATA / "counts_beyond.json")
 
@@ -54,6 +67,9 @@ CASES = {
         pentagon_pair(), _uniform(pentagon_pair(), Fraction(1, 3))),
     "region_beyond_theta": lambda: pl.classify_weight(
         pl.cycle_logic(5), pl.half_weight(pl.cycle_logic(5))),
+    "region_c41_path": lambda: pl.classify_weight(
+        pl.cycle_logic(41), pl.path_weight(pl.cycle_logic(41), Fraction(1, 10))),
+    "region_grid4_mixture": lambda: pl.classify_weight(*_grid_mixture(4)),
     "admissibility_rational": lambda: pl.check_admissible(
         pl.path_weight(pl.cycle_logic(5), Fraction(1, 3))),
     "admissibility_float": lambda: pl.check_admissible(

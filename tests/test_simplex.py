@@ -111,6 +111,30 @@ def test_random_lps_match_the_fraction_tableau():
     assert min(outcomes.values()) > 100
 
 
+def test_random_lps_with_integer_targets_rescale_exactly():
+    # Integer right-hand sides leave rhs_scale at 1, so a coefficient
+    # that is not an integer means the final det exceeded 1: some pivot
+    # had pivot != det and rescaled the adjugate, on top of the
+    # in-place pivot == det updates.
+    rng = Random(20261019)
+    fractional = feasible = 0
+    for _ in range(400):
+        m, n = rng.randint(2, 10), rng.randint(1, 14)
+        family = ListFamily([{i for i in range(m - 1) if rng.random() < 0.5} for _ in range(n)])
+        if rng.random() < 0.5:  # feasible by construction
+            columns = family.columns(m)
+            x = [rng.choice([0, 1, 1, 2, 3]) for _ in range(n)]
+            rhs = [sum(x[j] * columns[j][i] for j in range(n)) for i in range(m)]
+        else:
+            rhs = [rng.randint(-2, 3) for _ in range(m)]
+        want = reference_feasible_nonnegative(family.columns(m), rhs)
+        assert_same(feasible_nonnegative(family, rhs), want)
+        if want[0] is not None:
+            feasible += 1
+            fractional += any(v.denominator > 1 for v in want[0].values())
+    assert feasible > 150 and fractional > 0
+
+
 def test_degenerate_tie_is_broken_by_the_lower_basic_index():
     # The vertex {0} enters with rows 0 and 2 tied at ratio 0: the
     # artificial of row 0 (basic index 1) leaves, not that of row 2

@@ -178,6 +178,36 @@ class TestStateSpace:
                 assert space.first_above(w, t) == next((i for i, v in enumerate(sums) if v > t), None)
         assert 0 < empty < 200
 
+    def test_pricing_matches_a_scan_on_irregular_tables(self):
+        # Random structures give nodes with three or more transitions and
+        # transitions whose 1-atom an earlier context fixed (gain -1).
+        rng = np.random.default_rng(11)
+        wide = fixed = empty = 0
+        for _ in range(100):
+            structure = random_structure(rng)
+            space = structure.state_space
+            reference = reference_two_valued_states(structure)
+            nodes = [node for level in space._levels for node in level]
+            wide += any(len(node) >= 3 for node in nodes)
+            fixed += any(gain < 0 for node in nodes for gain, _ in node)
+            ints = [int(v) for v in rng.integers(-5, 6, size=len(structure.atoms))]
+            fractions = [Fraction(int(v), int(d)) for v, d in zip(
+                rng.integers(-9, 10, size=len(ints)), rng.integers(1, 7, size=len(ints)))]
+            for w in (ints, fractions):
+                if not reference:
+                    with pytest.raises(NoTwoValuedStatesError):
+                        space.max_value(w)
+                    with pytest.raises(NoTwoValuedStatesError):
+                        space.first_above(w, 0)
+                    continue
+                sums = state_sums(reference, structure, w)
+                assert space.max_value(w) == max(sums)
+                for t in (-1, 0, max(sums) - 1, max(sums)):
+                    assert space.first_above(w, t) == next(
+                        (i for i, v in enumerate(sums) if v > t), None)
+            empty += not reference
+        assert wide and fixed and empty
+
     @pytest.mark.parametrize("name", ["C9", "pasting", "grid3"])
     def test_rank_unrank_round_trip(self, name):
         structure = NAMED_STRUCTURES[name]()
