@@ -72,6 +72,7 @@ def feasible_nonnegative(
     m, n = len(rhs), family.count
     sign = [1 if v >= 0 else -1 for v in rhs]  # flipped rows start feasible
     rhs_scale, beta = clear_denominators(list(map(abs, rhs)))  # D·B⁻¹ b
+    scaled_rhs = list(map(mul, sign, beta))  # rhs_scale·rhs
     det = 1
     # D·B⁻¹ by columns, nonzeros only, and D·y.  Column k and dual[k]
     # carry the flip of row k, so a vertex column enters as plain 0/1.
@@ -158,27 +159,36 @@ def feasible_nonnegative(
         return solution, None
 
     # y = D·y / D, the row flips already folded in; D·y has its signs.
-    _verify_certificate(family, rhs, dual)
+    # D > 0, so D·y and rhs_scale·rhs certify what y and rhs do.
+    _verify_certificate(family, scaled_rhs, dual)
     return None, [Fraction(v, det) for v in dual]
 
 
 def _verify_solution(
-    family: VertexFamily, rhs: Sequence[Rational], solution: dict[int, Fraction]
+    family: VertexFamily, rhs: Sequence[Rational], solution: dict[int, Rational]
 ) -> None:
+    """Check that ``solution`` is a nonnegative mixture of its columns
+    giving ``rhs``, in integers: over one common denominator the
+    coefficients and ``rhs`` are integers, and the coefficients' sums
+    per row must be the scaled ``rhs``."""
     m = len(rhs)
-    total = [Fraction(0)] * m
-    for j, coeff in solution.items():
-        if coeff < 0:
+    _, scaled = clear_denominators([*rhs, *solution.values()])
+    total = [0] * m
+    for j, x in zip(solution, scaled[m:]):
+        if x < 0:
             raise RuntimeError("simplex returned a negative coefficient")
         for i in [*family.positions(j), m - 1]:
-            total[i] += coeff
-    if any(total[i] != rhs[i] for i in range(m)):
+            total[i] += x
+    if total != scaled[:m]:
         raise RuntimeError("simplex solution does not reproduce the target")
 
 
 def _verify_certificate(
     family: VertexFamily, rhs: Sequence[Rational], y: Sequence[Rational]
 ) -> None:
+    """Check a Farkas certificate: y . rhs > 0 and y . a_j <= 0 for every
+    column.  Both are signs, so positive multiples of ``rhs`` and ``y``,
+    such as the integer ones the simplex holds, check the same."""
     if sum(map(mul, y, rhs)) <= 0:
         raise RuntimeError("Farkas certificate does not separate the target")
     if family.max_value(y[:-1]) + y[-1] > 0:

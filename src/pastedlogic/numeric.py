@@ -71,7 +71,8 @@ def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[d
 
     Without an explicit ``mode`` the mode is inferred: all-exact input
     becomes rational, all-float input stays float, and a mixture is
-    rejected rather than silently rounded.
+    rejected rather than silently rounded.  NaN and infinities are
+    rejected.
     """
     if mode not in (None, RATIONAL, FLOAT):
         raise ValidationError(f"unknown mode {mode!r}")
@@ -79,6 +80,8 @@ def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[d
     for k, v in values.items():
         if not isinstance(v, (int, float, Fraction)) or isinstance(v, bool):
             raise ValidationError(f"value for {k!r} is not numeric: {v!r}")
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValidationError(f"value for {k!r} is not finite: {v!r}")
     if mode is None:
         if all(exact.values()):
             mode = RATIONAL
@@ -114,7 +117,8 @@ def numeric_to_json(value: Any) -> Any:
 
 def numeric_from_json(value: Any) -> Fraction | float:
     """Parse a JSON scalar: ``"num/den"`` strings and ints are exact,
-    JSON floats stay float."""
+    finite JSON floats stay float (``NaN`` and ``Infinity`` are
+    rejected)."""
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -125,6 +129,8 @@ def numeric_from_json(value: Any) -> Fraction | float:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, float):
+        if not math.isfinite(value):
+            raise ValidationError(f"expected a finite number, got {value!r}")
         return value
     raise ValidationError(f"expected a number, got {value!r}")
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import cached_property
 from typing import Any, Iterable, Mapping, Sequence
 
 from .errors import (
@@ -45,6 +46,7 @@ from .numeric import (
     FLOAT,
     RATIONAL,
     as_float,
+    clear_denominators,
     fields_to_json,
     numeric_from_json,
     numeric_to_json,
@@ -310,6 +312,11 @@ class ContextDistributionFamily:
             for p in table.values()
         )
 
+    @cached_property
+    def _gluing_reports(self) -> dict[Any, GluingReport]:
+        """``gluing_check``'s reports on this family, by ``tol``."""
+        return {}
+
     to_json_dict = fields_to_json
 
 
@@ -322,7 +329,9 @@ def context_softmax(
 
     Global scores give one score per atom everywhere; per-context scores
     may disagree on shared atoms (that disagreement is exactly what
-    ``gluing_check`` measures).
+    ``gluing_check`` measures).  Where a context's coordinates are exact
+    (Fractions, possibly with ints), its normaliser and probabilities
+    are Fractions, computed over the coordinates' common denominator.
     """
     probabilities: dict[str, dict[str, Numeric]] = {}
     coordinates: dict[str, dict[str, Numeric]] = {}
@@ -344,8 +353,17 @@ def context_softmax(
                     f"link value for atom {a!r} is not a positive finite number"
                 )
             q[a] = value
-        z = sum(q.values())
-        probabilities[name] = {a: q[a] / z for a in ctx}
+        kinds = set(map(type, q.values()))
+        if Fraction in kinds and kinds <= {Fraction, int}:
+            # Exact: over the context's common denominator, Z = t/scale
+            # and P(a) = n_a/t, with t the integer sum of the n_a.
+            scale, nums = clear_denominators([q[a] for a in ctx])
+            t = sum(nums)
+            z = Fraction(t, scale)
+            probabilities[name] = {a: Fraction(n, t) for a, n in zip(ctx, nums)}
+        else:
+            z = sum(q.values())
+            probabilities[name] = {a: q[a] / z for a in ctx}
         coordinates[name] = q
         normalizers[name] = z
     return ContextDistributionFamily(
@@ -400,9 +418,22 @@ class GluingReport:
 def gluing_check(
     family: ContextDistributionFamily, tol: float = DEFAULT_TOL
 ) -> GluingReport:
-    """Do the context distributions agree wherever they overlap?"""
+    """Do the context distributions agree wherever they overlap?
+
+    An exact family (every probability a Fraction) is decided exactly and
+    ``tol`` is ignored: it glues when every entry of the report is 0.
+    Otherwise each entry is compared with ``tol``.  The cycles are the
+    structure's ``fundamental_cycles``, each edge taking the ratio of
+    the first atom its two contexts share.  The report is computed once
+    per family and ``tol`` and then returned as it is, so a family must
+    not be changed after it is built.
+    """
+    memo = family._gluing_reports
+    if tol in memo:
+        return memo[tol]
     structure = family.structure
     inc = incidence(structure)
+    probs, coords = family.probabilities, family.coordinates
     exact = family.is_exact()
     zero: Numeric = Fraction(0) if exact else 0.0
     tolerance: Numeric = Fraction(0) if exact else float(tol)
@@ -411,83 +442,52 @@ def gluing_check(
     for atom, holders in inc.contexts_of.items():
         if len(holders) < 2:
             continue
-        values = [family.probabilities[name][atom] for name in holders]
-        atom_disc[atom] = max(values) - min(values)
+        values = [probs[name][atom] for name in holders]
+        if exact and values.count(values[0]) == len(values):
+            atom_disc[atom] = zero
+        else:
+            atom_disc[atom] = max(values) - min(values)
 
     pair_spread: dict[tuple[str, str], Numeric] = {}
     for pair, shared in inc.shared_atoms.items():
+        if exact and len(shared) == 1:
+            pair_spread[pair] = zero  # one ratio cannot spread
+            continue
         ca, cb = pair
-        ratios = [
-            family.coordinates[ca][a] / family.coordinates[cb][a] for a in shared
-        ]
+        ratios = [coords[ca][a] / coords[cb][a] for a in shared]
         pair_spread[pair] = max((abs(r - ratios[0]) for r in ratios), default=zero)
 
-    cycles = _fundamental_cycles(structure, inc)
     cycle_dev: list[tuple[tuple[str, ...], Numeric]] = []
-    for cycle in cycles:
-        product: Numeric = Fraction(1) if exact else 1.0
+    for cycle in structure.fundamental_cycles:
+        edges = []
         for u, v in zip(cycle, cycle[1:]):
-            shared = inc.shared(u, v)
-            a = shared[0]
-            product = product * (
-                family.coordinates[u][a] / family.coordinates[v][a]
-            )
-        cycle_dev.append((cycle, abs(product - 1)))
+            a = inc.shared(u, v)[0]
+            edges.append((coords[u][a], coords[v][a]))
+        if exact:
+            # The product of the ratios q_u/q_v, as one numerator and one
+            # denominator over the integers.
+            num = math.prod(p.numerator * q.denominator for p, q in edges)
+            den = math.prod(p.denominator * q.numerator for p, q in edges)
+            cycle_dev.append((cycle, Fraction(abs(num - den), den)))
+        else:
+            product = 1.0
+            for p, q in edges:
+                product = product * (p / q)
+            cycle_dev.append((cycle, abs(product - 1)))
 
-    ok = (
-        all(v <= tolerance for v in atom_disc.values())
-        and all(v <= tolerance for v in pair_spread.values())
-        and all(v <= tolerance for _, v in cycle_dev)
-    )
-    return GluingReport(
+    if exact:  # every entry is >= 0, so <= 0 means == 0
+        ok = not (any(atom_disc.values()) or any(pair_spread.values())
+                  or any(v for _, v in cycle_dev))
+    else:
+        ok = (
+            all(v <= tolerance for v in atom_disc.values())
+            and all(v <= tolerance for v in pair_spread.values())
+            and all(v <= tolerance for _, v in cycle_dev)
+        )
+    report = memo[tol] = GluingReport(
         bool(ok), exact, tolerance, atom_disc, pair_spread, tuple(cycle_dev)
     )
-
-
-def _fundamental_cycles(
-    structure: EventStructure, inc
-) -> tuple[tuple[str, ...], ...]:
-    """One closed chain of context names per independent cycle of the
-    context-overlap graph (non-tree edge closing a spanning-forest path)."""
-    names = structure.context_names
-    pos = {n: i for i, n in enumerate(names)}
-    neighbours: dict[str, list[str]] = {n: [] for n in names}
-    for (a, b) in inc.shared_atoms:
-        neighbours[a].append(b)
-        neighbours[b].append(a)
-    for n in neighbours:
-        neighbours[n].sort(key=pos.__getitem__)
-
-    parent: dict[str, str | None] = {}
-    for root in names:
-        if root in parent:
-            continue
-        parent[root] = None
-        queue = [root]
-        for u in queue:  # breadth first: the queue grows as it is read
-            for v in neighbours[u]:
-                if v not in parent:
-                    parent[v] = u
-                    queue.append(v)
-
-    def to_root(node: str) -> list[str]:
-        path = [node]
-        while parent[path[-1]] is not None:
-            path.append(parent[path[-1]])
-        return path
-
-    cycles: list[tuple[str, ...]] = []
-    for u in names:
-        for v in neighbours[u]:
-            if pos[u] > pos[v] or parent[v] == u or parent[u] == v:
-                continue  # each non-tree edge once
-            up_u, up_v = to_root(u), to_root(v)
-            on_v = set(up_v)
-            i = next(i for i, a in enumerate(up_u) if a in on_v)  # the lca
-            j = up_v.index(up_u[i])
-            # u ... lca followed by the reversed v-side, then close at u.
-            cycles.append(tuple(up_u[: i + 1] + up_v[:j][::-1] + [u]))
-    return tuple(cycles)
+    return report
 
 
 def glue_to_weight(
@@ -496,8 +496,9 @@ def glue_to_weight(
     """Collapse a glued family into the single weight it defines.
 
     Raises ``NotGluedError`` (with the report attached) when the family
-    does not glue at the given tolerance.  Each atom takes its value
-    from the earliest context containing it.
+    does not glue at the given tolerance; the report is the one
+    ``gluing_check`` gives for this family and ``tol``, computed once.
+    Each atom takes its value from the earliest context containing it.
     """
     report = gluing_check(family, tol)
     if not report.glued:

@@ -89,6 +89,61 @@ class EventStructure:
         )
 
     @cached_property
+    def overlap_graph(self) -> Mapping[str, tuple[str, ...]]:
+        """The context-overlap graph: each context's neighbours, the
+        contexts sharing an atom with it, in context order."""
+        neighbours: dict[str, list[str]] = {name: [] for name in self.context_names}
+        for a, b in self.incidence_index.shared_atoms:
+            neighbours[a].append(b)
+            neighbours[b].append(a)
+        pos = self._context_by_name
+        return {name: tuple(sorted(ns, key=pos.__getitem__)) for name, ns in neighbours.items()}
+
+    @cached_property
+    def fundamental_cycles(self) -> tuple[tuple[str, ...], ...]:
+        """A cycle basis of the context-overlap graph, as closed chains of
+        context names (first name repeated last).
+
+        A breadth-first spanning forest is grown from each unvisited
+        context in context order; each non-tree edge (u, v), u before v,
+        closes one cycle: u up to the lowest common ancestor, then down
+        to v, then back to u.  There are edges - contexts + components of
+        them.
+        """
+        names, neighbours = self.context_names, self.overlap_graph
+        pos = self._context_by_name
+        parent: dict[str, str | None] = {}
+        for root in names:
+            if root in parent:
+                continue
+            parent[root] = None
+            queue = [root]
+            for u in queue:  # breadth first: the queue grows as it is read
+                for v in neighbours[u]:
+                    if v not in parent:
+                        parent[v] = u
+                        queue.append(v)
+
+        def to_root(node: str) -> list[str]:
+            path = [node]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            return path
+
+        cycles: list[tuple[str, ...]] = []
+        for u in names:
+            for v in neighbours[u]:
+                if pos[u] > pos[v] or parent[v] == u or parent[u] == v:
+                    continue  # each non-tree edge once
+                up_u, up_v = to_root(u), to_root(v)
+                on_v = set(up_v)
+                i = next(i for i, a in enumerate(up_u) if a in on_v)  # the lca
+                j = up_v.index(up_u[i])
+                # u ... lca followed by the reversed v-side, then close at u.
+                cycles.append(tuple(up_u[: i + 1] + up_v[:j][::-1] + [u]))
+        return tuple(cycles)
+
+    @cached_property
     def _cycle_form(self) -> CycleForm | None:
         n = len(self.contexts)
         if n >= 3:

@@ -28,6 +28,7 @@ from .numeric import (
     FLOAT,
     RATIONAL,
     as_fraction,
+    clear_denominators,
     coerce_values,
     fields_to_json,
     load_json,
@@ -53,6 +54,8 @@ __all__ = [
 ]
 
 Numeric = Fraction | float
+
+_ONE = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -166,16 +169,31 @@ def check_admissible(weight: Weight, tol: float = DEFAULT_TOL) -> AdmissibilityR
     """Check box constraints and per-context normalisation.
 
     Float mode compares against ``tol``; rational mode ignores ``tol``
-    and demands exact equality.
+    and demands exact equality.  A rational weight is checked in
+    integers over one common denominator: a context sums to 1 when its
+    scaled values sum to the scale, and a value is in [0, 1] when its
+    scaled value is in [0, scale].
     """
     structure = weight.structure
-    exact = weight.mode == RATIONAL
-    tolerance: Numeric = Fraction(0) if exact else float(tol)
-    sums: dict[str, Numeric] = {}
-    zero: Numeric = Fraction(0) if exact else 0.0
-    max_dev: Numeric = zero
-    for name, ctx in zip(structure.context_names, structure.contexts):
-        s = sum((weight[a] for a in ctx), zero)
+    contexts = zip(structure.context_names, structure.contexts)
+    if weight.mode == RATIONAL:
+        scale, nums = clear_denominators(list(weight.values.values()))
+        scaled = dict(zip(weight.values, nums))
+        sums: dict[str, Numeric] = {}
+        worst = 0
+        for name, ctx in contexts:
+            t = sum(scaled[a] for a in ctx)
+            sums[name] = _ONE if t == scale else Fraction(t, scale)
+            worst = max(worst, abs(t - scale))
+        in_box = all(0 <= n <= scale for n in nums)
+        return AdmissibilityReport(
+            RATIONAL, Fraction(0), sums, Fraction(worst, scale), in_box, in_box and worst == 0
+        )
+    tolerance = float(tol)
+    sums = {}
+    max_dev = 0.0
+    for name, ctx in contexts:
+        s = sum((weight[a] for a in ctx), 0.0)
         sums[name] = s
         dev = abs(s - 1)
         if dev > max_dev:

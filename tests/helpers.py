@@ -161,3 +161,52 @@ def reference_two_valued_states(structure):
             stack.pop()
         if not stack:
             return tuple(found)
+
+
+def reference_check_admissible(weight, tol=1e-9):
+    """``check_admissible`` as the library ran it before it worked over
+    one common denominator: context sums and the box test in the
+    weight's own numbers, ``Fraction``s in rational mode."""
+    structure = weight.structure
+    exact = weight.mode == "rational"
+    tolerance = Fraction(0) if exact else float(tol)
+    zero = Fraction(0) if exact else 0.0
+    sums, max_dev = {}, zero
+    for name, ctx in zip(structure.context_names, structure.contexts):
+        s = sum((weight[a] for a in ctx), zero)
+        sums[name] = s
+        max_dev = max(max_dev, abs(s - 1))
+    in_box = all(-tolerance <= v <= 1 + tolerance for v in weight.values.values())
+    verdict = bool(in_box and max_dev <= tolerance)
+    return pl.AdmissibilityReport(weight.mode, tolerance, sums, max_dev, in_box, verdict)
+
+
+def reference_gluing_check(family, tol=1e-9):
+    """``gluing_check`` as the library ran it before its exact branches:
+    every discrepancy a difference of extremes, every pair spread and
+    cycle product made of ``Fraction`` ratios in exact mode, and the
+    verdict a comparison with the tolerance."""
+    structure = family.structure
+    inc = pl.incidence(structure)
+    exact = family.is_exact()
+    zero = Fraction(0) if exact else 0.0
+    tolerance = Fraction(0) if exact else float(tol)
+    atom_disc = {}
+    for atom, holders in inc.contexts_of.items():
+        if len(holders) > 1:
+            values = [family.probabilities[name][atom] for name in holders]
+            atom_disc[atom] = max(values) - min(values)
+    pair_spread = {}
+    for (ca, cb), shared in inc.shared_atoms.items():
+        ratios = [family.coordinates[ca][a] / family.coordinates[cb][a] for a in shared]
+        pair_spread[(ca, cb)] = max((abs(r - ratios[0]) for r in ratios), default=zero)
+    cycle_dev = []
+    for cycle in structure.fundamental_cycles:
+        product = Fraction(1) if exact else 1.0
+        for u, v in zip(cycle, cycle[1:]):
+            a = inc.shared(u, v)[0]
+            product = product * (family.coordinates[u][a] / family.coordinates[v][a])
+        cycle_dev.append((cycle, abs(product - 1)))
+    ok = all(v <= tolerance for v in [*atom_disc.values(), *pair_spread.values()]
+             + [v for _, v in cycle_dev])
+    return pl.GluingReport(bool(ok), exact, tolerance, atom_disc, pair_spread, tuple(cycle_dev))

@@ -388,6 +388,12 @@ MALFORMED = {
     "float-weight-overflow": (
         ["check", "--structure", "{pent}", "--weight", "{w}"],
         {"w": {"mode": "float", "values": {**WEIGHT["values"], "a1": 10**400}}}),
+    "float-weight-nan": (
+        ["check", "--structure", "{pent}", "--weight", "{w}"],
+        {"w": {"mode": "float", "values": {**pentagon_values(0.25, 0.5), "a1": math.nan}}}),
+    "classify-float-weight-nan": (
+        ["classify", "--structure", "{pent}", "--weight", "{w}"],
+        {"w": {"mode": "float", "values": {**pentagon_values(0.25, 0.5), "a1": math.nan}}}),
     "power-link-given-beta": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--link", "power",
          "--beta", "2"], {"w": WEIGHT}),

@@ -58,6 +58,14 @@ class TestLoadJson:
             load_json(tmp_path / "absent.json")
 
 
+class TestNumericFromJson:
+    @pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_numbers_are_rejected(self, text):
+        doc = load_json(None, f'{{"a1": {text}}}')
+        with pytest.raises(ValidationError, match="finite"):
+            values_from_json(doc, "weight 'values'")
+
+
 class TestReadText:
     def test_csv_through_ingest_counts(self, tmp_path):
         path = tmp_path / "counts.csv"

@@ -6,15 +6,17 @@ their fields; regenerate one only on purpose.  Swapping two fields of a
 report class changes its key order, so it fails here.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
 
 import pastedlogic as pl
-from helpers import grid_logic, pentagon_pair
+from helpers import grid_logic, pentagon_pair, random_positive_weight, random_structure
 from pastedlogic.numeric import dumps, fields_to_json, render
 
 DATA = Path(__file__).parent / "data"
@@ -52,6 +54,47 @@ def _grid_mixture(k):
     return structure, pl.make_weight(structure, values)
 
 
+def _glued_c11():
+    """The identity representation of a seeded positive weight on C11."""
+    structure = pl.cycle_logic(11)
+    weight = random_positive_weight(structure, structure.state_space, np.random.default_rng(11))
+    link = pl.IdentityLink()
+    return pl.gluing_check(
+        pl.context_softmax(structure, pl.represent_weight(structure, weight, link), link))
+
+
+def _grid_table(exact):
+    """Per-context scores on the 3 x 3 grid that would glue (1/5 on every
+    edge atom, the rest of a context on its private atom), with one
+    score bumped in the middle context."""
+    structure = grid_logic(3)
+    values = {}
+    for ctx in structure.contexts:
+        values.update({a: Fraction(1, 5) for a in ctx[:-1]})
+        values[ctx[-1]] = 1 - Fraction(len(ctx) - 1, 5)
+    table = {
+        name: {a: values[a] if exact else math.log(values[a]) for a in ctx}
+        for name, ctx in zip(structure.context_names, structure.contexts)
+    }
+    atom = structure.context_atoms("G1_1")[0]
+    table["G1_1"][atom] = values[atom] * Fraction(3, 2) if exact else table["G1_1"][atom] + 0.1
+    link = pl.IdentityLink() if exact else pl.ExponentialLink(1.0)
+    return pl.gluing_check(pl.context_softmax(structure, pl.PerContextScores(table), link))
+
+
+def _random_overlap():
+    """Seeded exact scores on a random structure in which two context
+    pairs share two atoms each, so their ratio spreads are nonzero."""
+    rng = np.random.default_rng(12)
+    structure = random_structure(rng)
+    table = {
+        name: {a: Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 9))) for a in ctx}
+        for name, ctx in zip(structure.context_names, structure.contexts)
+    }
+    return pl.gluing_check(
+        pl.context_softmax(structure, pl.PerContextScores(table), pl.IdentityLink()))
+
+
 def _counts():
     return pl.ingest_counts(DATA / "counts_beyond.json")
 
@@ -70,6 +113,10 @@ CASES = {
     "region_c41_path": lambda: pl.classify_weight(
         pl.cycle_logic(41), pl.path_weight(pl.cycle_logic(41), Fraction(1, 10))),
     "region_grid4_mixture": lambda: pl.classify_weight(*_grid_mixture(4)),
+    "gluing_exact_glued": _glued_c11,
+    "gluing_exact_unglued": lambda: _grid_table(exact=True),
+    "gluing_float_unglued": lambda: _grid_table(exact=False),
+    "gluing_exact_random_overlap": _random_overlap,
     "admissibility_rational": lambda: pl.check_admissible(
         pl.path_weight(pl.cycle_logic(5), Fraction(1, 3))),
     "admissibility_float": lambda: pl.check_admissible(

@@ -6,7 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
-from helpers import grid_logic, pentagon_pair, random_positive_weight, random_structure
+from helpers import (
+    grid_logic, pentagon_pair, random_positive_weight, random_structure, reference_gluing_check,
+)
 from pastedlogic import (
     AlphaOutOfRangeError,
     DegenerateScoresError,
@@ -23,6 +25,7 @@ from pastedlogic import (
     TargetOutOfRangeError,
     ValidationError,
 )
+from pastedlogic.numeric import dumps
 
 # Largest probability gap of the patterned non-glued pentagon family:
 # one context scores its shared atom 1 while its neighbour scores
@@ -309,6 +312,61 @@ class TestAtomDiscrepancies:
             discrepancies = pl.gluing_check(family).atom_discrepancies
             assert discrepancies == expected
             assert all(type(d) is type(expected[a]) for a, d in discrepancies.items())
+
+
+class TestIntegerGluing:
+    """The integer softmax and the exact gluing branches give what the
+    ``Fraction`` references give on per-context identity tables over
+    seeded random structures: tables that glue (a positive weight times
+    one random factor per context), the same with one coordinate
+    bumped, and random tables."""
+
+    def test_matches_the_fraction_reference(self):
+        rng = np.random.default_rng(37)
+        verdicts = []
+        for _ in range(200):
+            structure = random_structure(rng)
+            contexts = list(zip(structure.context_names, structure.contexts))
+            tables = [({
+                name: {a: Fraction(int(rng.integers(1, 20)), int(rng.integers(1, 9))) for a in ctx}
+                for name, ctx in contexts
+            }, False)]
+            space = structure.state_space
+            if 0 < space.count <= 64:
+                weight = {a: 0 for a in structure.atoms}
+                for i in range(space.count):
+                    for a in space[i].ones:
+                        weight[a] += 1
+                if all(weight.values()):
+                    factor = {name: Fraction(int(rng.integers(1, 9)), 7) for name, _ in contexts}
+                    glued = {name: {a: factor[name] * weight[a] for a in ctx} for name, ctx in contexts}
+                    name, ctx = contexts[int(rng.integers(len(contexts)))]
+                    bumped = {**glued, name: {**glued[name], ctx[0]: glued[name][ctx[0]] * 2}}
+                    tables += [(glued, True), (bumped, False)]
+            for table, glues in tables:
+                family = pl.context_softmax(structure, PerContextScores(table), IdentityLink())
+                for name, q in family.coordinates.items():  # the Fraction quotients
+                    z = sum(q.values())
+                    assert family.normalizers[name] == z
+                    assert family.probabilities[name] == {a: v / z for a, v in q.items()}
+                report = pl.gluing_check(family)
+                assert dumps(report.to_json_dict()) == dumps(
+                    reference_gluing_check(family).to_json_dict())
+                assert report.glued or not glues
+                verdicts.append((glues, report.glued))
+        assert verdicts.count((True, True)) > 20
+        assert verdicts.count((False, False)) > 150
+
+    def test_the_report_is_computed_once_per_tol(self, pentagon):
+        family = patterned_family(pentagon)
+        report = pl.gluing_check(family)
+        assert pl.gluing_check(family) is report
+        with pytest.raises(NotGluedError) as err:
+            pl.glue_to_weight(family)
+        assert err.value.report is report
+        loose = pl.gluing_check(family, tol=2.0)
+        assert loose is not report and loose.glued
+        assert pl.gluing_check(family, tol=2.0) is loose
 
 
 class TestRepresentation:

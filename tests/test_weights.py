@@ -1,9 +1,12 @@
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import pastedlogic as pl
+from helpers import random_structure, reference_check_admissible
+from pastedlogic.numeric import dumps
 from pastedlogic import (
     MissingAtomValueError,
     NegativePathParameterError,
@@ -39,6 +42,15 @@ class TestMakeWeight:
         forced = pl.make_weight(triangle, values, mode="float")
         assert forced.mode == "float"
         assert forced["a1"] == pytest.approx(1 / 3)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_floats_are_rejected(self, triangle, bad):
+        values = {a: 1 / 3 for a in triangle.atoms}
+        values["a1"] = bad
+        with pytest.raises(ValidationError, match="not finite"):
+            pl.make_weight(triangle, values)
+        with pytest.raises(ValidationError, match="not finite"):
+            pl.make_weight(triangle, values, mode="float")
 
     def test_items_follow_atom_order(self, triangle):
         w = pl.half_weight(triangle)
@@ -82,6 +94,45 @@ class TestAdmissibility:
         report = pl.check_admissible(w)
         assert not report.admissible
         assert report.max_deviation == Fraction(1, 2)
+
+
+def state_mixture(structure, rng):
+    """A random rational mixture of up to four two-valued states, or
+    None when the structure has none."""
+    space = structure.state_space
+    if not space.count:
+        return None
+    picks = rng.choice(space.count, size=min(4, space.count), replace=False)
+    raw = [int(rng.integers(1, 30)) for _ in picks]
+    values = {a: Fraction(0) for a in structure.atoms}
+    for coeff, i in zip(raw, picks):
+        for a in space[int(i)].ones:
+            values[a] += Fraction(coeff, sum(raw))
+    return values
+
+
+class TestIntegerAdmissibility:
+    """The common-denominator check gives the bytes of the ``Fraction``
+    reference, admissible or not, on seeded random structures."""
+
+    def test_matches_the_fraction_reference(self):
+        rng = np.random.default_rng(31)
+        verdicts = []
+        for _ in range(200):
+            structure = random_structure(rng)
+            base = state_mixture(structure, rng) or {
+                a: Fraction(int(rng.integers(0, 8)), 7) for a in structure.atoms
+            }
+            atom = structure.atoms[int(rng.integers(len(structure.atoms)))]
+            for bump in (None, base[atom] + Fraction(1, 10**12), Fraction(-1, 7), Fraction(8, 7)):
+                values = dict(base) if bump is None else {**base, atom: bump}
+                weight = pl.make_weight(structure, values)
+                for w in (weight, pl.to_float(weight)):
+                    assert dumps(pl.check_admissible(w).to_json_dict()) == dumps(
+                        reference_check_admissible(w).to_json_dict())
+                verdicts.append((bump is None, pl.check_admissible(weight).admissible))
+        assert verdicts.count((True, True)) > 50
+        assert (False, True) not in verdicts
 
 
 class TestPathFamily:
