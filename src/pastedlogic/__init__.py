@@ -27,6 +27,7 @@ from .empirical import (
     analyze,
     estimate_frequencies,
     ingest_counts,
+    project_affine,
     reconstruct_weight,
     sample_counts,
     single_valuedness_test,

@@ -1,93 +1,88 @@
-"""Dense exact linear algebra over the rationals, eliminated in integers.
+"""Sparse exact linear algebra over the rationals, eliminated in integers.
 
 Two routines back the projection onto the context-sum-one subspace: a
 square solve (for the normal equations ``A Aᵀ μ = A p̂ − 1``) and a
 rank-revealing sweep that keeps a maximal independent subset of rows
-while checking that the discarded rows are consistent.  Rows are scaled
-to integers and eliminated fraction-free (Bareiss, *Math. Comp.* 22,
-1968): after k steps every entry is a (k+1)-minor, so dividing by the
-previous pivot is exact.  Exact arithmetic needs only a nonzero pivot,
-so the first one in the column is taken.
+while checking that the discarded rows are consistent.  A row maps its
+columns to its entries (ints or Fractions); it is scaled to integers,
+with its right-hand side under the key ``RHS``, and reduced by the rows
+kept before it: a kept row's lead column is cleared only where the row
+has an entry, by ``p·row − f·top``, which is then divided by its content
+gcd.  Any column left can lead; the last one is taken.  For context
+rows it is often an atom of no earlier row, and on a cycle's Gram matrix
+(tridiagonal, one entry in each corner) the fill stays in two columns.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import SingularKKTError
 from .numeric import clear_denominators
 
 __all__ = ["solve_exact", "independent_rows"]
 
-
-def _integer_rows(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[list[int]]:
-    """Each row with its right-hand side appended, scaled to integers.
-    Entries are ints or Fractions (anything with ``numerator`` and
-    ``denominator``)."""
-    return [clear_denominators([*row, b])[1] for row, b in zip(rows, rhs)]
+RHS = -1  # below every column
 
 
-def solve_exact(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
-    """Solve a square rational system by Bareiss elimination; raises
-    ``SingularKKTError`` on a singular matrix.  Entries are ints or
-    Fractions."""
+def _sweep(
+    rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]
+) -> Iterator[tuple[int, dict[int, int]]]:
+    """Each row in integers, reduced by the rows kept before it, with its
+    lead column: ``RHS`` for a row that vanished, which is not kept."""
+    kept: list[tuple[int, dict[int, int]]] = []
+    for row, b in zip(rows, rhs):
+        _, ints = clear_denominators([*row.values(), b])
+        row = {c: v for c, v in zip([*row, RHS], ints) if v}
+        for col, top in kept:
+            if col in row:
+                g = math.gcd(top[col], row[col])
+                p, f = top[col] // g, row[col] // g
+                row = {c: p * v for c, v in row.items()}
+                for c, t in top.items():
+                    row[c] = row.get(c, 0) - f * t
+                g = math.gcd(*row.values()) or 1
+                row = {c: v // g for c, v in row.items() if v}
+        lead = max(row, default=RHS)
+        if lead != RHS:
+            kept.append((lead, row))
+        yield lead, row
+
+
+def solve_exact(matrix: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]) -> list[Fraction]:
+    """Solve a square rational system given by the nonzeros of its rows;
+    raises ``SingularKKTError`` on a singular matrix."""
     n = len(rhs)
-    if len(matrix) != n or any(len(row) != n for row in matrix):
+    if len(matrix) != n or any(not 0 <= c < n for row in matrix for c in row):
         raise ValueError("matrix is not square or rhs length mismatches")
-    # One common denominator for the right-hand side keeps its large
-    # denominators in one column instead of scaling every row.
-    d, scaled_rhs = clear_denominators(list(rhs))
-    a = _integer_rows(matrix, scaled_rhs)
-    prev = 1
-    for k in range(n):
-        pivot = next((r for r in range(k, n) if a[r][k]), None)
-        if pivot is None:
-            raise SingularKKTError("singular system in exact solve")
-        a[k], a[pivot] = a[pivot], a[k]
-        top = a[k][k + 1:]
-        p = a[k][k]
-        for row in a[k + 1:]:
-            f = row[k]
-            row[k + 1:] = [(p * v - f * t) // prev for v, t in zip(row[k + 1:], top)]
-        prev = p
-    # The last pivot is ±det; det · x is an integer vector, so
-    # back-substitution for it divides exactly.
-    y = [0] * n
-    for i in reversed(range(n)):
-        row = a[i]
-        y[i] = (prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
-    return [Fraction(v, prev * d) for v in y]
+    pivots = list(_sweep(matrix, rhs))
+    if any(lead == RHS for lead, _ in pivots):
+        raise SingularKKTError("singular system in exact solve")
+    # Back-substitution over one common denominator den, held negated in
+    # y[RHS] so that each row's sum takes its right-hand side too.
+    y = [0] * n + [-1]
+    for lead, row in reversed(pivots):
+        t = -sum(v * y[c] for c, v in row.items())
+        g = math.gcd(t, row[lead]) * (1 if row[lead] > 0 else -1)
+        if row[lead] != g:
+            y = [v * (row[lead] // g) for v in y]
+        y[lead] = t // g
+    den = -y.pop()
+    return [Fraction(v, den) for v in y]
 
 
-def independent_rows(
-    rows: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]
-) -> list[int]:
-    """Indices of a maximal linearly independent subset of rows.
-
-    A row that eliminates to zero must take its right-hand side to zero
-    with it; otherwise the constraint set is inconsistent and
-    ``SingularKKTError`` is raised.
-    """
-    kept: list[int] = []
-    pivots: list[tuple[int, list[int]]] = []  # (lead column, reduced row)
-    for i, row in enumerate(_integer_rows(rows, rhs)):
-        prev = 1
-        for col, top in pivots:
-            p, f = top[col], row[col]
-            if f or p != prev:
-                row = [(p * v - f * t) // prev for v, t in zip(row, top)]
-            prev = p
-        lead = next((c for c, v in enumerate(row[:-1]) if v), None)
-        if lead is None:
-            if row[-1]:
-                raise SingularKKTError(
-                    "inconsistent constraints: a dependent context sum "
-                    "disagrees with the others"
-                )
-            continue
-        pivots.append((lead, row))
-        kept.append(i)
+def independent_rows(rows: Sequence[Mapping[int, Fraction]], rhs: Sequence[Fraction]) -> list[int]:
+    """Indices of the first maximal linearly independent subset of rows,
+    given by their nonzeros.  A row that eliminates to zero must take its
+    right-hand side to zero with it; otherwise the constraint set is
+    inconsistent and ``SingularKKTError`` is raised."""
+    kept = []
+    for i, (lead, row) in enumerate(_sweep(rows, rhs)):
+        if lead != RHS:
+            kept.append(i)
+        elif row:
+            raise SingularKKTError(
+                "inconsistent constraints: a dependent context sum disagrees with the others")
     return kept

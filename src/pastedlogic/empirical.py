@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -38,9 +39,10 @@ from .errors import (
     SchemaError,
     UnknownAtomError,
 )
-from .numeric import DEFAULT_TOL, fields_to_json, load_json, numeric_to_json, read_text
+from .numeric import (DEFAULT_TOL, RATIONAL, clear_denominators, fields_to_json, load_json,
+                      numeric_to_json, read_text)
 from .structures import EventStructure, incidence, structure_from_json_dict
-from .weights import Weight, make_weight
+from .weights import Weight
 
 __all__ = [
     "CountData",
@@ -51,6 +53,7 @@ __all__ = [
     "ingest_counts",
     "estimate_frequencies",
     "single_valuedness_test",
+    "project_affine",
     "reconstruct_weight",
     "analyze",
     "sample_counts",
@@ -273,26 +276,23 @@ def single_valuedness_test(
     makes the denominator vanish: a zero gap then counts as agreement,
     a nonzero gap is flagged degenerate and fails the gate.
     """
-    inc = incidence(data.structure)
     entries: list[PairStatistic] = []
     max_abs = 0.0
     passed = True
-    for atom in data.structure.atoms:
-        for ca, cb in combinations(inc.contexts_of[atom], 2):
+    for atom, holders in incidence(data.structure).contexts_of.items():
+        for ca, cb in combinations(holders, 2):
             na, nb = data.totals[ca], data.totals[cb]
             ka, kb = data.counts[ca][atom], data.counts[cb][atom]
-            fa, fb = Fraction(ka, na), Fraction(kb, nb)
-            gap = abs(fa - fb)
-            pooled = Fraction(ka + kb, na + nb)
-            # Int true division: correctly rounded for counts of any size.
-            variance = float(pooled) * (1.0 - float(pooled)) * (1 / na + 1 / nb)
-            if variance == 0:
-                degenerate = gap != 0
-                z = None if degenerate else 0.0
+            diff = ka * nb - kb * na  # (fa - fb) · na · nb
+            # Int true divisions round correctly, as float() of a Fraction does.
+            pooled = (ka + kb) / (na + nb)
+            variance = pooled * (1.0 - pooled) * (1 / na + 1 / nb)
+            if variance:
+                z, degenerate = diff / (na * nb) / math.sqrt(variance), False
             else:
-                z = float(fa - fb) / math.sqrt(variance)
-                degenerate = False
-            entries.append(PairStatistic(atom, ca, cb, fa, fb, gap, z, degenerate))
+                z, degenerate = (None, True) if diff else (0.0, False)
+            entries.append(PairStatistic(atom, ca, cb, Fraction(ka, na), Fraction(kb, nb),
+                                         Fraction(abs(diff), na * nb), z, degenerate))
             if degenerate:
                 passed = False
                 max_abs = math.inf
@@ -312,13 +312,10 @@ class ReconstructedWeight:
 
     ``p_hat`` pools each atom's counts over the contexts containing it;
     its context sums generally miss 1, recorded in ``residuals``.
-    ``p_star`` is the Euclidean projection.  Redundant context
-    constraints are dropped by exact rank reduction first; the kept
-    contexts' multipliers solve the normal equations
-    ``A Aᵀ μ = A p̂ − 1`` (``A Aᵀ`` counts the atoms two contexts share),
-    and ``p_star = p̂ − Aᵀ μ``.  ``multipliers`` is keyed by the kept
-    contexts.  ``box_violations`` lists atoms where the projection
-    leaves [0, 1], in which case classification downstream is withheld.
+    ``p_star`` is the Euclidean projection by ``project_affine``, and
+    ``multipliers`` is keyed by the contexts that projection keeps.
+    ``box_violations`` lists atoms where the projection leaves [0, 1],
+    in which case classification downstream is withheld.
     """
 
     p_hat: Weight
@@ -330,41 +327,54 @@ class ReconstructedWeight:
     to_json_dict = fields_to_json
 
 
+def project_affine(
+    structure: EventStructure, values: Mapping[str, Fraction]
+) -> tuple[dict[str, Fraction], dict[str, Fraction]]:
+    """The Euclidean projection of a rational point onto the subspace
+    where every context sums to 1: the kept contexts' multipliers and
+    the projected point.
+
+    Redundant context rows are dropped by exact rank reduction; the
+    kept contexts' multipliers solve ``A Aᵀ μ = A p̂ − 1`` (``A Aᵀ``
+    counts the atoms two contexts share) and ``p* = p̂ − Aᵀ μ``, in
+    integers over one common denominator D of p̂ and one of D·μ.
+    """
+    atoms, names, contexts = structure.atoms, structure.context_names, structure.contexts
+    scale, nums = clear_denominators([values[a] for a in atoms])
+    index = structure.atom_index
+    kept = independent_rows([{index[a]: 1 for a in ctx} for ctx in contexts], [1] * len(names))
+    position = {names[i]: k for k, i in enumerate(kept)}
+    holders = structure.incidence_index.contexts_of
+    gram = [Counter(position[h] for a in contexts[i] for h in holders[a] if h in position)
+            for i in kept]
+    den, shift = clear_denominators(
+        solve_exact(gram, [sum(nums[index[a]] for a in contexts[i]) - scale for i in kept]))
+    by_name = {names[i]: s for i, s in zip(kept, shift)}
+    den_star = den * scale  # μ = shift / den_star and p* = p̂ − Aᵀμ
+    return (
+        {name: Fraction(s, den_star) for name, s in by_name.items()},
+        {a: Fraction(n * den - sum(by_name.get(h, 0) for h in holders[a]), den_star)
+         for a, n in zip(atoms, nums)},
+    )
+
+
 def reconstruct_weight(data: CountData) -> ReconstructedWeight:
     structure = data.structure
-    atoms = structure.atoms
-    names = structure.context_names
-    sets = structure.context_sets
-    contexts_of = incidence(structure).contexts_of
     pooled = {
-        a: Fraction(sum(data.counts[n][a] for n in contexts_of[a]),
-                    sum(data.totals[n] for n in contexts_of[a]))
-        for a in atoms
+        a: Fraction(sum(data.counts[n][a] for n in holders),
+                    sum(data.totals[n] for n in holders))
+        for a, holders in incidence(structure).contexts_of.items()
     }
-    residuals = {
-        name: Fraction(1) - sum(pooled[a] for a in ctx)
-        for name, ctx in zip(names, structure.contexts)
-    }
-
-    # Normal equations over a full-rank subset of the context rows.
-    rows = [[int(a in s) for a in atoms] for s in sets]
-    kept = independent_rows(rows, [1] * len(rows))
-    gram = [[len(sets[i] & sets[j]) for j in kept] for i in kept]
-    mu = solve_exact(gram, [-residuals[names[i]] for i in kept])
-
-    star = dict(pooled)
-    for i, m in zip(kept, mu):
-        for a in structure.contexts[i]:
-            star[a] -= m
-    multipliers = {names[i]: m for i, m in zip(kept, mu)}
-    violations = tuple(a for a in atoms if not 0 <= star[a] <= 1)
+    residuals = {}
+    for name, ctx in zip(structure.context_names, structure.contexts):
+        scale, nums = clear_denominators([pooled[a] for a in ctx])
+        residuals[name] = Fraction(scale - sum(nums), scale)
+    multipliers, star = project_affine(structure, pooled)
+    violations = tuple(a for a, v in star.items() if not 0 <= v.numerator <= v.denominator)
+    # Both points hold a Fraction for every atom, in atom order.
     return ReconstructedWeight(
-        make_weight(structure, pooled),
-        make_weight(structure, star),
-        residuals,
-        multipliers,
-        violations,
-    )
+        Weight(structure, pooled, RATIONAL), Weight(structure, star, RATIONAL),
+        residuals, multipliers, violations)
 
 
 # ----------------------------------------------------------------- analyze

@@ -190,14 +190,8 @@ def check_admissible(weight: Weight, tol: float = DEFAULT_TOL) -> AdmissibilityR
             RATIONAL, Fraction(0), sums, Fraction(worst, scale), in_box, in_box and worst == 0
         )
     tolerance = float(tol)
-    sums = {}
-    max_dev = 0.0
-    for name, ctx in contexts:
-        s = sum((weight[a] for a in ctx), 0.0)
-        sums[name] = s
-        dev = abs(s - 1)
-        if dev > max_dev:
-            max_dev = dev
+    sums = {name: sum((weight[a] for a in ctx), 0.0) for name, ctx in contexts}
+    max_dev = max((abs(s - 1) for s in sums.values()), default=0.0)
     in_box = all(
         -tolerance <= v <= 1 + tolerance for v in weight.values.values()
     )

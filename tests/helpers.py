@@ -4,6 +4,7 @@ from fractions import Fraction
 from itertools import compress
 
 import pastedlogic as pl
+from pastedlogic.numeric import clear_denominators
 
 
 def random_positive_weight(structure, states, rng, blend=Fraction(1, 2)):
@@ -210,3 +211,66 @@ def reference_gluing_check(family, tol=1e-9):
     ok = all(v <= tolerance for v in [*atom_disc.values(), *pair_spread.values()]
              + [v for _, v in cycle_dev])
     return pl.GluingReport(bool(ok), exact, tolerance, atom_disc, pair_spread, tuple(cycle_dev))
+
+
+def _integer_rows(rows, rhs):
+    """Each dense row with its right-hand side appended, scaled to integers."""
+    return [clear_denominators([*row, b])[1] for row, b in zip(rows, rhs)]
+
+
+def reference_solve_exact(matrix, rhs):
+    """The dense Bareiss solve the library ran before it eliminated over
+    nonzeros, kept as the reference for the sparse ``solve_exact``: rows
+    are dense lists, every row below the pivot is rescaled at every step,
+    and after k steps every entry is a (k+1)-minor, so dividing by the
+    previous pivot is exact."""
+    n = len(rhs)
+    if len(matrix) != n or any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square or rhs length mismatches")
+    d, scaled_rhs = clear_denominators(list(rhs))
+    a = _integer_rows(matrix, scaled_rhs)
+    prev = 1
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            raise pl.SingularKKTError("singular system in exact solve")
+        a[k], a[pivot] = a[pivot], a[k]
+        top = a[k][k + 1:]
+        p = a[k][k]
+        for row in a[k + 1:]:
+            f = row[k]
+            row[k + 1:] = [(p * v - f * t) // prev for v, t in zip(row[k + 1:], top)]
+        prev = p
+    # The last pivot is ±det; det · x is an integer vector, so
+    # back-substitution for it divides exactly.
+    y = [0] * n
+    for i in reversed(range(n)):
+        row = a[i]
+        y[i] = (prev * row[n] - sum(row[j] * y[j] for j in range(i + 1, n))) // row[i]
+    return [Fraction(v, prev * d) for v in y]
+
+
+def reference_independent_rows(rows, rhs):
+    """The dense rank sweep the library ran before it eliminated over
+    nonzeros: the first maximal independent subset of dense rows, each
+    row reduced against every earlier pivot by Bareiss steps."""
+    kept = []
+    pivots = []  # (lead column, reduced row)
+    for i, row in enumerate(_integer_rows(rows, rhs)):
+        prev = 1
+        for col, top in pivots:
+            p, f = top[col], row[col]
+            if f or p != prev:
+                row = [(p * v - f * t) // prev for v, t in zip(row, top)]
+            prev = p
+        lead = next((c for c, v in enumerate(row[:-1]) if v), None)
+        if lead is None:
+            if row[-1]:
+                raise pl.SingularKKTError(
+                    "inconsistent constraints: a dependent context sum "
+                    "disagrees with the others"
+                )
+            continue
+        pivots.append((lead, row))
+        kept.append(i)
+    return kept

@@ -424,6 +424,36 @@ class TestReconstruct:
         assert {a: rec.p_star[a] for a in structure.atoms} == p_star
         assert list(rec.multipliers.items()) == list(multipliers.items())
 
+    def test_scattered_c201_satisfies_kkt_exactly(self):
+        # Counts shaped like the pipeline's large cycles: each context
+        # favours its first atom, so every residual and multiplier is
+        # nonzero and the Gram solve runs through all 201 rows.
+        structure = pl.cycle_logic(201)
+        rng = random.Random(201)
+        counts = {
+            name: dict(zip(ctx, (rng.randint(1000, 1500), rng.randint(20, 200), rng.randint(300, 700))))
+            for name, ctx in zip(structure.context_names, structure.contexts)
+        }
+        rec = pl.reconstruct_weight(ingest(structure, counts))
+        assert list(rec.multipliers) == list(structure.context_names)
+        assert all(rec.multipliers.values())
+        for ctx in structure.contexts:
+            assert sum(rec.p_star[a] for a in ctx) == 1
+        contexts_of = pl.incidence(structure).contexts_of
+        for a in structure.atoms:
+            assert rec.p_hat[a] - rec.p_star[a] == sum(rec.multipliers[c] for c in contexts_of[a])
+
+    def test_project_affine_is_the_reconstruction_projection(self, pentagon):
+        data = pl.sample_counts(pentagon, pl.path_weight(pentagon, Fraction(1, 4)), 37, 8)
+        rec = pl.reconstruct_weight(data)
+        multipliers, point = pl.project_affine(pentagon, rec.p_hat.values)
+        assert multipliers == rec.multipliers
+        assert point == rec.p_star.values
+        # an admissible point is its own projection
+        w = pl.path_weight(pentagon, Fraction(2, 7))
+        multipliers, point = pl.project_affine(pentagon, w.values)
+        assert point == w.values and set(multipliers.values()) == {0}
+
     def test_report_json_shape(self, pentagon):
         data = pl.sample_counts(pentagon, pl.path_weight(pentagon, Fraction(1, 3)), 40, 1)
         doc = pl.reconstruct_weight(data).to_json_dict()

@@ -99,6 +99,47 @@ def _counts():
     return pl.ingest_counts(DATA / "counts_beyond.json")
 
 
+def _scattered_c41():
+    """Seeded counts on C41 in which each context favours its first atom,
+    so a shared atom is frequent in one context and rare in the next;
+    the corner entries of the cycle's Gram matrix make its solve fill."""
+    structure = pl.cycle_logic(41)
+    rng = Random(41)
+    counts = {
+        name: dict(zip(ctx, (rng.randint(1000, 1500), rng.randint(20, 200), rng.randint(300, 700))))
+        for name, ctx in zip(structure.context_names, structure.contexts)
+    }
+    return pl.ingest_counts({"counts": counts}, structure)
+
+
+def _proportional_pair():
+    """Counts on the pentagon pair exactly proportional to a seeded
+    mixture of four two-valued states, with a different total in each
+    context."""
+    structure = pentagon_pair()
+    space = structure.state_space
+    rng = Random(2)
+    values = {a: Fraction(0) for a in structure.atoms}
+    for k, i in enumerate(rng.sample(range(space.count), 4), start=1):
+        for a in space[i].ones:
+            values[a] += Fraction(k, 10)
+    counts = {}
+    for name, ctx in zip(structure.context_names, structure.contexts):
+        total = 10 * rng.randint(1, 3)
+        counts[name] = {a: int(values[a] * total) for a in ctx}
+    return pl.ingest_counts({"counts": counts}, structure)
+
+
+def _square():
+    """Four two-atom contexts around a square: the fourth context row is
+    the sum of the first two minus the third, so only rows 0-2 are kept."""
+    structure = pl.build_event_structure(
+        ["a", "b", "c", "d"], [["a", "b"], ["c", "d"], ["a", "c"], ["b", "d"]])
+    counts = {"C1": {"a": 30, "b": 70}, "C2": {"c": 45, "d": 55},
+              "C3": {"a": 40, "c": 80}, "C4": {"b": 65, "d": 35}}
+    return pl.ingest_counts({"counts": counts}, structure)
+
+
 CASES = {
     "family_exact": _family_exact,
     "family_float": _family_float,
@@ -124,6 +165,9 @@ CASES = {
     "frequencies": lambda: pl.estimate_frequencies(_counts()),
     "single_valuedness": lambda: pl.single_valuedness_test(_counts()),
     "reconstruction": lambda: pl.reconstruct_weight(_counts()),
+    "reconstruction_c41_scattered": lambda: pl.reconstruct_weight(_scattered_c41()),
+    "reconstruction_pentagon_pair": lambda: pl.reconstruct_weight(_proportional_pair()),
+    "reconstruction_square": lambda: pl.reconstruct_weight(_square()),
     "analysis_withheld": lambda: pl.analyze(
         pl.ingest_counts(DATA / "counts_gate_fail.json")),
 }
