@@ -24,11 +24,12 @@ import csv
 import io
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from ._linalg import independent_rows, solve_exact
 from .bounds import RegionReport, classify_weight
@@ -39,10 +40,10 @@ from .errors import (
     SchemaError,
     UnknownAtomError,
 )
-from .numeric import (DEFAULT_TOL, RATIONAL, clear_denominators, fields_to_json, load_json,
-                      numeric_to_json, read_text)
+from .numeric import (DEFAULT_TOL, clear_denominators, fields_to_json, load_json, numeric_to_json,
+                      read_text)
 from .structures import EventStructure, incidence, structure_from_json_dict
-from .weights import Weight
+from .weights import Weight, make_weight
 
 __all__ = [
     "CountData",
@@ -371,10 +372,8 @@ def reconstruct_weight(data: CountData) -> ReconstructedWeight:
         residuals[name] = Fraction(scale - sum(nums), scale)
     multipliers, star = project_affine(structure, pooled)
     violations = tuple(a for a, v in star.items() if not 0 <= v.numerator <= v.denominator)
-    # Both points hold a Fraction for every atom, in atom order.
-    return ReconstructedWeight(
-        Weight(structure, pooled, RATIONAL), Weight(structure, star, RATIONAL),
-        residuals, multipliers, violations)
+    return ReconstructedWeight(make_weight(structure, pooled), make_weight(structure, star),
+                               residuals, multipliers, violations)
 
 
 # ----------------------------------------------------------------- analyze

@@ -1,25 +1,28 @@
 """Dual-mode numerics: exact rationals next to floats, plus JSON I/O.
 
-Values live in one of two modes.  ``"rational"`` values are
-:class:`fractions.Fraction` (integers are accepted and normalised on
-input); all comparisons in that mode are exact.  ``"float"`` values are
-binary doubles compared against a tolerance.  JSON output renders
-rationals as ``"num/den"`` strings and floats as numbers rounded to 12
-significant digits, which keeps every report byte-deterministic.  A
-report renders from its fields: ``fields_to_json`` lists them in
-declaration order, leaves out the structure the report is about, and
-passes each through ``render``.  Input files and literals are read here
-too, and every way they can be malformed is a ValidationError.
+This module alone decides what a number is and which numbers are exact
+(``is_number``, ``is_exact``).  A number is an int, float or Fraction,
+never a bool.  Ints and Fractions are exact: they make ``"rational"``
+mode, held as Fractions and compared exactly.  Floats make ``"float"``
+mode, compared against a tolerance.  A mixture needs an explicit mode,
+and NaN and infinities are rejected.  JSON output renders rationals as
+``"num/den"`` strings and floats as numbers rounded to 12 significant
+digits, which keeps every report byte-deterministic.  A report renders
+from its fields: ``fields_to_json`` lists them in declaration order,
+leaves out the structure the report is about, and passes each through
+``render``.  Input files and literals are read here too, and every way
+they can be malformed is a ValidationError.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import SchemaError, ValidationError
 
@@ -27,11 +30,19 @@ RATIONAL = "rational"
 FLOAT = "float"
 
 DEFAULT_TOL = 1e-9
+# is_number and is_exact test the type first: isinstance against Fraction is slow.
+_NUMBER_TYPES = (int, float, Fraction)
+
+
+def is_number(value: Any) -> bool:
+    """True for an int, a float or a Fraction, and never for a bool."""
+    return type(value) in _NUMBER_TYPES or (
+        isinstance(value, _NUMBER_TYPES) and not isinstance(value, bool))
 
 
 def is_exact(value: Any) -> bool:
-    """True for values that belong to rational mode."""
-    return isinstance(value, (Fraction, int)) and not isinstance(value, bool)
+    """True for an int or a Fraction, never a bool: the numbers of rational mode."""
+    return type(value) in (int, Fraction) or (is_number(value) and not isinstance(value, float))
 
 
 def as_fraction(value: Any) -> Fraction:
@@ -42,7 +53,7 @@ def as_fraction(value: Any) -> Fraction:
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not is_number(value):
         raise ValidationError(f"cannot convert {value!r} to an exact rational")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"cannot convert non-finite {value!r} to a rational")
@@ -72,15 +83,17 @@ def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[d
     Without an explicit ``mode`` the mode is inferred: all-exact input
     becomes rational, all-float input stays float, and a mixture is
     rejected rather than silently rounded.  NaN and infinities are
-    rejected.
+    rejected.  A value that already has its mode's type is kept as it is.
     """
     if mode not in (None, RATIONAL, FLOAT):
         raise ValidationError(f"unknown mode {mode!r}")
+    if mode != FLOAT and set(map(type, values.values())) <= {Fraction}:
+        return dict(values), RATIONAL
     exact = {k: is_exact(v) for k, v in values.items()}
     for k, v in values.items():
-        if not isinstance(v, (int, float, Fraction)) or isinstance(v, bool):
+        if not (exact[k] or is_number(v)):
             raise ValidationError(f"value for {k!r} is not numeric: {v!r}")
-        if isinstance(v, float) and not math.isfinite(v):
+        if not (exact[k] or math.isfinite(v)):
             raise ValidationError(f"value for {k!r} is not finite: {v!r}")
     if mode is None:
         if all(exact.values()):
@@ -88,9 +101,7 @@ def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[d
         elif not any(exact.values()):
             mode = FLOAT
         else:
-            raise ValidationError(
-                "mixed exact and float values; pass an explicit mode"
-            )
+            raise ValidationError("mixed exact and float values; pass an explicit mode")
     if mode == RATIONAL:
         bad = [k for k, ok in exact.items() if not ok]
         if bad:
@@ -98,8 +109,8 @@ def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[d
                 "rational mode requires exact values; got floats for "
                 + ", ".join(sorted(bad))
             )
-        return {k: Fraction(v) for k, v in values.items()}, RATIONAL
-    return {k: as_float(v) for k, v in values.items()}, FLOAT
+        return {k: v if type(v) is Fraction else Fraction(v) for k, v in values.items()}, RATIONAL
+    return {k: v if type(v) is float else as_float(v) for k, v in values.items()}, FLOAT
 
 
 def numeric_to_json(value: Any) -> Any:
@@ -108,8 +119,6 @@ def numeric_to_json(value: Any) -> Any:
     stay JSON integers."""
     if isinstance(value, Fraction):
         return str(value)
-    if isinstance(value, bool) or value is None:
-        return value
     if isinstance(value, float):
         return round12(value)
     return value
@@ -124,15 +133,13 @@ def numeric_from_json(value: Any) -> Fraction | float:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ValidationError(f"not a rational literal: {value!r}") from exc
-    if isinstance(value, bool):
+    if not is_number(value):
         raise ValidationError(f"expected a number, got {value!r}")
-    if isinstance(value, int):
+    if is_exact(value):
         return Fraction(value)
-    if isinstance(value, float):
-        if not math.isfinite(value):
-            raise ValidationError(f"expected a finite number, got {value!r}")
-        return value
-    raise ValidationError(f"expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ValidationError(f"expected a finite number, got {value!r}")
+    return value
 
 
 def values_from_json(doc: Any, what: str) -> dict[str, Fraction | float]:

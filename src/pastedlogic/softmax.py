@@ -21,10 +21,11 @@ for small alpha > 0 makes every normaliser equal alpha.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Iterable, Mapping, Sequence
+from typing import Any, Iterable, Sequence
 
 from .errors import (
     AlphaOutOfRangeError,
@@ -47,7 +48,10 @@ from .numeric import (
     RATIONAL,
     as_float,
     clear_denominators,
+    coerce_values,
     fields_to_json,
+    is_exact,
+    is_number,
     numeric_from_json,
     numeric_to_json,
     render,
@@ -88,12 +92,20 @@ __all__ = [
 class LinkFunction:
     """Base for the link catalogue; subclasses fix domain and formula.
 
-    ``guaranteed_range_radius`` is an r with (0, r) inside the range,
-    used when auto-selecting the representation scale.
+    A link's parameters (its dataclass fields) are numbers > 0, held as
+    floats.  ``guaranteed_range_radius`` is an r with (0, r) inside the
+    range, used when auto-selecting the representation scale.
     """
 
     kind = "abstract"
     guaranteed_range_radius = 1.0
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (is_number(value) and value > 0):
+                raise ValidationError(f"{self.kind} link needs {f.name} > 0")
+            object.__setattr__(self, f.name, as_float(value))
 
     def evaluate(self, x: Numeric) -> Numeric:
         raise NotImplementedError
@@ -108,7 +120,7 @@ class LinkFunction:
         raise NotImplementedError
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind}
+        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
 
 
 @dataclass(frozen=True)
@@ -117,10 +129,6 @@ class ExponentialLink(LinkFunction):
 
     beta: float = 1.0
     kind = "exponential"
-
-    def __post_init__(self):
-        if not (isinstance(self.beta, (int, float)) and float(self.beta) > 0):
-            raise ValidationError("exponential link needs beta > 0")
 
     def evaluate(self, x: Numeric) -> float:
         return math.exp(self.beta * float(x))
@@ -131,13 +139,10 @@ class ExponentialLink(LinkFunction):
         return math.log(float(y)) / self.beta
 
     def in_domain(self, x: Any) -> bool:
-        return isinstance(x, (int, float, Fraction)) and math.isfinite(float(x))
+        return is_number(x) and math.isfinite(float(x))
 
     def in_range(self, y: Any) -> bool:
-        return isinstance(y, (int, float, Fraction)) and float(y) > 0
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "beta": self.beta}
+        return is_number(y) and float(y) > 0
 
 
 @dataclass(frozen=True)
@@ -156,7 +161,7 @@ class IdentityLink(LinkFunction):
         return y
 
     def in_domain(self, x: Any) -> bool:
-        return isinstance(x, (int, float, Fraction)) and x > 0
+        return is_number(x) and x > 0
 
     in_range = in_domain
 
@@ -168,25 +173,18 @@ class PowerLink(LinkFunction):
     k: float = 2.0
     kind = "power"
 
-    def __post_init__(self):
-        if not (isinstance(self.k, (int, float)) and float(self.k) > 0):
-            raise ValidationError("power link needs k > 0")
-
     def evaluate(self, x: Numeric) -> float:
-        return float(x) ** float(self.k)
+        return float(x) ** self.k
 
     def inverse(self, y: Numeric) -> float:
         if not self.in_range(y):
             raise ScoreOutOfDomainError(f"{y!r} is not in the range (0, inf)")
-        return float(y) ** (1.0 / float(self.k))
+        return float(y) ** (1.0 / self.k)
 
     def in_domain(self, x: Any) -> bool:
-        return isinstance(x, (int, float, Fraction)) and x > 0
+        return is_number(x) and x > 0
 
     in_range = in_domain
-
-    def to_json_dict(self) -> dict:
-        return {"kind": self.kind, "k": self.k}
 
 
 LINK_KINDS = {link.kind: link for link in (ExponentialLink, IdentityLink, PowerLink)}
@@ -205,7 +203,7 @@ def link_from_json_dict(doc: Mapping) -> LinkFunction:
     extra = set(doc) - params - {"kind"}
     if extra:
         raise SchemaError(f"{kind} link does not take: " + ", ".join(sorted(extra)))
-    return link(**{p: as_float(numeric_from_json(doc[p])) for p in params if p in doc})
+    return link(**{p: numeric_from_json(doc[p]) for p in params if p in doc})
 
 
 # ------------------------------------------------------------------ scores
@@ -306,11 +304,7 @@ class ContextDistributionFamily:
     normalizers: Mapping[str, Numeric]
 
     def is_exact(self) -> bool:
-        return all(
-            isinstance(p, Fraction)
-            for table in self.probabilities.values()
-            for p in table.values()
-        )
+        return all(is_exact(p) for table in self.probabilities.values() for p in table.values())
 
     @cached_property
     def _gluing_reports(self) -> dict[Any, GluingReport]:
@@ -329,9 +323,10 @@ def context_softmax(
 
     Global scores give one score per atom everywhere; per-context scores
     may disagree on shared atoms (that disagreement is exactly what
-    ``gluing_check`` measures).  Where a context's coordinates are exact
-    (Fractions, possibly with ints), its normaliser and probabilities
-    are Fractions, computed over the coordinates' common denominator.
+    ``gluing_check`` measures).  Where a context's coordinates are all
+    exact (ints and Fractions), they are held as Fractions, and its
+    normaliser and probabilities are Fractions computed over the
+    coordinates' common denominator.
     """
     probabilities: dict[str, dict[str, Numeric]] = {}
     coordinates: dict[str, dict[str, Numeric]] = {}
@@ -353,10 +348,10 @@ def context_softmax(
                     f"link value for atom {a!r} is not a positive finite number"
                 )
             q[a] = value
-        kinds = set(map(type, q.values()))
-        if Fraction in kinds and kinds <= {Fraction, int}:
+        if all(map(is_exact, q.values())):
             # Exact: over the context's common denominator, Z = t/scale
             # and P(a) = n_a/t, with t the integer sum of the n_a.
+            q, _ = coerce_values(q, RATIONAL)
             scale, nums = clear_denominators([q[a] for a in ctx])
             t = sum(nums)
             z = Fraction(t, scale)
@@ -544,7 +539,7 @@ def represent_weight(
             alpha = Fraction(1, 2) * cap * min(Fraction(1), Fraction(1) / peak)
         else:
             alpha = 0.5 * link.guaranteed_range_radius * min(1.0, 1.0 / peak)
-    if not (isinstance(alpha, (int, float, Fraction)) and alpha > 0):
+    if not (is_number(alpha) and alpha > 0):
         raise AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
     scaled = {a: alpha * v for a, v in values.items()}
     try:
@@ -611,7 +606,7 @@ def boundary_path(
     rs = list(r_values)
     if not rs:
         raise ValidationError("need at least one r value")
-    if any(not (isinstance(r, (int, float, Fraction)) and r > 0) for r in rs):
+    if any(not (is_number(r) and r > 0) for r in rs):
         raise NegativePathParameterError(f"r values must all be positive, got {rs!r}")
     for earlier, later in zip(rs, rs[1:]):
         if not later < earlier:

@@ -15,10 +15,11 @@ strictly exceeds the classical polytope at an interesting weight.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .errors import (
     DuplicateAtomError,

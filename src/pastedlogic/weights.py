@@ -12,9 +12,10 @@ uniform weight (r = 1) and the half weight (r -> 0).
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import Any
 
 from .errors import (
     MissingAtomValueError,
@@ -31,6 +32,8 @@ from .numeric import (
     clear_denominators,
     coerce_values,
     fields_to_json,
+    is_exact,
+    is_number,
     load_json,
     numeric_to_json,
     values_from_json,
@@ -101,15 +104,14 @@ def make_weight(
     allowed.  Exact values (ints, Fractions) yield rational mode, floats
     yield float mode; mixtures need an explicit ``mode``.
     """
-    extra = set(values) - set(structure.atoms)
+    extra = values.keys() - structure.atom_index.keys()
     if extra:
         raise UnknownAtomError("values given for unknown atoms: " + ", ".join(sorted(extra)))
-    missing = [a for a in structure.atoms if a not in values]
-    if missing:
+    if len(values) < len(structure.atom_index):
+        missing = [a for a in structure.atoms if a not in values]
         raise MissingAtomValueError("no value for atoms: " + ", ".join(missing))
     coerced, actual_mode = coerce_values(values, mode)
-    ordered = {a: coerced[a] for a in structure.atoms}
-    return Weight(structure, ordered, actual_mode)
+    return Weight(structure, {a: coerced[a] for a in structure.atoms}, actual_mode)
 
 
 def weight_from_json_dict(doc: Mapping, structure: EventStructure) -> Weight:
@@ -217,28 +219,20 @@ def path_weight(structure: EventStructure, r: Any) -> Weight:
     atoms, 1 on the extras).
     """
     form = cycle_form(structure)
-    if isinstance(r, bool) or not isinstance(r, (int, float, Fraction)):
+    if not is_number(r):
         raise ValidationError(f"path parameter must be a number, got {r!r}")
     if r < 0:
         raise NegativePathParameterError(f"path parameter must be >= 0, got {r!r}")
-    if isinstance(r, float):
-        a_val: Numeric = 1.0 / (2.0 + r)
-        x_val: Numeric = r / (2.0 + r)
-    else:
-        rq = Fraction(r)
-        a_val = Fraction(1) / (2 + rq)
-        x_val = rq / (2 + rq)
-    values = {a: a_val for a in form.cyclic_atoms}
-    values.update({x: x_val for x in form.extra_atoms})
+    r = Fraction(r) if is_exact(r) else r
+    values = dict.fromkeys(form.cyclic_atoms, 1 / (2 + r))
+    values.update(dict.fromkeys(form.extra_atoms, r / (2 + r)))
     return make_weight(structure, values)
 
 
 def cyclic_sum(structure: EventStructure, weight: Weight) -> Numeric:
     """Sum of the weight over the cyclic atoms a1..an."""
     check_same_structure(structure, weight)
-    form = cycle_form(structure)
-    zero: Numeric = Fraction(0) if weight.mode == RATIONAL else 0.0
-    return sum((weight[a] for a in form.cyclic_atoms), zero)
+    return sum(weight[a] for a in cycle_form(structure).cyclic_atoms)
 
 
 def support(weight: Weight, tol: float = 0.0) -> frozenset[str]:

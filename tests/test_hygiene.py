@@ -8,6 +8,13 @@ both are exempt; a name listed in ``__all__`` counts as used.  Likewise
 every private module-level function or class is referred to somewhere
 in the package besides its own definition.
 
+What a number is, and which numbers are exact, is decided in
+``numeric`` alone: outside it no ``isinstance`` call names ``Fraction``
+or lists ``float`` among other classes; the rest of the package asks
+``numeric.is_number`` and ``numeric.is_exact``.  An ``isinstance`` test
+against ``Mapping`` uses ``collections.abc.Mapping``, not the slower
+``typing`` alias.
+
 The benchmark's tracer wraps package functions by name, so every name it
 lists must still exist: a rename in ``src`` would otherwise break only
 ``perfbench/run.py --trace 1``.
@@ -112,3 +119,49 @@ def test_the_tracer_names_resolve(monkeypatch):
         if not callable(getattr(importlib.import_module(f"pastedlogic.{layer}"), name, None))
     ]
     assert len(tracer.LAYER_FUNCTIONS) >= 10 and missing == []
+
+
+def numeric_type_tests(source: str) -> list[str]:
+    """``isinstance`` calls that name ``Fraction``, that list ``float`` in
+    a class tuple, or that name ``Mapping`` imported from ``typing``."""
+    tree = ast.parse(source)
+    typing_names = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module == "typing"
+        for alias in node.names
+    }
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"):
+            continue
+        classes = node.args[1]
+        in_tuple = isinstance(classes, ast.Tuple)
+        names = {getattr(c, "id", None) for c in (classes.elts if in_tuple else [classes])}
+        if "Fraction" in names or (in_tuple and "float" in names) or "Mapping" in names & typing_names:
+            found.append(f"line {node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_numeric_decides_what_a_number_is(path):
+    found = numeric_type_tests(path.read_text(encoding="utf-8"))
+    if path.name == "numeric.py":
+        found = [f for f in found if "Mapping" in f]
+    assert found == []
+
+
+def test_the_check_sees_numeric_type_tests():
+    source = (
+        "from typing import Mapping\n"
+        "isinstance(x, Fraction)\n"
+        "isinstance(x, (int, float))\n"
+        "isinstance(x, float)\n"
+        "isinstance(x, Mapping)\n"
+    )
+    assert numeric_type_tests(source) == [
+        "line 2: isinstance(x, Fraction)",
+        "line 3: isinstance(x, (int, float))",
+        "line 5: isinstance(x, Mapping)",
+    ]
+    assert numeric_type_tests("from collections.abc import Mapping\nisinstance(x, Mapping)\n") == []

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -46,7 +47,42 @@ def patterned_family(pentagon):
     )
 
 
+def rejected(call, *args, **kwargs):
+    with pytest.raises(ValidationError):
+        call(*args, **kwargs)
+    return True
+
+
+def round_trips(link):
+    return pl.link_from_json_dict(json.loads(json.dumps(link.to_json_dict()))) == link
+
+
+# A bool is not a number, and a Fraction is one: each check holds of a
+# pentagon.
+NUMBER_CHECKS = [
+    pytest.param(lambda s: rejected(ExponentialLink, True), id="exponential-beta-bool"),
+    pytest.param(lambda s: rejected(PowerLink, True), id="power-k-bool"),
+    pytest.param(
+        lambda s: rejected(pl.represent_weight, s, pl.path_weight(s, 1), IdentityLink(),
+                           alpha=True),
+        id="alpha-bool",
+    ),
+    *(
+        pytest.param(lambda s, link=link: not (link.in_domain(True) or link.in_range(True)),
+                     id=f"{link.kind}-domain-bool")
+        for link in (ExponentialLink(), IdentityLink(), PowerLink())
+    ),
+    pytest.param(lambda s: round_trips(ExponentialLink(Fraction(1, 2))),
+                 id="exponential-beta-fraction"),
+    pytest.param(lambda s: round_trips(PowerLink(Fraction(3, 2))), id="power-k-fraction"),
+]
+
+
 class TestLinks:
+    @pytest.mark.parametrize("check", NUMBER_CHECKS)
+    def test_a_bool_is_not_a_number_and_a_fraction_is(self, pentagon, check):
+        assert check(pentagon)
+
     def test_exponential(self):
         link = ExponentialLink(2.0)
         assert link.evaluate(0.5) == pytest.approx(math.e)
@@ -134,6 +170,16 @@ class TestContextSoftmax:
         assert family.is_exact()
         for name in triangle.context_names:
             assert sum(family.probabilities[name].values()) == 1
+
+    @pytest.mark.parametrize("score", [lambda i: 1, lambda i: i + 1], ids=["equal", "distinct"])
+    def test_int_scores_are_exact(self, pentagon, score):
+        ints = {a: score(i) for i, a in enumerate(pentagon.atoms)}
+        family = pl.context_softmax(pentagon, GlobalScores(ints), IdentityLink())
+        reference = pl.context_softmax(
+            pentagon, GlobalScores({a: Fraction(v) for a, v in ints.items()}), IdentityLink())
+        assert family.is_exact()
+        assert dumps(family) == dumps(reference)
+        assert dumps(pl.gluing_check(family)) == dumps(pl.gluing_check(reference))
 
     def test_domain_violation(self, triangle):
         scores = GlobalScores({a: -1.0 for a in triangle.atoms})

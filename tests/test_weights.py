@@ -56,6 +56,33 @@ class TestMakeWeight:
         w = pl.half_weight(triangle)
         assert [a for a, _ in w.items()] == list(triangle.atoms)
 
+    @pytest.mark.parametrize(
+        "changes, mode, message",
+        [
+            ({"x1": "0.5"}, None, "value for 'x1' is not numeric: '0.5'"),
+            ({"x1": None}, "float", "value for 'x1' is not numeric: None"),
+            ({"x1": True}, None, "value for 'x1' is not numeric: True"),
+            ({"x1": False}, "rational", "value for 'x1' is not numeric: False"),
+            ({"x1": None, "a1": "y"}, None, "value for 'a1' is not numeric: 'y'"),
+            ({"x1": 0.25, "a2": None}, None, "value for 'a2' is not numeric: None"),
+            ({"x2": 0.25, "a2": 0.5}, "rational",
+             "rational mode requires exact values; got floats for a2, x2"),
+            ({"x1": 0.25}, None, "mixed exact and float values; pass an explicit mode"),
+            ({}, "decimal", "unknown mode 'decimal'"),
+        ],
+    )
+    def test_rejection_messages(self, triangle, changes, mode, message):
+        values = {a: Fraction(1, 3) for a in triangle.atoms}
+        values.update(changes)
+        with pytest.raises(ValidationError) as caught:
+            pl.make_weight(triangle, values, mode)
+        assert str(caught.value) == message
+
+    def test_keeps_the_fractions_it_is_given(self, pentagon):
+        values = {a: Fraction(1, 3) for a in pentagon.atoms}
+        w = pl.make_weight(pentagon, values)
+        assert all(w.values[a] is values[a] for a in pentagon.atoms)
+
 
 class TestAdmissibility:
     def test_half_weight_exact(self, pentagon):
@@ -154,6 +181,12 @@ class TestPathFamily:
         w = pl.path_weight(pentagon, 0.1)
         assert w.mode == "float"
         assert w["a1"] == pytest.approx(1 / 2.1)
+
+    @pytest.mark.parametrize("r", [0.0, 0.1, 1 / 3, 1.0, 2.5, 1e-9, 7e15, 1e300])
+    def test_float_values_are_bitwise_the_closed_form(self, pentagon, r):
+        w = pl.path_weight(pentagon, r)
+        assert w["a1"].hex() == (1.0 / (2.0 + r)).hex()
+        assert w["x1"].hex() == (r / (2.0 + r)).hex()
 
     def test_negative_parameter(self, pentagon):
         with pytest.raises(NegativePathParameterError):
