@@ -136,13 +136,16 @@ class ExponentialLink(LinkFunction):
     def inverse(self, y: Numeric) -> float:
         if not self.in_range(y):
             raise ScoreOutOfDomainError(f"{y!r} is not in the range (0, inf)")
-        return math.log(float(y)) / self.beta
+        x = float(y)
+        if not x:  # an exact y > 0 below the smallest double; math.log reads ints exactly
+            return (math.log(y.numerator) - math.log(y.denominator)) / self.beta
+        return math.log(x) / self.beta
 
     def in_domain(self, x: Any) -> bool:
         return is_number(x) and math.isfinite(float(x))
 
     def in_range(self, y: Any) -> bool:
-        return is_number(y) and float(y) > 0
+        return is_number(y) and (float(y) > 0 or y > 0)
 
 
 @dataclass(frozen=True)
@@ -323,17 +326,31 @@ def context_softmax(
 
     Global scores give one score per atom everywhere; per-context scores
     may disagree on shared atoms (that disagreement is exactly what
-    ``gluing_check`` measures).  Where a context's coordinates are all
-    exact (ints and Fractions), they are held as Fractions, and its
-    normaliser and probabilities are Fractions computed over the
-    coordinates' common denominator.
+    ``gluing_check`` measures).  Under the identity link a context whose
+    scores are all exact (ints and Fractions) is its own coordinates,
+    held as Fractions: they are cleared to integers n_a over one scale
+    once, the domain is read off the signs of the n_a, and with t their
+    sum Z = t / scale and P(a) = n_a / t.
     """
     probabilities: dict[str, dict[str, Numeric]] = {}
     coordinates: dict[str, dict[str, Numeric]] = {}
     normalizers: dict[str, Numeric] = {}
+    identity = isinstance(link, IdentityLink)
     for name, ctx in zip(structure.context_names, structure.contexts):
         table = scores.context_scores(ctx, name)
-        q: dict[str, Numeric] = {}
+        if identity and all(map(is_exact, table.values())):
+            scale, nums = clear_denominators(list(table.values()))
+            for a, n in zip(ctx, nums):
+                if n <= 0:
+                    raise ScoreOutOfDomainError(
+                        f"score {table[a]!r} for atom {a!r} is outside the {link.kind} domain"
+                    )
+            t = sum(nums)
+            coordinates[name], _ = coerce_values(table, RATIONAL)
+            normalizers[name] = Fraction(t, scale)
+            probabilities[name] = {a: Fraction(n, t) for a, n in zip(ctx, nums)}
+            continue
+        q = {}
         for a, u in table.items():
             try:
                 value = link.evaluate(u) if link.in_domain(u) else None
@@ -348,19 +365,9 @@ def context_softmax(
                     f"link value for atom {a!r} is not a positive finite number"
                 )
             q[a] = value
-        if all(map(is_exact, q.values())):
-            # Exact: over the context's common denominator, Z = t/scale
-            # and P(a) = n_a/t, with t the integer sum of the n_a.
-            q, _ = coerce_values(q, RATIONAL)
-            scale, nums = clear_denominators([q[a] for a in ctx])
-            t = sum(nums)
-            z = Fraction(t, scale)
-            probabilities[name] = {a: Fraction(n, t) for a, n in zip(ctx, nums)}
-        else:
-            z = sum(q.values())
-            probabilities[name] = {a: q[a] / z for a in ctx}
+        z = normalizers[name] = sum(q.values())
+        probabilities[name] = {a: q[a] / z for a in ctx}
         coordinates[name] = q
-        normalizers[name] = z
     return ContextDistributionFamily(
         structure, link, probabilities, coordinates, normalizers
     )
@@ -453,11 +460,8 @@ def gluing_check(
         pair_spread[pair] = max((abs(r - ratios[0]) for r in ratios), default=zero)
 
     cycle_dev: list[tuple[tuple[str, ...], Numeric]] = []
-    for cycle in structure.fundamental_cycles:
-        edges = []
-        for u, v in zip(cycle, cycle[1:]):
-            a = inc.shared(u, v)[0]
-            edges.append((coords[u][a], coords[v][a]))
+    for cycle, links in zip(structure.fundamental_cycles, structure.cycle_edges):
+        edges = [(coords[u][a], coords[v][a]) for u, v, a in links]
         if exact:
             # The product of the ratios q_u/q_v, as one numerator and one
             # denominator over the integers.
@@ -521,31 +525,49 @@ def represent_weight(
     With u(a) = g^{-1}(alpha * p(a)) every context normaliser equals
     alpha, so P_C(a) = alpha * p(a) / alpha = p(a) in every context.  The
     default scale alpha = r/2 * min(1, 1/max p) keeps alpha * p inside
-    the guaranteed range interval (0, r) of the link.
+    the guaranteed range interval (0, r) of the link.  A rational weight
+    is cleared to integers n_a over one scale, so with an exact alpha each
+    alpha * p(a) is one integer over another: the identity link gets that
+    Fraction, and a link that reads its argument through float() gets
+    the same correctly rounded float from integer division, or the
+    Fraction where that float underflows to 0.
     """
     check_same_structure(structure, weight)
     report = check_admissible(weight)
     if not report.admissible:
         raise NotAdmissibleError(report)
-    zeros = [a for a, v in weight.items() if not v > 0]
+    atoms = structure.atoms
+    values = [weight.values[a] for a in atoms]
+    exact = weight.mode == RATIONAL
+    if exact:
+        scale, nums = clear_denominators(values)
+        zeros = [a for a, n in zip(atoms, nums) if n <= 0]
+    else:
+        zeros = [a for a, v in zip(atoms, values) if not v > 0]
     if zeros:
         raise NotStrictlyPositiveError(zeros)
 
-    values = dict(weight.items())
-    peak = max(values.values())
     if alpha is None:
-        if weight.mode == RATIONAL:
-            cap = Fraction(link.guaranteed_range_radius)
-            alpha = Fraction(1, 2) * cap * min(Fraction(1), Fraction(1) / peak)
+        if exact:  # admissible, so max p <= 1
+            alpha = Fraction(link.guaranteed_range_radius) / 2
         else:
-            alpha = 0.5 * link.guaranteed_range_radius * min(1.0, 1.0 / peak)
+            alpha = 0.5 * link.guaranteed_range_radius * min(1.0, 1.0 / max(values))
     if not (is_number(alpha) and alpha > 0):
         raise AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
-    scaled = {a: alpha * v for a, v in values.items()}
     try:
-        bad = [a for a, s in scaled.items() if not link.in_range(s)]
+        if exact and is_exact(alpha):
+            num, den = alpha.numerator, alpha.denominator * scale
+            if isinstance(link, (ExponentialLink, PowerLink)):  # these read y through float()
+                scaled = [num * n / den or Fraction(num * n, den) for n in nums]
+            else:
+                scaled = [Fraction(num * n, den) for n in nums]
+                if isinstance(link, IdentityLink):  # g^{-1}(y) = y, and every y > 0
+                    return GlobalScores(dict(zip(atoms, scaled)))
+        else:
+            scaled = [alpha * v for v in values]
+        bad = [a for a, s in zip(atoms, scaled) if not link.in_range(s)]
         if not bad:
-            return GlobalScores({a: link.inverse(s) for a, s in scaled.items()})
+            return GlobalScores({a: link.inverse(s) for a, s in zip(atoms, scaled)})
     except OverflowError:
         raise AlphaOutOfRangeError("alpha * p overflows the float range") from None
     raise AlphaOutOfRangeError(

@@ -145,6 +145,16 @@ class EventStructure:
         return tuple(cycles)
 
     @cached_property
+    def cycle_edges(self) -> tuple[tuple[tuple[str, str, str], ...], ...]:
+        """Each of ``fundamental_cycles`` as its edges (u, v, a): two
+        consecutive contexts and the first atom they share."""
+        inc = self.incidence_index
+        return tuple(
+            tuple((u, v, inc.shared(u, v)[0]) for u, v in zip(cycle, cycle[1:]))
+            for cycle in self.fundamental_cycles
+        )
+
+    @cached_property
     def _cycle_form(self) -> CycleForm | None:
         n = len(self.contexts)
         if n >= 3:

@@ -1,8 +1,16 @@
 """Shared fixtures plus a terminal summary line per acceptance check."""
 
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 import pastedlogic as pl
+
+# Property tests pass database=None; this keeps out of the checkout the
+# caches hypothesis writes while collecting.
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "pastedlogic-hypothesis")
 
 
 @pytest.fixture(scope="session")

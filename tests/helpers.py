@@ -1,10 +1,13 @@
 """Small construction helpers shared by the test modules."""
 
+import math
 from fractions import Fraction
 from itertools import compress
+from random import Random
 
 import pastedlogic as pl
-from pastedlogic.numeric import clear_denominators
+from pastedlogic.numeric import RATIONAL, clear_denominators, coerce_values, is_exact, is_number
+from pastedlogic.weights import check_same_structure
 
 
 def random_positive_weight(structure, states, rng, blend=Fraction(1, 2)):
@@ -25,6 +28,19 @@ def random_positive_weight(structure, states, rng, blend=Fraction(1, 2)):
             mix[a] += coeff / total
     t = Fraction(int(rng.integers(1, 100)), 100) * blend
     values = {a: (1 - t) * uniform[a] + t * mix[a] for a in structure.atoms}
+    return pl.make_weight(structure, values)
+
+
+def seeded_positive_weight(structure, seed):
+    """A seeded strictly positive admissible rational weight: a value in
+    [1/40, 5/24] on every atom two contexts share, and the rest of each
+    context on its last atom, which no other context holds."""
+    rng = Random(seed)
+    values = {}
+    for ctx in structure.contexts:
+        for a in ctx[:-1]:
+            values.setdefault(a, Fraction(rng.randint(1, 5), rng.randint(24, 40)))
+        values[ctx[-1]] = 1 - sum(values[a] for a in ctx[:-1])
     return pl.make_weight(structure, values)
 
 
@@ -211,6 +227,80 @@ def reference_gluing_check(family, tol=1e-9):
     ok = all(v <= tolerance for v in [*atom_disc.values(), *pair_spread.values()]
              + [v for _, v in cycle_dev])
     return pl.GluingReport(bool(ok), exact, tolerance, atom_disc, pair_spread, tuple(cycle_dev))
+
+
+def reference_context_softmax(structure, scores, link):
+    """``context_softmax`` as the library ran it before it read an exact
+    identity table off its cleared numerators: every score checked and
+    evaluated one at a time through the link, and an all-exact context
+    normalised over its common denominator."""
+    probabilities, coordinates, normalizers = {}, {}, {}
+    for name, ctx in zip(structure.context_names, structure.contexts):
+        table = scores.context_scores(ctx, name)
+        q = {}
+        for a, u in table.items():
+            try:
+                value = link.evaluate(u) if link.in_domain(u) else None
+            except OverflowError:
+                value = math.inf
+            if value is None:
+                raise pl.ScoreOutOfDomainError(
+                    f"score {u!r} for atom {a!r} is outside the {link.kind} domain"
+                )
+            if not (value > 0) or (isinstance(value, float) and not math.isfinite(value)):
+                raise pl.ScoreOutOfDomainError(
+                    f"link value for atom {a!r} is not a positive finite number"
+                )
+            q[a] = value
+        if all(map(is_exact, q.values())):
+            q, _ = coerce_values(q, RATIONAL)
+            scale, nums = clear_denominators([q[a] for a in ctx])
+            t = sum(nums)
+            z = Fraction(t, scale)
+            probabilities[name] = {a: Fraction(n, t) for a, n in zip(ctx, nums)}
+        else:
+            z = sum(q.values())
+            probabilities[name] = {a: q[a] / z for a in ctx}
+        coordinates[name] = q
+        normalizers[name] = z
+    return pl.ContextDistributionFamily(structure, link, probabilities, coordinates, normalizers)
+
+
+def reference_represent_weight(structure, weight, link, alpha=None):
+    """``represent_weight`` as the library ran it before it cleared the
+    weight's denominators: positivity, the peak and every alpha * p(a)
+    in the weight's own numbers, each checked against the link's range.
+    One change: alpha * p is formed inside the overflow guard, so an
+    exact alpha too large for a float times a float weight is an
+    ``AlphaOutOfRangeError`` here too, where it used to escape as an
+    ``OverflowError``."""
+    check_same_structure(structure, weight)
+    report = pl.check_admissible(weight)
+    if not report.admissible:
+        raise pl.NotAdmissibleError(report)
+    zeros = [a for a, v in weight.items() if not v > 0]
+    if zeros:
+        raise pl.NotStrictlyPositiveError(zeros)
+    values = dict(weight.items())
+    peak = max(values.values())
+    if alpha is None:
+        if weight.mode == RATIONAL:
+            cap = Fraction(link.guaranteed_range_radius)
+            alpha = Fraction(1, 2) * cap * min(Fraction(1), Fraction(1) / peak)
+        else:
+            alpha = 0.5 * link.guaranteed_range_radius * min(1.0, 1.0 / peak)
+    if not (is_number(alpha) and alpha > 0):
+        raise pl.AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
+    try:
+        scaled = {a: alpha * v for a, v in values.items()}
+        bad = [a for a, s in scaled.items() if not link.in_range(s)]
+        if not bad:
+            return pl.GlobalScores({a: link.inverse(s) for a, s in scaled.items()})
+    except OverflowError:
+        raise pl.AlphaOutOfRangeError("alpha * p overflows the float range") from None
+    raise pl.AlphaOutOfRangeError(
+        "alpha * p falls outside the link range for: " + ", ".join(bad)
+    )
 
 
 def _integer_rows(rows, rhs):

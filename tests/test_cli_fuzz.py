@@ -9,19 +9,13 @@ in a documented exit code; exit 2 must come with one ``error:`` line.
 import contextlib
 import io
 import json
-import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from pastedlogic import cli
-
-# database=None below keeps the example database out of the checkout;
-# this keeps out the caches hypothesis writes while collecting
-set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "pastedlogic-hypothesis")
 
 DATA = Path(__file__).parent / "data"
 ATOMS = [f"a{i}" for i in range(1, 6)] + [f"x{i}" for i in range(1, 6)]

@@ -17,12 +17,15 @@ against ``Mapping`` uses ``collections.abc.Mapping``, not the slower
 
 The benchmark's tracer wraps package functions by name, so every name it
 lists must still exist: a rename in ``src`` would otherwise break only
-``perfbench/run.py --trace 1``.
+``perfbench/run.py --trace 1``.  The benchmark's own self-test runs here
+too, so a change that breaks its checkers or its tracer fails the suite.
 """
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -165,3 +168,12 @@ def test_the_check_sees_numeric_type_tests():
         "line 5: isinstance(x, Mapping)",
     ]
     assert numeric_type_tests("from collections.abc import Mapping\nisinstance(x, Mapping)\n") == []
+
+
+def test_the_benchmark_selftest_passes():
+    """``perfbench/selftest.py`` runs every workload at a tiny size, traced
+    and untraced, plus its negative cases; it exits 0 when all hold."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ untouched
+    run = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=env,
+                         capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]

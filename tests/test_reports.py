@@ -16,7 +16,9 @@ import numpy as np
 import pytest
 
 import pastedlogic as pl
-from helpers import grid_logic, pentagon_pair, random_positive_weight, random_structure
+from helpers import (
+    grid_logic, pentagon_pair, random_positive_weight, random_structure, seeded_positive_weight,
+)
 from pastedlogic.numeric import dumps, fields_to_json, render
 
 DATA = Path(__file__).parent / "data"
@@ -140,6 +142,15 @@ def _square():
     return pl.ingest_counts({"counts": counts}, structure)
 
 
+def _scores(structure, link, mode="rational"):
+    """``represent_weight`` of a seeded positive weight, with the default
+    scale; float mode rounds the same weight to doubles."""
+    weight = seeded_positive_weight(structure, 15)
+    if mode == "float":
+        weight = pl.to_float(weight)
+    return pl.represent_weight(structure, weight, link)
+
+
 CASES = {
     "family_exact": _family_exact,
     "family_float": _family_float,
@@ -158,6 +169,14 @@ CASES = {
     "gluing_exact_unglued": lambda: _grid_table(exact=True),
     "gluing_float_unglued": lambda: _grid_table(exact=False),
     "gluing_exact_random_overlap": _random_overlap,
+    "scores_c41_identity": lambda: _scores(pl.cycle_logic(41), pl.IdentityLink()),
+    "scores_c41_exponential": lambda: _scores(pl.cycle_logic(41), pl.ExponentialLink(0.5)),
+    "scores_c41_power": lambda: _scores(pl.cycle_logic(41), pl.PowerLink(3)),
+    "scores_c41_float_exponential": lambda: _scores(
+        pl.cycle_logic(41), pl.ExponentialLink(0.5), "float"),
+    "scores_g8_identity": lambda: _scores(grid_logic(8), pl.IdentityLink()),
+    "scores_g8_exponential": lambda: _scores(grid_logic(8), pl.ExponentialLink(0.5)),
+    "scores_g8_power": lambda: _scores(grid_logic(8), pl.PowerLink(3)),
     "admissibility_rational": lambda: pl.check_admissible(
         pl.path_weight(pl.cycle_logic(5), Fraction(1, 3))),
     "admissibility_float": lambda: pl.check_admissible(

@@ -4,11 +4,15 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
 from helpers import (
-    grid_logic, pentagon_pair, random_positive_weight, random_structure, reference_gluing_check,
+    grid_logic, pentagon_pair, random_positive_weight, random_structure,
+    reference_context_softmax, reference_gluing_check, reference_represent_weight,
+    seeded_positive_weight,
 )
 from pastedlogic import (
     AlphaOutOfRangeError,
@@ -459,6 +463,144 @@ class TestRepresentation:
         bad = pl.make_weight(pentagon, {a: Fraction(1, 2) for a in pentagon.atoms})
         with pytest.raises(pl.NotAdmissibleError):
             pl.represent_weight(pentagon, bad, IdentityLink())
+
+
+LINKS = (IdentityLink(), ExponentialLink(0.5), PowerLink(3))
+
+POSITIVE = {
+    "int": st.integers(1, 40),
+    "fraction": st.builds(Fraction, st.integers(1, 60), st.integers(1, 50)),
+    "float": st.floats(1e-3, 3.0),
+}
+POSITIVE["mixed"] = st.one_of(*POSITIVE.values())
+NOT_POSITIVE = st.sampled_from([0, Fraction(0), -1, Fraction(-1, 3), 0.0, -0.5])
+
+ALPHAS = st.sampled_from([
+    None, 1, Fraction(3, 4), Fraction(1, 7), Fraction(5), 0.25,
+    Fraction(1, 10**400), Fraction(10**400), 0, Fraction(-1, 2),
+])
+
+
+def outcome(call, *args, **kwargs):
+    """What a call gives: its bytes and its exact values (the repr of
+    every Fraction and float), or the type and message of its error."""
+    try:
+        result = call(*args, **kwargs)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, GlobalScores):
+        exact = repr(result.values)
+    else:
+        exact = repr((result.probabilities, result.coordinates, result.normalizers))
+    return dumps(result.to_json_dict()), exact
+
+
+@st.composite
+def score_assignments(draw):
+    """A seeded random structure and scores of one kind on it, global or
+    per context, sometimes with one score 0 or negative."""
+    structure = random_structure(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    numbers = POSITIVE[draw(st.sampled_from(sorted(POSITIVE)))]
+    if draw(st.booleans()):
+        scores = GlobalScores({a: draw(numbers) for a in structure.atoms})
+        cells = [(None, a) for a in structure.atoms]
+    else:
+        scores = PerContextScores({
+            name: {a: draw(numbers) for a in ctx}
+            for name, ctx in zip(structure.context_names, structure.contexts)
+        })
+        cells = [(name, a) for name, table in scores.values.items() for a in table]
+    if draw(st.booleans()):
+        name, a = draw(st.sampled_from(cells))
+        table = scores.values if name is None else scores.values[name]
+        table[a] = draw(NOT_POSITIVE)
+    return structure, scores
+
+
+@st.composite
+def weights(draw):
+    """A structure and an admissible weight on it, rational or rounded to
+    floats: a random positive mix of its first 64 two-valued states, or
+    one time in four of a few of them, so that atoms in none of them are
+    0.  A structure with no states gets 1/2 everywhere, which no context
+    of two or more atoms admits.  Cycles, small grids and the pentagon
+    pair come up as often as seeded random structures, whose atoms are
+    often in no state."""
+    structure = draw(st.one_of(
+        st.builds(random_structure, st.integers(0, 2**32 - 1).map(np.random.default_rng)),
+        st.builds(pl.cycle_logic, st.integers(3, 12)),
+        st.builds(grid_logic, st.integers(2, 3)),
+        st.just(pentagon_pair()),
+    ))
+    space = structure.state_space
+    if space.count:
+        picks = list(range(min(space.count, 64))) if draw(st.integers(0, 3)) else draw(
+            st.lists(st.integers(0, space.count - 1), min_size=1, max_size=6))
+        coeffs = [draw(st.integers(1, 9)) for _ in picks]
+        values = dict.fromkeys(structure.atoms, Fraction(0))
+        for i, c in zip(picks, coeffs):
+            for a in space[i].ones:
+                values[a] += Fraction(c, sum(coeffs))
+    else:
+        values = dict.fromkeys(structure.atoms, Fraction(1, 2))
+    weight = pl.make_weight(structure, values)
+    return structure, pl.to_float(weight) if draw(st.booleans()) else weight
+
+
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
+
+class TestPerAtomReference:
+    """The softmax round trip read off cleared numerators gives what the
+    per-atom references give: the same bytes and the same exact values,
+    or the same error and message."""
+
+    @PROPERTY
+    @given(score_assignments())
+    def test_context_softmax(self, case):
+        structure, scores = case
+        for link in LINKS:
+            assert outcome(pl.context_softmax, structure, scores, link) == outcome(
+                reference_context_softmax, structure, scores, link)
+
+    @PROPERTY
+    @given(weights(), ALPHAS)
+    def test_represent_weight(self, case, alpha):
+        structure, weight = case
+        for link in LINKS:
+            assert outcome(pl.represent_weight, structure, weight, link, alpha) == outcome(
+                reference_represent_weight, structure, weight, link, alpha)
+
+    @pytest.mark.parametrize("structure", [pl.cycle_logic(41), grid_logic(8)], ids=["C41", "G8"])
+    @pytest.mark.parametrize("float_weight", [False, True], ids=["rational", "float"])
+    def test_round_trip_on_the_pinned_structures(self, structure, float_weight):
+        """The ``scores_*`` pins render 12 digits; here every score,
+        probability and normaliser of the round trip on those weights is
+        compared by its exact repr."""
+        weight = seeded_positive_weight(structure, 15)
+        if float_weight:
+            weight = pl.to_float(weight)
+        for link in LINKS:
+            got = outcome(pl.represent_weight, structure, weight, link)
+            assert got == outcome(reference_represent_weight, structure, weight, link)
+            scores = pl.represent_weight(structure, weight, link)
+            assert outcome(pl.context_softmax, structure, scores, link) == outcome(
+                reference_context_softmax, structure, scores, link)
+
+    def test_exponential_scores_below_the_smallest_double(self, pentagon):
+        """alpha * p = 1/(3 * 10**400) rounds to the float 0, but its log
+        is an ordinary float: about -922 for every atom."""
+        weight = pl.path_weight(pentagon, 1)
+        alpha = Fraction(1, 10**400)
+        scores = pl.represent_weight(pentagon, weight, ExponentialLink(), alpha=alpha)
+        expected = -400 * math.log(10) - math.log(3)
+        assert all(math.isclose(u, expected, rel_tol=1e-15) for u in scores.values.values())
+        assert math.isclose(ExponentialLink(2.0).inverse(alpha), -200 * math.log(10), rel_tol=1e-15)
+
+    def test_an_alpha_past_the_float_range_on_a_float_weight(self, pentagon):
+        weight = pl.to_float(pl.path_weight(pentagon, 1))
+        with pytest.raises(AlphaOutOfRangeError, match="overflows the float range"):
+            pl.represent_weight(pentagon, weight, IdentityLink(), alpha=Fraction(10**400))
 
 
 class TestGauge:
