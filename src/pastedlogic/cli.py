@@ -30,6 +30,7 @@ from .numeric import (
     DEFAULT_TOL,
     FLOAT,
     RATIONAL,
+    as_float,
     dumps,
     load_json,
     numeric_from_json,
@@ -244,6 +245,14 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------ parser
 
 
+def _finite_float(text: str) -> float:
+    """A float flag read like a number in a file: NaN and infinities are usage errors."""
+    try:
+        return as_float(numeric_from_json(text))
+    except ValidationError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors leave by the same one ``error:`` line and exit code
     as every other validation problem; subparsers inherit this."""
@@ -272,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coerce input weights to one numeric mode (default: keep as given)",
     )
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=DEFAULT_TOL, help="float-mode tolerance")
+    tol.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="float-mode tolerance")
     link = argparse.ArgumentParser(add_help=False)
     link.add_argument(
         "--link",
@@ -331,12 +340,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("maxent", cmd_maxent, "softmax matching a mean-score constraint", tol)
     p.add_argument("--scores", required=True, help="JSON file: outcome -> score")
-    p.add_argument("--target", type=float, required=True)
+    p.add_argument("--target", type=_finite_float, required=True)
 
     p = command("analyze", cmd_analyze, "counts -> gate -> reconstruct -> classify", tol)
     p.add_argument("--data", required=True, help="JSON count document or CSV file")
     p.add_argument("--structure", default=None, help="structure file (required for CSV)")
-    p.add_argument("--z-threshold", type=float, default=DEFAULT_Z_THRESHOLD)
+    p.add_argument("--z-threshold", type=_finite_float, default=DEFAULT_Z_THRESHOLD)
 
     return parser
 

@@ -40,8 +40,8 @@ from .errors import (
     SchemaError,
     UnknownAtomError,
 )
-from .numeric import (DEFAULT_TOL, clear_denominators, fields_to_json, load_json, numeric_to_json,
-                      read_text)
+from .numeric import (DEFAULT_TOL, _require_keys, clear_denominators, fields_to_json, load_json,
+                      numeric_to_json, read_text)
 from .structures import EventStructure, incidence, structure_from_json_dict
 from .weights import Weight, make_weight
 
@@ -158,15 +158,7 @@ def ingest_counts(
     else:
         raise SchemaError("counts source must be a mapping or a path")
 
-    if not isinstance(doc, Mapping):
-        raise SchemaError("count document must be a JSON object")
-    unknown = set(doc) - {"structure", "counts"}
-    if unknown:
-        raise SchemaError(
-            "count document has unknown fields: " + ", ".join(sorted(unknown))
-        )
-    if "counts" not in doc:
-        raise SchemaError("count document is missing 'counts'")
+    _require_keys(doc, {"structure", "counts"}, {"counts"}, "count document")
     if "structure" in doc:
         ref = doc["structure"]
         structure = structure_from_json_dict(

@@ -149,6 +149,18 @@ def values_from_json(doc: Any, what: str) -> dict[str, Fraction | float]:
     return {str(k): numeric_from_json(v) for k, v in doc.items()}
 
 
+def _require_keys(doc: Any, allowed: set[str] | None, required: set[str], what: str) -> None:
+    """A JSON object with every ``required`` field and none outside ``allowed`` (None: any)."""
+    if not isinstance(doc, Mapping):
+        raise SchemaError(f"{what} must be a JSON object")
+    unknown = set() if allowed is None else set(doc) - allowed
+    if unknown:
+        raise SchemaError(f"{what} has unknown fields: {', '.join(sorted(unknown))}")
+    missing = required - set(doc)
+    if missing:
+        raise SchemaError(f"{what} is missing fields: {', '.join(sorted(missing))}")
+
+
 def read_text(path: str | Path) -> str:
     """The UTF-8 text of a file; an unreadable or undecodable file is a
     SchemaError naming the path."""

@@ -46,6 +46,7 @@ from .numeric import (
     DEFAULT_TOL,
     FLOAT,
     RATIONAL,
+    _require_keys,
     as_float,
     clear_denominators,
     coerce_values,
@@ -90,11 +91,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LinkFunction:
-    """Base for the link catalogue; subclasses fix domain and formula.
+    """Base for the link catalogue, and the one statement of its contract.
 
-    A link's parameters (its dataclass fields) are numbers > 0, held as
-    floats.  ``guaranteed_range_radius`` is an r with (0, r) inside the
-    range, used when auto-selecting the representation scale.
+    A link g maps its domain onto the range (0, inf), and the domain is
+    (0, inf) too unless the link says otherwise (only the exponential
+    does).  ``inverse`` checks the range, applies the link's formula
+    ``_inverse`` and returns a score in the domain, or else raises
+    ScoreOutOfDomainError.  A link's parameters (its dataclass fields)
+    are numbers > 0, held as floats.  ``guaranteed_range_radius`` is an
+    r with (0, r) inside the range, used when auto-selecting the
+    representation scale.
     """
 
     kind = "abstract"
@@ -110,17 +116,30 @@ class LinkFunction:
     def evaluate(self, x: Numeric) -> Numeric:
         raise NotImplementedError
 
-    def inverse(self, y: Numeric) -> Numeric:
-        raise NotImplementedError
-
-    def in_domain(self, x: Any) -> bool:
+    def _inverse(self, y: Numeric) -> Numeric:
         raise NotImplementedError
 
     def in_range(self, y: Any) -> bool:
-        raise NotImplementedError
+        return is_number(y) and 0 < y < math.inf
+
+    in_domain = in_range
+
+    def inverse(self, y: Numeric) -> Numeric:
+        if not self.in_range(y):
+            raise ScoreOutOfDomainError(f"{y!r} is not in the range (0, inf)")
+        x = self._inverse(y)
+        if not self.in_domain(x):
+            raise ScoreOutOfDomainError(f"{y!r} has no score in the {self.kind} domain")
+        return x
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
+
+
+def _exact_log(y: Numeric) -> float:
+    """log y for an exact y > 0 whose float underflows to 0: math.log
+    reads the numerator and the denominator exactly."""
+    return math.log(y.numerator) - math.log(y.denominator)
 
 
 @dataclass(frozen=True)
@@ -133,19 +152,12 @@ class ExponentialLink(LinkFunction):
     def evaluate(self, x: Numeric) -> float:
         return math.exp(self.beta * float(x))
 
-    def inverse(self, y: Numeric) -> float:
-        if not self.in_range(y):
-            raise ScoreOutOfDomainError(f"{y!r} is not in the range (0, inf)")
+    def _inverse(self, y: Numeric) -> float:
         x = float(y)
-        if not x:  # an exact y > 0 below the smallest double; math.log reads ints exactly
-            return (math.log(y.numerator) - math.log(y.denominator)) / self.beta
-        return math.log(x) / self.beta
+        return (math.log(x) if x else _exact_log(y)) / self.beta
 
     def in_domain(self, x: Any) -> bool:
-        return is_number(x) and math.isfinite(float(x))
-
-    def in_range(self, y: Any) -> bool:
-        return is_number(y) and (float(y) > 0 or y > 0)
+        return is_number(x) and -math.inf < x < math.inf
 
 
 @dataclass(frozen=True)
@@ -158,15 +170,8 @@ class IdentityLink(LinkFunction):
     def evaluate(self, x: Numeric) -> Numeric:
         return x
 
-    def inverse(self, y: Numeric) -> Numeric:
-        if not self.in_range(y):
-            raise ScoreOutOfDomainError(f"{y!r} is not in the range (0, inf)")
+    def _inverse(self, y: Numeric) -> Numeric:
         return y
-
-    def in_domain(self, x: Any) -> bool:
-        return is_number(x) and x > 0
-
-    in_range = in_domain
 
 
 @dataclass(frozen=True)
@@ -179,15 +184,9 @@ class PowerLink(LinkFunction):
     def evaluate(self, x: Numeric) -> float:
         return float(x) ** self.k
 
-    def inverse(self, y: Numeric) -> float:
-        if not self.in_range(y):
-            raise ScoreOutOfDomainError(f"{y!r} is not in the range (0, inf)")
-        return float(y) ** (1.0 / self.k)
-
-    def in_domain(self, x: Any) -> bool:
-        return is_number(x) and x > 0
-
-    in_range = in_domain
+    def _inverse(self, y: Numeric) -> float:
+        x = float(y)
+        return x ** (1.0 / self.k) if x else math.exp(_exact_log(y) / self.k)
 
 
 LINK_KINDS = {link.kind: link for link in (ExponentialLink, IdentityLink, PowerLink)}
@@ -196,8 +195,7 @@ LINK_KINDS = {link.kind: link for link in (ExponentialLink, IdentityLink, PowerL
 def link_from_json_dict(doc: Mapping) -> LinkFunction:
     """Parse ``{"kind": ..., <parameters>}``: a kind takes only the fields of
     its dataclass (exponential ``beta``, identity none, power ``k``)."""
-    if not isinstance(doc, Mapping) or "kind" not in doc:
-        raise SchemaError("link must be an object with a 'kind' field")
+    _require_keys(doc, None, {"kind"}, "link")
     kind = doc["kind"]
     if not isinstance(kind, str) or kind not in LINK_KINDS:
         raise SchemaError(f"unknown link kind {kind!r}")
@@ -268,11 +266,7 @@ ScoreAssignment = GlobalScores | PerContextScores
 
 
 def scores_from_json_dict(doc: Mapping) -> ScoreAssignment:
-    if not isinstance(doc, Mapping) or "scope" not in doc or "values" not in doc:
-        raise SchemaError("scores must be an object with 'scope' and 'values'")
-    extra = set(doc) - {"scope", "values"}
-    if extra:
-        raise SchemaError("scores have unknown fields: " + ", ".join(sorted(extra)))
+    _require_keys(doc, {"scope", "values"}, {"scope", "values"}, "score document")
     scope, values = doc["scope"], doc["values"]
     if scope == "global":
         return GlobalScores(values_from_json(values, "score 'values'"))
@@ -352,15 +346,15 @@ def context_softmax(
             continue
         q = {}
         for a, u in table.items():
-            try:
-                value = link.evaluate(u) if link.in_domain(u) else None
-            except OverflowError:
-                value = math.inf
-            if value is None:
+            if not link.in_domain(u):
                 raise ScoreOutOfDomainError(
                     f"score {u!r} for atom {a!r} is outside the {link.kind} domain"
                 )
-            if not (value > 0) or (isinstance(value, float) and not math.isfinite(value)):
+            try:
+                value = link.evaluate(u)
+            except OverflowError:
+                value = math.inf
+            if not 0 < value < math.inf:
                 raise ScoreOutOfDomainError(
                     f"link value for atom {a!r} is not a positive finite number"
                 )
@@ -528,9 +522,9 @@ def represent_weight(
     the guaranteed range interval (0, r) of the link.  A rational weight
     is cleared to integers n_a over one scale, so with an exact alpha each
     alpha * p(a) is one integer over another: the identity link gets that
-    Fraction, and a link that reads its argument through float() gets
-    the same correctly rounded float from integer division, or the
-    Fraction where that float underflows to 0.
+    Fraction, and every other link the same correctly rounded float from
+    integer division, or the Fraction where that float underflows to 0.
+    Each score is the link's ``inverse``; the atoms it refuses are named.
     """
     check_same_structure(structure, weight)
     report = check_admissible(weight)
@@ -554,25 +548,26 @@ def represent_weight(
             alpha = 0.5 * link.guaranteed_range_radius * min(1.0, 1.0 / max(values))
     if not (is_number(alpha) and alpha > 0):
         raise AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
+    scores, outside, unscored = {}, [], []
     try:
         if exact and is_exact(alpha):
             num, den = alpha.numerator, alpha.denominator * scale
-            if isinstance(link, (ExponentialLink, PowerLink)):  # these read y through float()
-                scaled = [num * n / den or Fraction(num * n, den) for n in nums]
-            else:
-                scaled = [Fraction(num * n, den) for n in nums]
-                if isinstance(link, IdentityLink):  # g^{-1}(y) = y, and every y > 0
-                    return GlobalScores(dict(zip(atoms, scaled)))
+            if isinstance(link, IdentityLink):  # g^{-1}(y) = y, and every y > 0
+                return GlobalScores({a: Fraction(num * n, den) for a, n in zip(atoms, nums)})
+            scaled = [num * n / den or Fraction(num * n, den) for n in nums]
         else:
             scaled = [alpha * v for v in values]
-        bad = [a for a, s in zip(atoms, scaled) if not link.in_range(s)]
-        if not bad:
-            return GlobalScores({a: link.inverse(s) for a, s in zip(atoms, scaled)})
+        for a, y in zip(atoms, scaled):
+            try:
+                scores[a] = link.inverse(y)
+            except ScoreOutOfDomainError:
+                (unscored if link.in_range(y) else outside).append(a)
     except OverflowError:
         raise AlphaOutOfRangeError("alpha * p overflows the float range") from None
-    raise AlphaOutOfRangeError(
-        "alpha * p falls outside the link range for: " + ", ".join(bad)
-    )
+    if outside or unscored:
+        why = "falls outside the link range" if outside else f"has no {link.kind} score"
+        raise AlphaOutOfRangeError(f"alpha * p {why} for: " + ", ".join(outside or unscored))
+    return GlobalScores(scores)
 
 
 def gauge_shift(
@@ -657,7 +652,8 @@ def maxent_softmax(
     equal to ``target_mean``, entropy is maximised by a softmax
     exp(beta * u) / Z; the mean is strictly increasing in beta, so beta
     is found by bracketing (doubling from [-1, 1], up to 2**40) and
-    bisection until the mean is within ``tol``.
+    bisection until the mean is within ``tol``; a bisection that ends
+    farther away, as it can on scores of very different sizes, raises.
     """
     names = list(scores)
     u = [as_float(scores[n]) for n in names]
@@ -696,6 +692,8 @@ def maxent_softmax(
             lo = beta
         else:
             hi = beta
+    if not abs(m - target_mean) <= tol:
+        raise TargetOutOfRangeError(f"bisection ended at mean {m!r}, more than {tol} off target")
 
     w = unnormalised(beta)
     z = sum(w)

@@ -31,7 +31,7 @@ from .errors import (
     UnknownAtomError,
     ValidationError,
 )
-from .numeric import load_json
+from .numeric import _require_keys, load_json
 
 if TYPE_CHECKING:
     from .states import StateSpace
@@ -351,17 +351,6 @@ def connected_components(structure: EventStructure) -> tuple[frozenset[str], ...
         groups.setdefault(find(a), []).append(a)
     ordered = sorted(groups.values(), key=lambda g: structure.atom_index[g[0]])
     return tuple(frozenset(g) for g in ordered)
-
-
-def _require_keys(doc: Mapping, allowed: set[str], required: set[str], what: str) -> None:
-    if not isinstance(doc, Mapping):
-        raise SchemaError(f"{what} must be a JSON object")
-    unknown = set(doc) - allowed
-    if unknown:
-        raise SchemaError(f"{what} has unknown fields: {', '.join(sorted(unknown))}")
-    missing = required - set(doc)
-    if missing:
-        raise SchemaError(f"{what} is missing fields: {', '.join(sorted(missing))}")
 
 
 def structure_from_json_dict(doc: Mapping) -> EventStructure:

@@ -28,6 +28,7 @@ from .numeric import (
     DEFAULT_TOL,
     FLOAT,
     RATIONAL,
+    _require_keys,
     as_fraction,
     clear_denominators,
     coerce_values,
@@ -116,13 +117,7 @@ def make_weight(
 
 def weight_from_json_dict(doc: Mapping, structure: EventStructure) -> Weight:
     """Parse ``{"mode": "rational"|"float", "values": {...}}``."""
-    if not isinstance(doc, Mapping):
-        raise SchemaError("weight must be a JSON object")
-    unknown = set(doc) - {"mode", "values"}
-    if unknown:
-        raise SchemaError("weight has unknown fields: " + ", ".join(sorted(unknown)))
-    if "values" not in doc:
-        raise SchemaError("weight is missing 'values'")
+    _require_keys(doc, {"mode", "values"}, {"values"}, "weight")
     mode = doc.get("mode")
     if mode not in (None, RATIONAL, FLOAT):
         raise SchemaError(f"unknown weight mode {mode!r}")

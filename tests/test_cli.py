@@ -351,8 +351,8 @@ WEIGHT = {"mode": "rational", "values": pentagon_values("1/3", "1/3")}
 
 # argv ("{name}" stands for a file of tmp_path), and the files to write
 # there: a dict is written as JSON, bytes as they are, None makes a
-# directory.  Each input once ended in a traceback or a silently ignored
-# flag.
+# directory.  Each input once ended in a traceback, a silently ignored
+# flag or an answer that is not one.
 MALFORMED = {
     "represent-alpha-not-a-literal": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--alpha", "abc"],
@@ -379,6 +379,8 @@ MALFORMED = {
                "values": {a: 0 for a in PENTAGON_ATOMS}}}),
     "maxent-score-not-a-literal": (
         ["maxent", "--scores", "{s}", "--target", "0.5"], {"s": {"w": "x", "l": 1}}),
+    "maxent-target-missed-by-the-bisection": (
+        ["maxent", "--scores", "{s}", "--target", "0"], {"s": {"w": 1e308, "l": -1e308}}),
     "structure-reference-not-json": (
         ["analyze", "--data", "{c}"],
         {"c": {"structure": "notes", "counts": {}}, "notes": b"hello"}),
@@ -400,6 +402,12 @@ MALFORMED = {
     "out-is-a-directory": (["gen-cycle", "--n", "5", "--out", "{dir}"], {"dir": None}),
     "out-in-a-missing-directory": (
         ["gen-cycle", "--n", "5", "--out", "{dir}/missing/cycle.json"], {"dir": None}),
+    "represent-power-k-without-a-float-score": (
+        ["represent", "--structure", "{pent}", "--weight", "{w}", "--link", "power",
+         "--k", "1e-300"], {"w": WEIGHT}),
+    "represent-exponential-beta-without-a-finite-score": (
+        ["represent", "--structure", "{pent}", "--weight", "{w}", "--link", "exponential",
+         "--beta", "1e-320"], {"w": WEIGHT}),
     "exponential-link-given-k": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--k", "2"],
         {"w": WEIGHT}),
@@ -477,6 +485,22 @@ class TestOptions:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("argv", [
+        ["check", "--structure", "s.json", "--weight", "w.json", "--tol"],
+        ["maxent", "--scores", "s.json", "--target"],
+        ["analyze", "--data", str(DATA / "counts_gate_fail.json"), "--z-threshold"],
+    ], ids=["tol", "target", "z-threshold"])
+    def test_float_flags_refuse_nan_and_infinities(self, capsys, argv, value):
+        *argv, flag = argv
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*argv, f"{flag}={value}"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: argument {flag}: ")
+        assert captured.err.count("\n") == 1
 
     def test_defaults_come_from_the_library(self):
         parser = cli.build_parser()

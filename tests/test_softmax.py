@@ -104,6 +104,13 @@ class TestLinks:
         with pytest.raises(ScoreOutOfDomainError):
             link.inverse(-1)
 
+    @pytest.mark.parametrize("y", [-1, 0, 0.0, Fraction(-1, 3)], ids=repr)
+    @pytest.mark.parametrize("link", [ExponentialLink(), IdentityLink(), PowerLink()],
+                             ids=lambda link: link.kind)
+    def test_inverse_refuses_a_point_outside_the_range(self, link, y):
+        with pytest.raises(ScoreOutOfDomainError, match=r"is not in the range \(0, inf\)$"):
+            link.inverse(y)
+
     def test_power(self):
         link = PowerLink(3.0)
         assert link.evaluate(2.0) == pytest.approx(8.0)
@@ -459,6 +466,27 @@ class TestRepresentation:
         scores = pl.represent_weight(pentagon, w, IdentityLink(), alpha=Fraction(3, 4))
         assert scores.values["a1"] == Fraction(1, 4)
 
+    @pytest.mark.parametrize("r,link,alpha,reason", [
+        *(pytest.param(1.0, link, Fraction(1, 10**400), "falls outside the link range",
+                       id=link.kind)
+          for link in (ExponentialLink(), IdentityLink(), PowerLink(3))),
+        pytest.param(1, PowerLink(3), Fraction(1, 10**1000), "has no power score",
+                     id="power-cube-root-below-the-smallest-double"),
+        pytest.param(1, PowerLink(0.5), Fraction(1, 10**200), "has no power score",
+                     id="power-square-underflows"),
+        pytest.param(1, IdentityLink(), math.inf, "falls outside the link range",
+                     id="identity-infinite-alpha"),
+    ])
+    def test_alpha_p_outside_the_range_lists_every_atom(self, pentagon, r, link, alpha, reason):
+        """alpha * p of a float weight underflows to 0.0 on every atom,
+        and an infinite alpha makes it inf; on the exact weight every
+        alpha * p is in the range, but its inverse under the power link
+        has no float above 0."""
+        weight = pl.path_weight(pentagon, r)
+        with pytest.raises(AlphaOutOfRangeError) as err:
+            pl.represent_weight(pentagon, weight, link, alpha=alpha)
+        assert str(err.value) == f"alpha * p {reason} for: " + ", ".join(pentagon.atoms)
+
     def test_not_admissible_rejected(self, pentagon):
         bad = pl.make_weight(pentagon, {a: Fraction(1, 2) for a in pentagon.atoms})
         with pytest.raises(pl.NotAdmissibleError):
@@ -597,6 +625,14 @@ class TestPerAtomReference:
         assert all(math.isclose(u, expected, rel_tol=1e-15) for u in scores.values.values())
         assert math.isclose(ExponentialLink(2.0).inverse(alpha), -200 * math.log(10), rel_tol=1e-15)
 
+    def test_power_scores_below_the_smallest_double(self, pentagon):
+        """Under the cube root the same alpha * p gives about 3.2e-134,
+        read through the log of its numerator and denominator."""
+        weight = pl.path_weight(pentagon, 1)
+        scores = pl.represent_weight(pentagon, weight, PowerLink(3), alpha=Fraction(1, 10**400))
+        expected = math.exp((-400 * math.log(10) - math.log(3)) / 3)
+        assert all(math.isclose(u, expected, rel_tol=1e-12) for u in scores.values.values())
+
     def test_an_alpha_past_the_float_range_on_a_float_weight(self, pentagon):
         weight = pl.to_float(pl.path_weight(pentagon, 1))
         with pytest.raises(AlphaOutOfRangeError, match="overflows the float range"):
@@ -725,6 +761,9 @@ class TestMaxent:
             pl.maxent_softmax({"a": 0.0, "b": 1.0}, 1.0)
         with pytest.raises(TargetOutOfRangeError):
             pl.maxent_softmax({"a": 0.0, "b": 1.0}, -0.2)
+        # In range, but the bisection ends at the mean 0.0.
+        with pytest.raises(TargetOutOfRangeError, match="mean 0.0, more than 1e-09 off target"):
+            pl.maxent_softmax({"a": 1e200, "b": 0.0}, 1.0)
 
 
 class TestMultiplicativeLink:
