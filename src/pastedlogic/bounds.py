@@ -26,10 +26,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidCycleLengthError, NotACycleStructureError
+from .errors import NotACycleStructureError
 from .numeric import DEFAULT_TOL, RATIONAL, as_fraction, fields_to_json
 from .states import MembershipResult, _decide_membership
-from .structures import EventStructure, cycle_form
+from .structures import EventStructure, _check_cycle_length, cycle_form
 from .weights import (
     AdmissibilityReport,
     Numeric,
@@ -122,14 +122,12 @@ def cycle_bounds(n: int) -> CycleBounds:
     nothing between the classical bound and n/2 worth comparing to) and
     for even n (no gap: the classical bound already equals n/2).
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 3:
-        raise InvalidCycleLengthError(f"cycle length must be an integer >= 3, got {n!r}")
+    _check_cycle_length(n)
     odd = n % 2 == 1
-    classical = Fraction(n - 1, 2) if odd else Fraction(n, 2)
     theta = n * math.cos(math.pi / n) / (1.0 + math.cos(math.pi / n))
     return CycleBounds(
         n=n,
-        classical_bound=classical,
+        classical_bound=Fraction(n // 2),  # the independence number of the cycle
         theta=theta,
         half_weight_value=Fraction(n, 2),
         odd=odd,

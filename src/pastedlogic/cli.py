@@ -253,6 +253,14 @@ def _finite_float(text: str) -> float:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _tolerance(text: str) -> float:
+    """A float flag that is a tolerance or a threshold: finite and >= 0."""
+    value = _finite_float(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """Usage errors leave by the same one ``error:`` line and exit code
     as every other validation problem; subparsers inherit this."""
@@ -281,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="coerce input weights to one numeric mode (default: keep as given)",
     )
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL, help="float-mode tolerance")
+    tol.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL, help="float-mode tolerance")
     link = argparse.ArgumentParser(add_help=False)
     link.add_argument(
         "--link",
@@ -345,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("analyze", cmd_analyze, "counts -> gate -> reconstruct -> classify", tol)
     p.add_argument("--data", required=True, help="JSON count document or CSV file")
     p.add_argument("--structure", default=None, help="structure file (required for CSV)")
-    p.add_argument("--z-threshold", type=_finite_float, default=DEFAULT_Z_THRESHOLD)
+    p.add_argument("--z-threshold", type=_tolerance, default=DEFAULT_Z_THRESHOLD)
 
     return parser
 

@@ -38,11 +38,10 @@ from .errors import (
     NegativeCountError,
     PastedLogicError,
     SchemaError,
-    UnknownAtomError,
 )
 from .numeric import (DEFAULT_TOL, _require_keys, clear_denominators, fields_to_json, load_json,
                       numeric_to_json, read_text)
-from .structures import EventStructure, incidence, structure_from_json_dict
+from .structures import EventStructure, check_names, incidence, structure_from_json_dict
 from .weights import Weight, make_weight
 
 __all__ = [
@@ -96,27 +95,14 @@ def _validate_counts(
 ) -> CountData:
     if not isinstance(raw, Mapping):
         raise SchemaError("'counts' must be a JSON object")
-    known = set(structure.context_names)
-    unknown = set(raw) - known
-    if unknown:
-        raise SchemaError("counts for unknown contexts: " + ", ".join(sorted(unknown)))
-    missing = [n for n in structure.context_names if n not in raw]
-    if missing:
-        raise SchemaError(
-            "every context needs a count table; missing: " + ", ".join(missing)
-        )
+    check_names(raw, structure.context_names, "contexts in the count document")
     counts: dict[str, dict[str, int]] = {}
     totals: dict[str, int] = {}
     for name, ctx in zip(structure.context_names, structure.contexts):
         table = raw[name]
         if not isinstance(table, Mapping):
             raise SchemaError(f"counts for context {name!r} must be an object")
-        extra = set(table) - set(ctx)
-        if extra:
-            raise UnknownAtomError(
-                f"context {name!r} has counts for foreign atoms: "
-                + ", ".join(sorted(extra))
-            )
+        check_names(table, ctx, f"atoms in the counts for context {name!r}", complete=False)
         clean: dict[str, int] = {}
         for a in ctx:
             v = table.get(a, 0)

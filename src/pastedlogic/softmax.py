@@ -30,7 +30,6 @@ from typing import Any, Iterable, Sequence
 from .errors import (
     AlphaOutOfRangeError,
     DegenerateScoresError,
-    MissingAtomValueError,
     NegativePathParameterError,
     NotAComponentError,
     NotAdmissibleError,
@@ -39,7 +38,6 @@ from .errors import (
     ScoreOutOfDomainError,
     SchemaError,
     TargetOutOfRangeError,
-    UnknownAtomError,
     ValidationError,
 )
 from .numeric import (
@@ -58,7 +56,7 @@ from .numeric import (
     render,
     values_from_json,
 )
-from .structures import EventStructure, connected_components, cycle_form, incidence
+from .structures import EventStructure, check_names, connected_components, cycle_form, incidence
 from .weights import (
     Numeric, Weight, check_admissible, check_same_structure, half_weight, make_weight, path_weight,
 )
@@ -216,12 +214,10 @@ class GlobalScores:
 
     values: Mapping[str, Numeric]
 
+    def check(self, structure: EventStructure) -> None:
+        check_names(self.values, structure.atom_index, "atoms in the global scores")
+
     def context_scores(self, ctx: Sequence[str], name: str) -> dict[str, Numeric]:
-        missing = [a for a in ctx if a not in self.values]
-        if missing:
-            raise MissingAtomValueError(
-                f"global scores missing atoms: {', '.join(missing)}"
-            )
         return {a: self.values[a] for a in ctx}
 
     def to_json_dict(self) -> dict:
@@ -238,21 +234,13 @@ class PerContextScores:
 
     values: Mapping[str, Mapping[str, Numeric]]
 
+    def check(self, structure: EventStructure) -> None:
+        check_names(self.values, structure.context_names, "contexts in the per-context scores")
+        for name, ctx in zip(structure.context_names, structure.contexts):
+            check_names(self.values[name], ctx, f"atoms in the scores for context {name!r}")
+
     def context_scores(self, ctx: Sequence[str], name: str) -> dict[str, Numeric]:
-        if name not in self.values:
-            raise MissingAtomValueError(f"no scores for context {name!r}")
         table = self.values[name]
-        extra = set(table) - set(ctx)
-        if extra:
-            raise UnknownAtomError(
-                f"scores for context {name!r} name foreign atoms: "
-                + ", ".join(sorted(extra))
-            )
-        missing = [a for a in ctx if a not in table]
-        if missing:
-            raise MissingAtomValueError(
-                f"context {name!r} misses scores for: {', '.join(missing)}"
-            )
         return {a: table[a] for a in ctx}
 
     def to_json_dict(self) -> dict:
@@ -319,16 +307,17 @@ def context_softmax(
     """Evaluate the generalized softmax in every context.
 
     Global scores give one score per atom everywhere; per-context scores
-    may disagree on shared atoms (that disagreement is exactly what
-    ``gluing_check`` measures).  Under the identity link a context whose
-    scores are all exact (ints and Fractions) is its own coordinates,
-    held as Fractions: they are cleared to integers n_a over one scale
-    once, the domain is read off the signs of the n_a, and with t their
-    sum Z = t / scale and P(a) = n_a / t.
+    may disagree on shared atoms (``gluing_check`` measures that); both
+    name exactly the structure's atoms and contexts.  Under the identity
+    link a context whose scores are all exact (ints and Fractions) is its
+    own coordinates, held as Fractions: they are cleared to integers n_a
+    over one scale once, the domain is read off the signs of the n_a, and
+    with t their sum Z = t / scale and P(a) = n_a / t.
     """
     probabilities: dict[str, dict[str, Numeric]] = {}
     coordinates: dict[str, dict[str, Numeric]] = {}
     normalizers: dict[str, Numeric] = {}
+    scores.check(structure)
     identity = isinstance(link, IdentityLink)
     for name, ctx in zip(structure.context_names, structure.contexts):
         table = scores.context_scores(ctx, name)
@@ -736,9 +725,11 @@ def check_multiplicative_link(
     """Test whether the link turns score addition into coordinate
     multiplication.
 
-    The relative residual |g(u+v) - g(u)g(v)| / |g(u)g(v)| vanishes for
+    The relative residual |g(u+v) - g(u)g(v)| / g(u)g(v) vanishes for
     the exponential link and for no other strictly increasing link; this
-    is what singles out ordinary softmax among the generalized ones.
+    is what singles out ordinary softmax among the generalized ones.  A
+    pair where g(u)g(v) or g(u+v) is not a positive finite float has no
+    residual and is refused.
     """
     residuals: list[tuple[float, float, float]] = []
     for u, v in pairs:
@@ -747,8 +738,15 @@ def check_multiplicative_link(
                 raise ScoreOutOfDomainError(
                     f"{point!r} is outside the {link.kind} domain"
                 )
-        lhs = float(link.evaluate(u + v))
-        rhs = float(link.evaluate(u)) * float(link.evaluate(v))
-        residuals.append((float(u), float(v), abs(lhs - rhs) / abs(rhs)))
+        try:
+            gu, gv, lhs = (float(link.evaluate(x)) for x in (u, v, u + v))
+        except OverflowError:
+            gu = gv = lhs = math.inf
+        rhs = gu * gv
+        if not (0 < rhs < math.inf and 0 < lhs < math.inf):
+            raise ScoreOutOfDomainError(
+                f"g(u)*g(v) or g(u+v) is not a positive finite float at the pair ({u!r}, {v!r})"
+            )
+        residuals.append((float(u), float(v), abs(lhs - rhs) / rhs))
     verdict = all(r <= tol for _, _, r in residuals)
     return MultiplicativeLinkReport(link, float(tol), tuple(residuals), verdict)

@@ -19,13 +19,14 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
 from .errors import (
     DuplicateAtomError,
     DuplicateContextError,
     EmptyContextError,
     InvalidCycleLengthError,
+    MissingAtomValueError,
     NotACycleStructureError,
     SchemaError,
     UnknownAtomError,
@@ -41,6 +42,7 @@ __all__ = [
     "IncidenceIndex",
     "CycleForm",
     "build_event_structure",
+    "check_names",
     "cycle_logic",
     "cycle_form",
     "incidence",
@@ -257,14 +259,32 @@ def build_event_structure(
     return EventStructure(tuple(atom_list), tuple(canon), tuple(names))
 
 
+def check_names(
+    given: Collection[str], names: Collection[str], what: str, complete: bool = True
+) -> None:
+    """Raise UnknownAtomError, listing them sorted, if ``given`` holds names
+    outside ``names``; then, if ``complete``, MissingAtomValueError listing
+    the absent ones in ``names`` order.  ``what`` reads "atoms in the weight"."""
+    unknown = set(given).difference(names)
+    if unknown:
+        raise UnknownAtomError(f"unknown {what}: " + ", ".join(sorted(map(str, unknown))))
+    if complete and len(given) < len(names):  # the keys of given are distinct and all known
+        missing = [n for n in names if n not in given]
+        raise MissingAtomValueError(f"missing {what}: " + ", ".join(missing))
+
+
+def _check_cycle_length(n: int) -> None:
+    if isinstance(n, bool) or not isinstance(n, int) or n < 3:
+        raise InvalidCycleLengthError(f"cycle length must be an integer >= 3, got {n!r}")
+
+
 def cycle_logic(n: int) -> EventStructure:
     """The n-cycle logic: contexts ``Ci = {ai, a(i+1 mod n), xi}``.
 
     Adjacent contexts share one cyclic atom, so the contexts themselves
     form a single closed ring.
     """
-    if isinstance(n, bool) or not isinstance(n, int) or n < 3:
-        raise InvalidCycleLengthError(f"cycle length must be an integer >= 3, got {n!r}")
+    _check_cycle_length(n)
     atoms = [f"a{i}" for i in range(1, n + 1)] + [f"x{i}" for i in range(1, n + 1)]
     contexts = [
         (f"a{i}", f"a{i % n + 1}", f"x{i}") for i in range(1, n + 1)

@@ -18,7 +18,6 @@ from fractions import Fraction
 from typing import Any
 
 from .errors import (
-    MissingAtomValueError,
     NegativePathParameterError,
     SchemaError,
     UnknownAtomError,
@@ -39,7 +38,7 @@ from .numeric import (
     numeric_to_json,
     values_from_json,
 )
-from .structures import EventStructure, cycle_form
+from .structures import EventStructure, check_names, cycle_form
 
 __all__ = [
     "Weight",
@@ -105,12 +104,7 @@ def make_weight(
     allowed.  Exact values (ints, Fractions) yield rational mode, floats
     yield float mode; mixtures need an explicit ``mode``.
     """
-    extra = values.keys() - structure.atom_index.keys()
-    if extra:
-        raise UnknownAtomError("values given for unknown atoms: " + ", ".join(sorted(extra)))
-    if len(values) < len(structure.atom_index):
-        missing = [a for a in structure.atoms if a not in values]
-        raise MissingAtomValueError("no value for atoms: " + ", ".join(missing))
+    check_names(values, structure.atom_index, "atoms in the weight")
     coerced, actual_mode = coerce_values(values, mode)
     return Weight(structure, {a: coerced[a] for a in structure.atoms}, actual_mode)
 

@@ -74,6 +74,11 @@ class TestExactTheta:
         assert b.exceeds_theta(7) and b.exceeds_theta(Fraction(15, 2))
         assert not b.exceeds_theta(0) and not b.exceeds_theta(-1.5)
 
+    @pytest.mark.parametrize("bad", ["x", math.nan])
+    def test_a_cyclic_sum_must_be_a_finite_number(self, bad):
+        with pytest.raises(pl.ValidationError, match="cannot convert"):
+            pl.cycle_bounds(5).exceeds_theta(bad)
+
     def test_triangle_theta_is_one(self):
         b = pl.cycle_bounds(3)
         assert not b.exceeds_theta(1)

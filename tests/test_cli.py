@@ -486,14 +486,19 @@ class TestOptions:
         assert captured.out == ""
         assert captured.err.startswith("error:") and captured.err.count("\n") == 1
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
-    @pytest.mark.parametrize("argv", [
-        ["check", "--structure", "s.json", "--weight", "w.json", "--tol"],
-        ["maxent", "--scores", "s.json", "--target"],
-        ["analyze", "--data", str(DATA / "counts_gate_fail.json"), "--z-threshold"],
-    ], ids=["tol", "target", "z-threshold"])
-    def test_float_flags_refuse_nan_and_infinities(self, capsys, argv, value):
-        *argv, flag = argv
+    FLOAT_FLAG_ARGV = {
+        "tol": ["check", "--structure", "s.json", "--weight", "w.json", "--tol"],
+        "target": ["maxent", "--scores", "s.json", "--target"],
+        "z-threshold": ["analyze", "--data", str(DATA / "counts_gate_fail.json"), "--z-threshold"],
+    }
+
+    @pytest.mark.parametrize("name, value", [
+        *((name, value) for name in FLOAT_FLAG_ARGV for value in ("nan", "inf", "-inf", "1e999")),
+        # a tolerance and a z threshold are >= 0; a target mean may be negative
+        ("tol", "-1"), ("tol", "-1e-300"), ("z-threshold", "-1"), ("z-threshold", "-0.5"),
+    ])
+    def test_float_flags_refuse_nan_and_infinities(self, capsys, name, value):
+        *argv, flag = self.FLOAT_FLAG_ARGV[name]
         with pytest.raises(SystemExit) as exc:
             cli.main([*argv, f"{flag}={value}"])
         assert exc.value.code == 2
@@ -501,6 +506,12 @@ class TestOptions:
         assert captured.out == ""
         assert captured.err.startswith(f"error: argument {flag}: ")
         assert captured.err.count("\n") == 1
+
+    def test_a_target_may_be_negative_and_a_tolerance_zero(self):
+        maxent = ["maxent", "--scores", "s.json", "--target"]
+        parser = cli.build_parser()
+        assert parser.parse_args([*maxent, "-1"]).target == -1.0
+        assert parser.parse_args([*maxent, "1", "--tol", "0"]).tol == 0.0
 
     def test_defaults_come_from_the_library(self):
         parser = cli.build_parser()

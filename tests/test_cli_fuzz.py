@@ -4,9 +4,14 @@ Every file-reading subcommand runs on copies of the tests/data pentagon
 files (and small weight and score files for the same pentagon) with one
 file mutated, either as a JSON tree or as raw bytes.  Each run must end
 in a documented exit code; exit 2 must come with one ``error:`` line.
+
+A documented code can still be a silent acceptance, so one mutation is
+held to exit 2: a table keyed by the structure's atoms or contexts that
+gains a name the structure lacks, with a valid value.
 """
 
 import contextlib
+import copy
 import io
 import json
 from pathlib import Path
@@ -35,6 +40,11 @@ FILES = {
          "values": {a: "1/3" for a in ATOMS}}
     ).encode(),
     "maxent.json": json.dumps({"w": 0, "l": 1}).encode(),
+    "per-context.json": json.dumps(
+        {"scope": "per-context", "link": {"kind": "power", "k": 3},
+         "values": {c["name"]: {a: "1/3" for a in c["atoms"]}
+                    for c in json.loads((DATA / "pentagon.json").read_text())["contexts"]}}
+    ).encode(),
 }
 
 # argv with file names standing for their copies, and the exit code on
@@ -46,6 +56,7 @@ COMMANDS = [
     (["represent", "--structure", "pentagon.json", "--weight", "weight.json",
       "--link", "identity"], 0),
     (["glue-check", "--structure", "pentagon.json", "--scores", "scores.json"], 0),
+    (["glue-check", "--structure", "pentagon.json", "--scores", "per-context.json"], 0),
     (["maxent", "--scores", "maxent.json", "--target", "0.5"], 0),
     (["analyze", "--data", "counts.json"], 4),
     (["analyze", "--data", "gate.json"], 6),
@@ -153,3 +164,59 @@ def test_mutated_input_exits_with_a_documented_code(argv, tmp_path, data):
     assert code in EXIT_CODES
     if code == 2 and err is not None:
         assert err.startswith("error:") and err.count("\n") == 1, err
+
+
+# A name-keyed table in each file: the argv that reads it, and the keys
+# down to it ("*" picks one context's table).
+NAME_TABLES = [
+    (argv, target, path)
+    for argv, _ in COMMANDS
+    for target, path in [
+        ("weight.json", ("values",)),
+        ("scores.json", ("values",)),
+        ("per-context.json", ("values",)),
+        ("per-context.json", ("values", "*")),
+        ("counts.json", ("counts",)),
+        ("counts.json", ("counts", "*")),
+        ("gate.json", ("counts",)),
+        ("gate.json", ("counts", "*")),
+        ("counts.csv", ()),
+    ]
+    if target in argv
+]
+EXTRA_NAMES = st.text(alphabet="abcxyz019", max_size=3).map(lambda s: "zz" + s)
+
+
+@pytest.mark.parametrize(
+    "argv, target, path", NAME_TABLES,
+    ids=[f"{argv[0]} {target} {'.'.join(path) or 'rows'}" for argv, target, path in NAME_TABLES],
+)
+@settings(
+    derandomize=True,
+    database=None,
+    max_examples=10,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_a_name_outside_the_structure_exits_2(argv, target, path, tmp_path, data):
+    for name, raw in FILES.items():
+        (tmp_path / name).write_bytes(raw)
+    extra = data.draw(EXTRA_NAMES)
+    if target.endswith(".csv"):
+        # a copy of one row, with its context or its atom renamed
+        text = FILES[target].decode()
+        row = data.draw(st.sampled_from(text.splitlines()[1:])).split(",")
+        row[data.draw(st.sampled_from([0, 1]))] = extra
+        mutated = (text + ",".join(row) + "\n").encode()
+    else:
+        doc = json.loads(FILES[target])
+        table = doc
+        for key in path:
+            table = table[data.draw(st.sampled_from(sorted(table)))] if key == "*" else table[key]
+        table[extra] = copy.deepcopy(table[data.draw(st.sampled_from(sorted(table)))])
+        mutated = json.dumps(doc).encode()
+    (tmp_path / target).write_bytes(mutated)
+    code, err = run(argv, tmp_path)
+    assert code == 2 and err is not None, (code, err)
+    assert err.startswith("error:") and err.count("\n") == 1 and extra in err, err

@@ -78,17 +78,19 @@ class TestCountValidation:
             ingest(pentagon, ["C1"])
 
     def test_unknown_context(self, pentagon):
-        with pytest.raises(SchemaError, match="unknown contexts: C9"):
+        with pytest.raises(UnknownAtomError, match="^unknown contexts in the count document: C9$"):
             ingest(pentagon, {"C9": {"a1": 1}})
 
     def test_missing_context(self, fork_counts=None):
         S = fork()
-        with pytest.raises(SchemaError, match="missing: R"):
+        with pytest.raises(pl.MissingAtomValueError,
+                           match="^missing contexts in the count document: R$"):
             ingest(S, {"L": {"a": 1, "b": 1}})
 
     def test_foreign_atom(self):
         S = fork()
-        with pytest.raises(UnknownAtomError, match="foreign atoms: c"):
+        with pytest.raises(UnknownAtomError,
+                           match="^unknown atoms in the counts for context 'L': c$"):
             ingest(S, {"L": {"a": 1, "c": 1}, "R": {"a": 1}})
 
     def test_negative_count(self):

@@ -1,13 +1,14 @@
 """The one input loader: every unreadable or undecodable input is a
 SchemaError, and literals parse through numeric_from_json."""
 
+import json
 from fractions import Fraction
 
 import pytest
 
 import pastedlogic as pl
 from pastedlogic import SchemaError, ValidationError
-from pastedlogic.numeric import as_float, load_json, read_text, values_from_json
+from pastedlogic.numeric import as_float, dumps, load_json, read_text, values_from_json
 
 
 class TestLoadJson:
@@ -95,6 +96,10 @@ class TestLiterals:
             values_from_json([1, 2], "t")
         with pytest.raises(ValidationError, match="not a rational literal"):
             values_from_json({"a": "x"}, "t")
+
+    def test_dumps_lists_a_frozenset_sorted(self):
+        text = dumps(pl.connected_components(pl.cycle_logic(3)))
+        assert json.loads(text) == [["a1", "a2", "a3", "x1", "x2", "x3"]]
 
     def test_as_float_overflow(self):
         assert as_float(Fraction(1, 4)) == 0.25

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,10 @@ class TestContextSoftmax:
         with pytest.raises(SchemaError, match="scores for context 'C1' must be"):
             pl.scores_from_json_dict({"scope": "per-context", "values": {"C1": [1]}})
 
+    def test_unknown_scope(self):
+        with pytest.raises(SchemaError, match="^unknown score scope 'local'$"):
+            pl.scores_from_json_dict({"scope": "local", "values": {}})
+
     def test_exact_with_identity_and_fractions(self, triangle):
         scores = GlobalScores({a: Fraction(1, i + 2) for i, a in enumerate(triangle.atoms)})
         family = pl.context_softmax(triangle, scores, IdentityLink())
@@ -200,7 +205,9 @@ class TestContextSoftmax:
     def test_missing_and_foreign_scores(self, triangle):
         with pytest.raises(pl.MissingAtomValueError):
             pl.context_softmax(triangle, GlobalScores({"a1": 0.0}), ExponentialLink())
-        per = PerContextScores({"C1": {"a1": 0.0, "a2": 0.0, "x1": 0.0, "zz": 1.0}})
+        per = PerContextScores({n: dict.fromkeys(triangle.context_atoms(n), 0.0)
+                                for n in triangle.context_names})
+        per.values["C1"]["zz"] = 1.0
         with pytest.raises(pl.UnknownAtomError):
             pl.context_softmax(triangle, per, ExponentialLink())
 
@@ -766,6 +773,13 @@ class TestMaxent:
             pl.maxent_softmax({"a": 1e200, "b": 0.0}, 1.0)
 
 
+    @pytest.mark.parametrize("target", [1e-301, 9e-301], ids=["below", "above"])
+    def test_no_bracket(self, target):
+        # The mean at beta = 0 is 5e-301; a bracket on either side needs |beta| > 2**40.
+        with pytest.raises(TargetOutOfRangeError, match="^no bracket below 2\\*\\*40"):
+            pl.maxent_softmax({"a": 0.0, "b": 1e-300}, target)
+
+
 class TestMultiplicativeLink:
     def test_exponential_passes(self):
         rng = np.random.default_rng(3)
@@ -787,3 +801,23 @@ class TestMultiplicativeLink:
     def test_domain_enforced(self):
         with pytest.raises(ScoreOutOfDomainError):
             pl.check_multiplicative_link(PowerLink(2.0), [(-1.0, 2.0)])
+
+    @pytest.mark.parametrize("link, pair", [
+        (ExponentialLink(), (400.0, 400.0)),  # g(u) overflows
+        (PowerLink(2.0), (1e200, 1.0)),  # g(u) overflows
+        (ExponentialLink(), (-400.0, -400.0)),  # g(u)*g(v) underflows to 0
+        (PowerLink(2.0), (1e100, 1e100)),  # g(u)*g(v) is inf, the residual would be nan
+    ])
+    def test_float_range_refused(self, link, pair):
+        message = f"g(u)*g(v) or g(u+v) is not a positive finite float at the pair {pair!r}"
+        with pytest.raises(ScoreOutOfDomainError, match=f"^{re.escape(message)}$"):
+            pl.check_multiplicative_link(link, [(1.0, 1.0), pair])
+
+    def test_report_json(self):
+        report = pl.check_multiplicative_link(PowerLink(2.0), [(1.0, 2.0)], tol=1e-9)
+        assert report.to_json_dict() == {
+            "link": {"kind": "power", "k": 2.0},
+            "tolerance": 1e-09,
+            "residuals": [{"u": 1.0, "v": 2.0, "residual": 1.25}],
+            "multiplicative": False,
+        }

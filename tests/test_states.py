@@ -10,6 +10,7 @@ from pastedlogic import (
     EnumerationLimitError,
     NoTwoValuedStatesError,
     NotAdmissibleError,
+    UnknownAtomError,
 )
 
 
@@ -103,6 +104,11 @@ class TestEnumeration:
         states = pl.enumerate_two_valued_states(chain)
         assert [len(s.ones) for s in states] == [n // 2 + 1, n // 2]
         assert "a0" in states[0].ones and "a1" in states[1].ones
+
+    def test_unknown_atom_lookup(self, pentagon):
+        state = pl.enumerate_two_valued_states(pentagon)[0]
+        with pytest.raises(UnknownAtomError, match="^unknown atom 'z9'$"):
+            state["z9"]
 
     def test_structure_without_states(self):
         tight = pl.build_event_structure(

@@ -11,6 +11,7 @@ from pastedlogic import (
     DuplicateContextError,
     EmptyContextError,
     InvalidCycleLengthError,
+    MissingAtomValueError,
     NotACycleStructureError,
     SchemaError,
     UnknownAtomError,
@@ -80,6 +81,23 @@ class TestBuildValidation:
     def test_uncovered_atom(self):
         with pytest.raises(ValidationError, match="every atom must occur"):
             pl.build_event_structure(["a", "b", "c"], [["a", "b"]])
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: pl.build_event_structure([], []), ValidationError,
+         "an event structure needs at least one atom"),
+        (lambda: pl.build_event_structure(["a"], [["a"]], ["C1", "C2"]), ValidationError,
+         "one name per context is required"),
+        (lambda: pl.incidence(pl.cycle_logic(5)).shared("C1", "C1"), ValidationError,
+         "a context does not overlap itself here"),
+        (lambda: pl.structure_from_json_dict({"atoms": "a", "contexts": []}), SchemaError,
+         "'atoms' must be a list of names"),
+        (lambda: pl.cycle_logic(5).context_atoms("C9"), UnknownAtomError,
+         "no context named 'C9'"),
+    ], ids=["no-atoms", "name-count", "self-overlap", "atoms-not-a-list", "unknown-context"])
+    def test_refusals(self, call, error, message):
+        with pytest.raises(error) as caught:
+            call()
+        assert str(caught.value) == message
 
     def test_contexts_sorted_by_atom_order(self):
         structure = pl.build_event_structure(
@@ -217,3 +235,27 @@ class TestJsonRoundTrip:
             {"atoms": ["a", "b"], "contexts": [{"atoms": ["a", "b"]}]}
         )
         assert structure.context_names == ("C1",)
+
+
+class TestCheckNames:
+    """``check_names`` is the one comparison of a table's keys with the
+    structure's names: unknown names first, sorted, then missing ones in
+    the structure's order."""
+
+    def test_unknown_names_are_listed_sorted(self):
+        with pytest.raises(UnknownAtomError, match="^unknown atoms in the table: y, z$"):
+            structures.check_names({"z": 1, "a": 1, "y": 1}, ("a", "b"), "atoms in the table")
+
+    def test_unknown_comes_before_missing(self):
+        with pytest.raises(UnknownAtomError, match="^unknown atoms in the table: z$"):
+            structures.check_names({"z": 1}, ("a", "b"), "atoms in the table")
+
+    def test_missing_names_follow_the_given_order(self):
+        with pytest.raises(MissingAtomValueError, match="^missing contexts in the table: C3, C1$"):
+            structures.check_names({"C2": 1}, {"C3": 0, "C1": 1, "C2": 2}, "contexts in the table")
+
+    def test_an_incomplete_table_may_pass(self):
+        structures.check_names({"a": 1}, ("a", "b"), "atoms", complete=False)
+        structures.check_names({"b": 1, "a": 2}, ("a", "b"), "atoms")
+        with pytest.raises(UnknownAtomError):
+            structures.check_names({"c": 1}, ("a", "b"), "atoms", complete=False)

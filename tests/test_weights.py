@@ -52,6 +52,15 @@ class TestMakeWeight:
         with pytest.raises(ValidationError, match="not finite"):
             pl.make_weight(triangle, values, mode="float")
 
+    def test_int_values_give_rational_mode(self, triangle):
+        w = pl.make_weight(triangle, dict.fromkeys(triangle.atoms, 1))
+        assert w.mode == "rational"
+        assert all(type(v) is Fraction and v == 1 for v in w.values.values())
+
+    def test_unknown_atom_lookup(self, triangle):
+        with pytest.raises(UnknownAtomError, match="^unknown atom 'z9'$"):
+            pl.half_weight(triangle)["z9"]
+
     def test_items_follow_atom_order(self, triangle):
         w = pl.half_weight(triangle)
         assert [a for a, _ in w.items()] == list(triangle.atoms)
@@ -213,6 +222,10 @@ class TestModeConversion:
         w = pl.half_weight(pentagon)
         again = pl.to_rational(pl.to_float(w))
         assert again.values == w.values
+
+    def test_to_float_keeps_a_float_weight(self, triangle):
+        w = pl.make_weight(triangle, {a: 0.1 for a in triangle.atoms})
+        assert pl.to_float(w) is w
 
     def test_to_rational_is_bit_exact(self, triangle):
         w = pl.make_weight(triangle, {a: 0.1 for a in triangle.atoms}, mode="float")
