@@ -23,7 +23,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,16 +30,17 @@ from itertools import combinations
 from pathlib import Path
 from typing import Any
 
-from ._linalg import independent_rows, solve_exact
+from ._linalg import solve_exact
 from .bounds import RegionReport, classify_weight
 from .errors import (
     EmptyContextSampleError,
     NegativeCountError,
     PastedLogicError,
     SchemaError,
+    ValidationError,
 )
-from .numeric import (DEFAULT_TOL, _require_keys, clear_denominators, fields_to_json, load_json,
-                      numeric_to_json, read_text)
+from .numeric import (DEFAULT_TOL, _require_keys, check_tolerance, clear_denominators,
+                      fields_to_json, load_json, numeric_to_json, read_text)
 from .structures import EventStructure, check_names, incidence, structure_from_json_dict
 from .weights import Weight, make_weight
 
@@ -127,8 +127,10 @@ def ingest_counts(
 
     JSON: ``{"structure": {...} | "path.json", "counts": {ctx: {atom:
     n}}}``; a string structure field is a file reference resolved
-    relative to the document's own location.  CSV: ``context,atom,count``
-    rows (optional header), with the structure passed separately.
+    relative to the document's own location; a structure passed as well
+    must equal it, or ValidationError is raised.  CSV:
+    ``context,atom,count`` rows (optional header), with the structure
+    passed separately.
     """
     base = Path(".")
     doc: Mapping | None = None
@@ -147,9 +149,11 @@ def ingest_counts(
     _require_keys(doc, {"structure", "counts"}, {"counts"}, "count document")
     if "structure" in doc:
         ref = doc["structure"]
-        structure = structure_from_json_dict(
-            load_json(base / ref) if isinstance(ref, str) else ref
-        )
+        named = structure_from_json_dict(load_json(base / ref) if isinstance(ref, str) else ref)
+        if structure is None:
+            structure = named
+        elif not (structure is named or structure == named):
+            raise ValidationError("the count document names a structure other than the one passed")
     if structure is None:
         raise SchemaError("no structure: embed one or pass it explicitly")
     return _validate_counts(structure, doc["counts"])
@@ -255,6 +259,7 @@ def single_valuedness_test(
     makes the denominator vanish: a zero gap then counts as agreement,
     a nonzero gap is flagged degenerate and fails the gate.
     """
+    check_tolerance(z_threshold, "z_threshold")
     entries: list[PairStatistic] = []
     max_abs = 0.0
     passed = True
@@ -313,22 +318,18 @@ def project_affine(
     where every context sums to 1: the kept contexts' multipliers and
     the projected point.
 
-    Redundant context rows are dropped by exact rank reduction; the
-    kept contexts' multipliers solve ``A Aᵀ μ = A p̂ − 1`` (``A Aᵀ``
-    counts the atoms two contexts share) and ``p* = p̂ − Aᵀ μ``, in
-    integers over one common denominator D of p̂ and one of D·μ.
+    Redundant context rows are dropped by exact rank reduction, once per
+    structure (``EventStructure.projection_plan``); the kept contexts'
+    multipliers solve ``A Aᵀ μ = A p̂ − 1`` (``A Aᵀ`` counts the atoms two
+    contexts share) and ``p* = p̂ − Aᵀ μ``, in integers over one common
+    denominator D of p̂ and one of D·μ.
     """
-    atoms, names, contexts = structure.atoms, structure.context_names, structure.contexts
+    atoms, holders = structure.atoms, structure.incidence_index.contexts_of
     scale, nums = clear_denominators([values[a] for a in atoms])
-    index = structure.atom_index
-    kept = independent_rows([{index[a]: 1 for a in ctx} for ctx in contexts], [1] * len(names))
-    position = {names[i]: k for k, i in enumerate(kept)}
-    holders = structure.incidence_index.contexts_of
-    gram = [Counter(position[h] for a in contexts[i] for h in holders[a] if h in position)
-            for i in kept]
+    kept, rows, gram = structure.projection_plan
     den, shift = clear_denominators(
-        solve_exact(gram, [sum(nums[index[a]] for a in contexts[i]) - scale for i in kept]))
-    by_name = {names[i]: s for i, s in zip(kept, shift)}
+        solve_exact(gram, [sum(nums[p] for p in row) - scale for row in rows]))
+    by_name = dict(zip(kept, shift))
     den_star = den * scale  # μ = shift / den_star and p* = p̂ − Aᵀμ
     return (
         {name: Fraction(s, den_star) for name, s in by_name.items()},
@@ -384,6 +385,7 @@ def analyze(
     [0, 1] box; both conditions mean the counts do not determine an
     admissible weight to classify.
     """
+    check_tolerance(tol)
     freqs = estimate_frequencies(data)
     sv = single_valuedness_test(data, z_threshold)
     recon = reconstruct_weight(data)

@@ -60,6 +60,12 @@ def as_fraction(value: Any) -> Fraction:
     return Fraction(value)
 
 
+def check_tolerance(value: Any, what: str = "tol") -> None:
+    """Raise ValidationError unless a tolerance or threshold is a number >= 0."""
+    if not (is_number(value) and value >= 0):
+        raise ValidationError(f"{what} must be a number >= 0, got {value!r}")
+
+
 def clear_denominators(values: list) -> tuple[int, list[int]]:
     """The lcm of the denominators of ints and Fractions, and the values
     times it, as ints; an all-int list comes back as it is, with scale 1."""

@@ -46,6 +46,7 @@ from .numeric import (
     RATIONAL,
     _require_keys,
     as_float,
+    check_tolerance,
     clear_denominators,
     coerce_values,
     fields_to_json,
@@ -411,8 +412,9 @@ def gluing_check(
     structure's ``fundamental_cycles``, each edge taking the ratio of
     the first atom its two contexts share.  The report is computed once
     per family and ``tol`` and then returned as it is, so a family must
-    not be changed after it is built.
+    not be changed after it is built.  A negative ``tol`` is refused.
     """
+    check_tolerance(tol)
     memo = family._gluing_reports
     if tol in memo:
         return memo[tol]
@@ -644,6 +646,7 @@ def maxent_softmax(
     bisection until the mean is within ``tol``; a bisection that ends
     farther away, as it can on scores of very different sizes, raises.
     """
+    check_tolerance(tol)
     names = list(scores)
     u = [as_float(scores[n]) for n in names]
     if len(u) < 2 or max(u) == min(u):
@@ -731,6 +734,7 @@ def check_multiplicative_link(
     pair where g(u)g(v) or g(u+v) is not a positive finite float has no
     residual and is refused.
     """
+    check_tolerance(tol)
     residuals: list[tuple[float, float, float]] = []
     for u, v in pairs:
         for point in (u, v, u + v):

@@ -15,12 +15,15 @@ strictly exceeds the classical polytope at an interesting weight.
 
 from __future__ import annotations
 
+import weakref
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
+from ._linalg import independent_rows
 from .errors import (
     DuplicateAtomError,
     DuplicateContextError,
@@ -175,6 +178,20 @@ class EventStructure:
         return StateSpace(self)
 
     @cached_property
+    def projection_plan(self) -> tuple[list[str], list[list[int]], list[Counter]]:
+        """The structure's half of ``empirical.project_affine``, built once:
+        the first maximal independent set of contexts, their atom positions,
+        and their Gram matrix A Aᵀ (the atoms two of them share)."""
+        index, names = self.atom_index, self.context_names
+        holders = self.incidence_index.contexts_of
+        rows = [[index[a] for a in ctx] for ctx in self.contexts]
+        kept = independent_rows([dict.fromkeys(row, 1) for row in rows], [1] * len(rows))
+        position = {names[i]: k for k, i in enumerate(kept)}
+        return [names[i] for i in kept], [rows[i] for i in kept], [
+            Counter(position[h] for a in self.contexts[i] for h in holders[a] if h in position)
+            for i in kept]
+
+    @cached_property
     def _context_by_name(self) -> Mapping[str, int]:
         return {name: i for i, name in enumerate(self.context_names)}
 
@@ -207,7 +224,8 @@ def build_event_structure(
     Checks, in order: atoms are non-empty unique strings; every context
     is non-empty, mentions only declared atoms, and repeats none of them;
     no two contexts have the same atom set or the same name; every atom
-    occurs in at least one context.
+    occurs in at least one context.  Equal structures are one object while
+    any of them is alive, so what one has cached is built once.
     """
     atom_list: list[str] = []
     seen: set[str] = set()
@@ -256,7 +274,12 @@ def build_event_structure(
             "every atom must occur in some context; missing: " + ", ".join(missing)
         )
 
-    return EventStructure(tuple(atom_list), tuple(canon), tuple(names))
+    key = (tuple(atom_list), tuple(canon), tuple(names))
+    return _interned.setdefault(key, EventStructure(*key))
+
+
+# Live structures by their fields; an entry goes when its structure does.
+_interned: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def check_names(

@@ -29,6 +29,7 @@ from .numeric import (
     RATIONAL,
     _require_keys,
     as_fraction,
+    check_tolerance,
     clear_denominators,
     coerce_values,
     fields_to_json,
@@ -88,7 +89,8 @@ class Weight:
 
 def check_same_structure(structure: EventStructure, weight: Weight) -> None:
     """Raise ValidationError unless the weight lives on ``structure``
-    (the same object, or an equal one such as a JSON round trip)."""
+    (the same object, or an equal one not made by the loaders, which
+    return a live equal structure itself)."""
     if not (weight.structure is structure or weight.structure == structure):
         raise ValidationError("the weight is over a different structure")
 
@@ -163,8 +165,9 @@ def check_admissible(weight: Weight, tol: float = DEFAULT_TOL) -> AdmissibilityR
     and demands exact equality.  A rational weight is checked in
     integers over one common denominator: a context sums to 1 when its
     scaled values sum to the scale, and a value is in [0, 1] when its
-    scaled value is in [0, scale].
+    scaled value is in [0, scale].  A negative ``tol`` is refused.
     """
+    check_tolerance(tol)
     structure = weight.structure
     contexts = zip(structure.context_names, structure.contexts)
     if weight.mode == RATIONAL:
@@ -227,5 +230,6 @@ def cyclic_sum(structure: EventStructure, weight: Weight) -> Numeric:
 def support(weight: Weight, tol: float = 0.0) -> frozenset[str]:
     """Atoms carrying strictly positive value (above ``tol`` in float
     mode)."""
+    check_tolerance(tol)
     threshold: Numeric = Fraction(0) if weight.mode == RATIONAL else float(tol)
     return frozenset(a for a, v in weight.values.items() if v > threshold)

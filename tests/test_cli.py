@@ -329,6 +329,23 @@ class TestAnalyze:
     def test_missing_data_file_exits_2(self, capsys):
         assert cli.main(["analyze", "--data", "absent.json"]) == 2
 
+    def test_a_structure_other_than_the_documents_exits_2_with_one_line(self, tmp_path, capsys):
+        heptagon = write_json(tmp_path, "c7.json", pl.cycle_logic(7).to_json_dict())
+        code = cli.main(["analyze", "--data", str(DATA / "counts_beyond.json"),
+                         "--structure", heptagon])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: the count document names a structure other than the one passed\n")
+
+    def test_the_documents_own_structure_may_be_passed_too(self, tmp_path):
+        out = tmp_path / "report.json"
+        code = cli.main(["analyze", "--data", str(DATA / "counts_beyond.json"),
+                         "--structure", str(DATA / "pentagon.json"), "--out", str(out)])
+        assert code == 4
+        assert out.read_bytes() == (DATA / "expected_beyond_report.json").read_bytes()
+
     def test_inconsistent_context_sums_exit_2_with_one_line(self, tmp_path, capsys):
         # {a,b} + {c} = {a,b,c}: no weight can give all three sums 1
         structure = pl.build_event_structure(

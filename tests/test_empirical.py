@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,8 +21,11 @@ from pastedlogic import (
     SchemaError,
     SingularKKTError,
     UnknownAtomError,
+    ValidationError,
 )
 from pastedlogic.empirical import BETWEEN_SAMPLES_NOTE
+
+DATA = Path(__file__).parent / "data"
 
 # Two contexts sharing a single atom: the smallest shape on which the
 # cross-context gate does anything.
@@ -209,6 +213,18 @@ class TestIngest:
         path.write_text("L,a,many\n")
         with pytest.raises(SchemaError, match="'many' is not an integer"):
             pl.ingest_counts(path, structure=fork())
+
+    def test_a_structure_other_than_the_documents_is_refused(self):
+        with pytest.raises(ValidationError, match="structure other than the one passed"):
+            pl.ingest_counts(DATA / "counts_beyond.json", pl.cycle_logic(7))
+
+    def test_the_documents_own_structure_may_be_passed_too(self, pentagon):
+        alone = pl.ingest_counts(DATA / "counts_beyond.json")
+        assert alone.structure is pentagon  # the document's pentagon is the live one
+        assert pl.ingest_counts(DATA / "counts_beyond.json", pentagon) == alone
+        copy = pl.EventStructure(pentagon.atoms, pentagon.contexts, pentagon.context_names)
+        assert copy is not pentagon
+        assert pl.ingest_counts(DATA / "counts_beyond.json", copy) == alone
 
     def test_count_data_json_round_trip(self, pentagon):
         data = pl.sample_counts(pentagon, pl.path_weight(pentagon, Fraction(1, 4)), 50, 9)

@@ -3,12 +3,16 @@ SchemaError, and literals parse through numeric_from_json."""
 
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 import pastedlogic as pl
 from pastedlogic import SchemaError, ValidationError
-from pastedlogic.numeric import as_float, dumps, load_json, read_text, values_from_json
+from pastedlogic.numeric import (as_float, check_tolerance, dumps, load_json, read_text,
+                                 values_from_json)
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestLoadJson:
@@ -105,3 +109,52 @@ class TestLiterals:
         assert as_float(Fraction(1, 4)) == 0.25
         with pytest.raises(ValidationError, match="too large for a float"):
             as_float(10**400)
+
+
+class TestTolerances:
+    @pytest.mark.parametrize("value", [0, 0.0, 1e-9, Fraction(1, 3), 5])
+    def test_a_number_at_or_above_zero_is_a_tolerance(self, value):
+        check_tolerance(value)
+
+    @pytest.mark.parametrize(
+        "value", [-1, -1e-300, float("nan"), Fraction(-1, 3), "0.1", None, True])
+    def test_anything_else_is_refused(self, value):
+        with pytest.raises(ValidationError, match="^tol must be a number >= 0, got "):
+            check_tolerance(value)
+
+    @staticmethod
+    def _pentagon_counts():
+        return pl.ingest_counts(DATA / "counts_beyond.json")
+
+    @staticmethod
+    def _family():
+        pentagon = pl.cycle_logic(5)
+        weight = pl.path_weight(pentagon, Fraction(1, 2))
+        link = pl.ExponentialLink()
+        return pl.context_softmax(pentagon, pl.represent_weight(pentagon, weight, link), link)
+
+    # Each entry point that takes a tolerance or a threshold, called with -1.
+    ENTRY_POINTS = {
+        "check_admissible": lambda: pl.check_admissible(
+            pl.path_weight(pl.cycle_logic(5), 1.0), tol=-1),
+        "support": lambda: pl.support(pl.path_weight(pl.cycle_logic(5), 1.0), tol=-1),
+        "classify_weight": lambda: pl.classify_weight(
+            pl.cycle_logic(5), pl.path_weight(pl.cycle_logic(5), Fraction(1, 2)), tol=-1),
+        "classical_membership": lambda: pl.classical_membership(
+            pl.cycle_logic(5), pl.path_weight(pl.cycle_logic(5), Fraction(1, 2)), tol=-1),
+        "gluing_check": lambda: pl.gluing_check(TestTolerances._family(), tol=-1),
+        "glue_to_weight": lambda: pl.glue_to_weight(TestTolerances._family(), tol=-1),
+        "maxent_softmax": lambda: pl.maxent_softmax({"a": 0.0, "b": 1.0}, 0.5, tol=-1),
+        "check_multiplicative_link": lambda: pl.check_multiplicative_link(
+            pl.ExponentialLink(), [(0.5, 1.0)], tol=-1),
+        "single_valuedness_test": lambda: pl.single_valuedness_test(
+            TestTolerances._pentagon_counts(), -1),
+        "analyze z_threshold": lambda: pl.analyze(TestTolerances._pentagon_counts(), -1),
+        "analyze tol": lambda: pl.analyze(TestTolerances._pentagon_counts(), tol=-1),
+    }
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_a_negative_tolerance_is_refused(self, call):
+        refusal = r"^(tol|z_threshold) must be a number >= 0, got -1$"
+        with pytest.raises(ValidationError, match=refusal):
+            call()

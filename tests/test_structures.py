@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -138,9 +140,14 @@ class TestCycleForm:
             pl.cycle_form(renamed)
 
     def test_match_and_failure_are_worked_out_once(self, monkeypatch):
-        pentagon = pl.cycle_logic(5)
+        # Context names no other live structure has, so that neither is an
+        # interned structure whose form some other test has worked out.
+        five = pl.cycle_logic(5)
+        pentagon = pl.build_event_structure(
+            five.atoms, five.contexts, [f"once-{i}" for i in range(1, 6)]
+        )
         tight = pl.build_event_structure(
-            ["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]
+            ["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]], ["once-1", "once-2", "once-3"]
         )
         built = []
         cycle_logic = structures.cycle_logic
@@ -150,6 +157,83 @@ class TestCycleForm:
             with pytest.raises(NotACycleStructureError):
                 pl.cycle_form(tight)
         assert built == [5, 3]
+
+
+def _named_pentagon(prefix):
+    """The pentagon with context names no other test uses, so that no live
+    structure is equal to it and nothing about it has been cached yet."""
+    five = pl.cycle_logic(5)
+    names = [f"{prefix}{i}" for i in range(1, 6)]
+    return pl.build_event_structure(five.atoms, five.contexts, names)
+
+
+class TestInterning:
+    def test_a_json_round_trip_returns_the_live_structure_with_its_caches(self):
+        pentagon = _named_pentagon("round-trip-")
+        pentagon.state_space, pentagon.incidence_index, pentagon.projection_plan
+        again = pl.structure_from_json(json.dumps(pentagon.to_json_dict()))
+        assert again is pentagon
+        assert {"state_space", "incidence_index", "projection_plan"} <= vars(again).keys()
+
+    def test_a_structure_no_one_holds_leaves_the_table(self):
+        pentagon = _named_pentagon("dropped-")
+        pentagon.state_space
+        key = (pentagon.atoms, pentagon.contexts, pentagon.context_names)
+        assert structures._interned[key] is pentagon
+        gone = weakref.ref(pentagon)
+        del pentagon
+        gc.collect()
+        assert gone() is None and key not in structures._interned
+        rebuilt = _named_pentagon("dropped-")
+        assert "state_space" not in vars(rebuilt)
+        assert structures._interned[key] is rebuilt
+
+    @pytest.mark.parametrize("atoms,contexts,error", [
+        (["p", "p"], [["p"]], DuplicateAtomError),
+        (["p", "q"], [["p"]], ValidationError),
+        (["p", "q"], [["p", "q"], ["q", "p"]], DuplicateContextError),
+        (["p", "q"], [["p", "z"]], UnknownAtomError),
+    ])
+    def test_invalid_input_is_refused_and_never_interned(self, atoms, contexts, error):
+        before = set(structures._interned)
+        with pytest.raises(error):
+            pl.build_event_structure(atoms, contexts)
+        assert set(structures._interned) <= before
+
+    def test_other_names_or_another_atom_order_is_another_structure(self):
+        contexts = [["p", "q"], ["q", "r"], ["p", "r"]]
+        base = pl.build_event_structure(["p", "q", "r"], contexts)
+        renamed = pl.build_event_structure(["p", "q", "r"], contexts, ["K1", "K2", "K3"])
+        reordered = pl.build_event_structure(["r", "q", "p"], contexts)
+        assert renamed != base and renamed is not base
+        assert reordered != base and reordered is not base
+        assert pl.build_event_structure(["p", "q", "r"], contexts) is base
+
+    def test_reloaded_counts_share_one_projection_plan_and_state_space(self, monkeypatch):
+        from pastedlogic import states
+
+        rows, tables = [], []
+        independent_rows, frontier_table = structures.independent_rows, states._frontier_table
+        monkeypatch.setattr(structures, "independent_rows",
+                            lambda *a: rows.append(1) or independent_rows(*a))
+        monkeypatch.setattr(states, "_frontier_table",
+                            lambda s: tables.append(1) or frontier_table(s))
+        pentagon = _named_pentagon("reloaded-")
+        half = pl.half_weight(pentagon)
+        doc = json.dumps({
+            "structure": pentagon.to_json_dict(),
+            "counts": {name: {a: int(2 * half[a]) for a in ctx}
+                       for name, ctx in zip(pentagon.context_names, pentagon.contexts)},
+        })
+        del pentagon, half
+        first = pl.ingest_counts(json.loads(doc))
+        second = pl.ingest_counts(json.loads(doc))
+        assert second.structure is first.structure
+        assert pl.reconstruct_weight(first) == pl.reconstruct_weight(second)
+        assert rows == [1]
+        labels = {pl.analyze(data).classification.label for data in (first, second)}
+        assert labels == {"beyond-theta"}  # 5/2 on the cyclic atoms
+        assert rows == [1] and tables == [1]
 
 
 class TestConnectivity:

@@ -300,7 +300,10 @@ class TestForeignStructure:
     @pytest.mark.parametrize("name", CALLS)
     def test_an_equal_structure_from_json_is_accepted(self, name):
         pentagon = pl.cycle_logic(5)
-        copy = pl.structure_from_json(json.dumps(pentagon.to_json_dict()))
+        # A JSON round trip returns the live pentagon itself; an equal but
+        # distinct object, built around the loaders, takes the == branch.
+        loaded = pl.structure_from_json(json.dumps(pentagon.to_json_dict()))
+        copy = pl.EventStructure(loaded.atoms, loaded.contexts, loaded.context_names)
         assert copy == pentagon and copy is not pentagon
         weight = pl.path_weight(copy, 1)
         same = self.CALLS[name](pentagon, pl.path_weight(pentagon, 1))
