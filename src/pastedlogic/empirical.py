@@ -40,9 +40,9 @@ from .errors import (
     ValidationError,
 )
 from .numeric import (DEFAULT_TOL, _require_keys, check_tolerance, clear_denominators,
-                      fields_to_json, load_json, numeric_to_json, read_text)
+                      fields_to_json, is_integer, load_json, read_text, render)
 from .structures import EventStructure, check_names, incidence, structure_from_json_dict
-from .weights import Weight, make_weight
+from .weights import Weight, check_same_structure, make_weight
 
 __all__ = [
     "CountData",
@@ -72,22 +72,15 @@ BETWEEN_SAMPLES_NOTE = (
 
 @dataclass(frozen=True)
 class CountData:
-    """Validated per-context outcome counts over one structure."""
+    """Validated per-context outcome counts over one structure, built by
+    ``_validate_counts`` with every cell filled in structure order."""
 
     structure: EventStructure
     counts: Mapping[str, Mapping[str, int]]
     totals: Mapping[str, int]
 
     def to_json_dict(self) -> dict:
-        return {
-            "structure": self.structure.to_json_dict(),
-            "counts": {
-                name: {a: self.counts[name].get(a, 0) for a in ctx}
-                for name, ctx in zip(
-                    self.structure.context_names, self.structure.contexts
-                )
-            },
-        }
+        return render({"structure": self.structure, "counts": self.counts})
 
 
 def _validate_counts(
@@ -106,7 +99,7 @@ def _validate_counts(
         clean: dict[str, int] = {}
         for a in ctx:
             v = table.get(a, 0)
-            if isinstance(v, bool) or not isinstance(v, int):
+            if not is_integer(v):
                 raise SchemaError(f"count for {a!r} in {name!r} must be an integer")
             if v < 0:
                 raise NegativeCountError(f"negative count for {a!r} in {name!r}")
@@ -214,24 +207,14 @@ class PairStatistic:
     """One shared atom compared across one pair of contexts."""
 
     atom: str
-    context_a: str
-    context_b: str
+    contexts: tuple[str, str]
     freq_a: Fraction
     freq_b: Fraction
     gap: Fraction
     z: float | None
     degenerate: bool  # pooled frequency 0 or 1 with a nonzero gap
 
-    def to_json_dict(self) -> dict:
-        return {
-            "atom": self.atom,
-            "contexts": [self.context_a, self.context_b],
-            "freq_a": numeric_to_json(self.freq_a),
-            "freq_b": numeric_to_json(self.freq_b),
-            "gap": numeric_to_json(self.gap),
-            "z": numeric_to_json(self.z),
-            "degenerate": self.degenerate,
-        }
+    to_json_dict = fields_to_json
 
 
 @dataclass(frozen=True)
@@ -275,7 +258,7 @@ def single_valuedness_test(
                 z, degenerate = diff / (na * nb) / math.sqrt(variance), False
             else:
                 z, degenerate = (None, True) if diff else (0.0, False)
-            entries.append(PairStatistic(atom, ca, cb, Fraction(ka, na), Fraction(kb, nb),
+            entries.append(PairStatistic(atom, (ca, cb), Fraction(ka, na), Fraction(kb, nb),
                                          Fraction(abs(diff), na * nb), z, degenerate))
             if degenerate:
                 passed = False
@@ -420,8 +403,17 @@ def sample_counts(
 
     A convenience for demos and tests; contexts are sampled in structure
     order from one seeded generator, so the result is a pure function of
-    (structure, weight, sizes, seed).
+    (structure, weight, sizes, seed).  The weight must live on
+    ``structure``, and the sizes are one int >= 0 for every context or a
+    mapping naming exactly the structure's contexts.
     """
+    check_same_structure(structure, weight)
+    if not isinstance(n_per_context, Mapping):
+        n_per_context = dict.fromkeys(structure.context_names, n_per_context)
+    check_names(n_per_context, structure.context_names, "contexts in the sample sizes")
+    for n in n_per_context.values():
+        if not (is_integer(n) and n >= 0):
+            raise ValidationError(f"sample sizes must be integers >= 0, got {n!r}")
     try:
         import numpy as np  # only sampling needs numpy; keep it off import time
     except ImportError:
@@ -432,9 +424,8 @@ def sample_counts(
     rng = np.random.default_rng(seed)
     raw: dict[str, dict[str, int]] = {}
     for name, ctx in zip(structure.context_names, structure.contexts):
-        n = n_per_context if isinstance(n_per_context, int) else n_per_context[name]
         probs = np.array([float(weight[a]) for a in ctx], dtype=float)
         probs = probs / probs.sum()
-        draw = rng.multinomial(n, probs)
+        draw = rng.multinomial(n_per_context[name], probs)
         raw[name] = {a: int(k) for a, k in zip(ctx, draw)}
     return _validate_counts(structure, raw)

@@ -1,17 +1,19 @@
 """Dual-mode numerics: exact rationals next to floats, plus JSON I/O.
 
-This module alone decides what a number is and which numbers are exact
-(``is_number``, ``is_exact``).  A number is an int, float or Fraction,
-never a bool.  Ints and Fractions are exact: they make ``"rational"``
-mode, held as Fractions and compared exactly.  Floats make ``"float"``
-mode, compared against a tolerance.  A mixture needs an explicit mode,
-and NaN and infinities are rejected.  JSON output renders rationals as
-``"num/den"`` strings and floats as numbers rounded to 12 significant
-digits, which keeps every report byte-deterministic.  A report renders
-from its fields: ``fields_to_json`` lists them in declaration order,
-leaves out the structure the report is about, and passes each through
-``render``.  Input files and literals are read here too, and every way
-they can be malformed is a ValidationError.
+This module alone decides what a number is, which numbers are exact and
+which are integers (``is_number``, ``is_exact``, ``is_integer``).  A
+number is an int, float or Fraction, never a bool.  Ints and Fractions
+are exact: they make ``"rational"`` mode, held as Fractions and compared
+exactly.  Floats make ``"float"`` mode, compared against a tolerance,
+which is a finite number >= 0 (``check_tolerance``).  A mixture needs an
+explicit mode, and NaN and infinities are rejected.  One rule turns
+numbers into JSON, ``render``: rationals become ``"num/den"`` strings
+and floats numbers rounded to 12 significant digits, which keeps every
+report byte-deterministic.  A report renders from its fields:
+``fields_to_json`` lists them in declaration order, leaves out the
+structure the report is about, and passes each through ``render``.
+Input files and literals are read here too, and every way they can be
+malformed is a ValidationError.
 """
 
 from __future__ import annotations
@@ -60,10 +62,15 @@ def as_fraction(value: Any) -> Fraction:
     return Fraction(value)
 
 
+def is_integer(value: Any) -> bool:
+    """True for an int, never a bool: a count, a size or a length."""
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
+
+
 def check_tolerance(value: Any, what: str = "tol") -> None:
-    """Raise ValidationError unless a tolerance or threshold is a number >= 0."""
-    if not (is_number(value) and value >= 0):
-        raise ValidationError(f"{what} must be a number >= 0, got {value!r}")
+    """Raise ValidationError unless a tolerance or threshold is a finite number >= 0."""
+    if not (is_number(value) and 0 <= value < math.inf):
+        raise ValidationError(f"{what} must be a finite number >= 0, got {value!r}")
 
 
 def clear_denominators(values: list) -> tuple[int, list[int]]:
@@ -117,17 +124,6 @@ def coerce_values(values: Mapping[str, Any], mode: str | None = None) -> tuple[d
             )
         return {k: v if type(v) is Fraction else Fraction(v) for k, v in values.items()}, RATIONAL
     return {k: v if type(v) is float else as_float(v) for k, v in values.items()}, FLOAT
-
-
-def numeric_to_json(value: Any) -> Any:
-    """Exact rationals become ``"num/den"`` strings, floats are rounded
-    to 12 significant digits, and plain ints (counts, cardinalities)
-    stay JSON integers."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, float):
-        return round12(value)
-    return value
 
 
 def numeric_from_json(value: Any) -> Fraction | float:
@@ -192,15 +188,12 @@ def load_json(path: str | Path | None, text: str | None = None) -> Any:
         raise SchemaError(f"invalid JSON{where}: {exc}") from exc
 
 
-def round12(x: float) -> float | str:
-    """Round a float to 12 significant digits for stable reports."""
-    if math.isnan(x) or math.isinf(x):
-        return repr(x)
-    return float(f"{x:.12g}")
-
-
 def render(obj: Any) -> Any:
-    """Recursively convert a report tree into JSON-safe primitives."""
+    """Recursively convert a report tree into JSON-safe primitives: the
+    one rule for numbers in JSON.  Fractions become ``"num/den"``
+    strings, floats are rounded to 12 significant digits (NaN and
+    infinities print as their repr), and ints, bools, strings and None
+    pass as they are."""
     if isinstance(obj, Mapping):
         return {str(k): render(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -209,7 +202,11 @@ def render(obj: Any) -> Any:
         return sorted(obj)
     if hasattr(obj, "to_json_dict"):
         return obj.to_json_dict()
-    return numeric_to_json(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, float):
+        return float(f"{obj:.12g}") if math.isfinite(obj) else repr(obj)
+    return obj
 
 
 def fields_to_json(report: Any) -> dict:

@@ -53,7 +53,6 @@ from .numeric import (
     is_exact,
     is_number,
     numeric_from_json,
-    numeric_to_json,
     render,
     values_from_json,
 )
@@ -222,10 +221,7 @@ class GlobalScores:
         return {a: self.values[a] for a in ctx}
 
     def to_json_dict(self) -> dict:
-        return {
-            "scope": "global",
-            "values": render(self.values),
-        }
+        return {"scope": "global", **fields_to_json(self)}
 
 
 @dataclass(frozen=True)
@@ -245,10 +241,7 @@ class PerContextScores:
         return {a: table[a] for a in ctx}
 
     def to_json_dict(self) -> dict:
-        return {
-            "scope": "per-context",
-            "values": render(self.values),
-        }
+        return {"scope": "per-context", **fields_to_json(self)}
 
 
 ScoreAssignment = GlobalScores | PerContextScores
@@ -385,20 +378,10 @@ class GluingReport:
         return max(self.atom_discrepancies.values(), default=0)
 
     def to_json_dict(self) -> dict:
-        return {
-            "glued": self.glued,
-            "exact": self.exact,
-            "tolerance": numeric_to_json(self.tolerance),
-            "atom_discrepancies": render(self.atom_discrepancies),
-            "pair_ratio_spreads": {
-                f"{p[0]}|{p[1]}": numeric_to_json(v)
-                for p, v in self.pair_ratio_spreads.items()
-            },
-            "cycle_deviations": [
-                {"cycle": list(cycle), "deviation": numeric_to_json(v)}
-                for cycle, v in self.cycle_deviations
-            ],
-        }
+        return {**fields_to_json(self), **render({
+            "pair_ratio_spreads": {f"{a}|{b}": v for (a, b), v in self.pair_ratio_spreads.items()},
+            "cycle_deviations": [{"cycle": c, "deviation": v} for c, v in self.cycle_deviations],
+        })}
 
 
 def gluing_check(
@@ -574,13 +557,19 @@ def gauge_shift(
     the component by exp(beta * shift) uniformly, which cancels in every
     quotient: the softmax probabilities are unchanged.  Other links have
     no additive gauge (their multiplicative freedom lives in q-space, not
-    score space), so they are rejected.
+    score space), so they are rejected.  The scores must be global scores
+    naming exactly the structure's atoms, and the shift a finite number.
     """
     if not isinstance(link, ExponentialLink):
         raise ValidationError(
             "additive gauge shifts exist only for the exponential link; "
             "for other links rescale the positive coordinates instead"
         )
+    if not isinstance(scores, GlobalScores):
+        raise ValidationError("gauge shifts apply to global scores only")
+    scores.check(structure)
+    if not (is_number(shift) and -math.inf < shift < math.inf):
+        raise ValidationError(f"the shift must be a finite number, got {shift!r}")
     target = frozenset(component)
     if target not in set(connected_components(structure)):
         raise NotAComponentError(
@@ -710,13 +699,8 @@ class MultiplicativeLinkReport:
 
     def to_json_dict(self) -> dict:
         return {
-            "link": self.link.to_json_dict(),
-            "tolerance": numeric_to_json(self.tolerance),
-            "residuals": [
-                {"u": numeric_to_json(u), "v": numeric_to_json(v), "residual": numeric_to_json(r)}
-                for u, v, r in self.residuals
-            ],
-            "multiplicative": self.multiplicative,
+            **fields_to_json(self),
+            "residuals": render([{"u": u, "v": v, "residual": r} for u, v, r in self.residuals]),
         }
 
 

@@ -32,8 +32,9 @@ from .errors import (
     NoTwoValuedStatesError,
     NotAdmissibleError,
     UnknownAtomError,
+    ValidationError,
 )
-from .numeric import DEFAULT_TOL, as_fraction, clear_denominators, numeric_to_json, render
+from .numeric import DEFAULT_TOL, as_fraction, clear_denominators, is_integer, render
 from .structures import EventStructure, cycle_form
 from .weights import Weight, check_admissible, check_same_structure, make_weight
 
@@ -285,8 +286,11 @@ def enumerate_two_valued_states(
     The order is deterministic: contexts in index order, candidate
     1-atoms in atom order.  If more than ``limit`` states exist an
     ``EnumerationLimitError`` is raised, from the count and before any
-    state is built, rather than returning a truncated list.
+    state is built, rather than returning a truncated list.  ``limit``
+    is an int >= 0, or None for no limit.
     """
+    if not (limit is None or (is_integer(limit) and limit >= 0)):
+        raise ValidationError(f"limit must be an integer >= 0 or None, got {limit!r}")
     space = structure.state_space
     if limit is not None and space.count > limit:
         raise EnumerationLimitError(f"more than {limit} two-valued states")
@@ -312,19 +316,13 @@ class MembershipResult:
     witness_value: Fraction | None
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"classical": self.classical}
         if self.classical:
-            doc["coefficients"] = {
-                str(i): numeric_to_json(c) for i, c in sorted(self.coefficients.items())
-            }
-            doc["states"] = [
-                sorted(self.states[i].ones) for i in sorted(self.coefficients)
-            ]
+            used = sorted(self.coefficients)
+            doc = {"coefficients": {i: self.coefficients[i] for i in used},
+                   "states": [self.states[i].ones for i in used]}
         else:
-            doc["witness"] = render(self.witness)
-            doc["witness_bound"] = numeric_to_json(self.witness_bound)
-            doc["witness_value"] = numeric_to_json(self.witness_value)
-        return doc
+            doc = {k: getattr(self, k) for k in ("witness", "witness_bound", "witness_value")}
+        return render({"classical": self.classical, **doc})
 
 
 def classical_membership(

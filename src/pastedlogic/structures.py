@@ -35,7 +35,7 @@ from .errors import (
     UnknownAtomError,
     ValidationError,
 )
-from .numeric import _require_keys, load_json
+from .numeric import _require_keys, is_integer, load_json
 
 if TYPE_CHECKING:
     from .states import StateSpace
@@ -297,7 +297,7 @@ def check_names(
 
 
 def _check_cycle_length(n: int) -> None:
-    if isinstance(n, bool) or not isinstance(n, int) or n < 3:
+    if not (is_integer(n) and n >= 3):
         raise InvalidCycleLengthError(f"cycle length must be an integer >= 3, got {n!r}")
 
 

@@ -36,7 +36,6 @@ from .numeric import (
     is_exact,
     is_number,
     load_json,
-    numeric_to_json,
     values_from_json,
 )
 from .structures import EventStructure, check_names, cycle_form
@@ -64,11 +63,12 @@ _ONE = Fraction(1)
 
 @dataclass(frozen=True)
 class Weight:
-    """An atom -> value map over one structure, homogeneous in mode."""
+    """An atom -> value map over one structure, homogeneous in mode;
+    ``make_weight`` builds it, with the values in structure atom order."""
 
     structure: EventStructure
-    values: Mapping[str, Numeric]
     mode: str
+    values: Mapping[str, Numeric]
 
     def __getitem__(self, atom: str) -> Numeric:
         try:
@@ -80,11 +80,7 @@ class Weight:
         """(atom, value) pairs in structure atom order."""
         return tuple((a, self.values[a]) for a in self.structure.atoms)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "values": {a: numeric_to_json(v) for a, v in self.items()},
-        }
+    to_json_dict = fields_to_json
 
 
 def check_same_structure(structure: EventStructure, weight: Weight) -> None:
@@ -108,7 +104,8 @@ def make_weight(
     """
     check_names(values, structure.atom_index, "atoms in the weight")
     coerced, actual_mode = coerce_values(values, mode)
-    return Weight(structure, {a: coerced[a] for a in structure.atoms}, actual_mode)
+    return Weight(structure=structure, mode=actual_mode,
+                  values={a: coerced[a] for a in structure.atoms})
 
 
 def weight_from_json_dict(doc: Mapping, structure: EventStructure) -> Weight:

@@ -120,6 +120,11 @@ class TestEnumerate:
     def test_limit_exceeded_exits_2(self, pent_file, capsys):
         assert cli.main(["enumerate", "--structure", pent_file, "--limit", "5"]) == 2
 
+    def test_a_negative_limit_exits_2(self, pent_file, capsys):
+        assert cli.main(["enumerate", "--structure", pent_file, "--limit", "-1"]) == 2
+        assert capsys.readouterr().err == (
+            "error: limit must be an integer >= 0 or None, got -1\n")
+
     @pytest.mark.parametrize("n", [29, 1500])
     def test_too_many_states_are_refused_from_the_count(self, n, tmp_path, capsys, monkeypatch):
         path = tmp_path / "cycle.json"

@@ -17,6 +17,7 @@ import pastedlogic as pl
 from helpers import pentagon_pair
 from pastedlogic import (
     EmptyContextSampleError,
+    MissingAtomValueError,
     NegativeCountError,
     SchemaError,
     SingularKKTError,
@@ -260,7 +261,7 @@ class TestSingleValuedness:
         sv = pl.single_valuedness_test(data)
         assert len(sv.entries) == 1
         e = sv.entries[0]
-        assert (e.atom, e.context_a, e.context_b) == ("a", "L", "R")
+        assert (e.atom, e.contexts) == ("a", ("L", "R"))
         assert (e.freq_a, e.freq_b, e.gap) == (Fraction(3, 5), Fraction(2, 5), Fraction(1, 5))
         assert not e.degenerate
         assert_allclose(e.z, 2.0 * math.sqrt(2.0), atol=1e-12)
@@ -282,7 +283,7 @@ class TestSingleValuedness:
         assert seen == {f"a{i}" for i in range(1, 6)}
         inc = pl.incidence(pentagon)
         for e in sv.entries:
-            assert tuple(inc.contexts_of[e.atom]) == (e.context_a, e.context_b)
+            assert tuple(inc.contexts_of[e.atom]) == e.contexts
 
     @pytest.mark.parametrize(
         "left,right",
@@ -305,9 +306,9 @@ class TestSingleValuedness:
             )
             sv = pl.single_valuedness_test(data)
             for e in sv.entries:
-                na, nb = data.totals[e.context_a], data.totals[e.context_b]
-                ka = data.counts[e.context_a][e.atom]
-                kb = data.counts[e.context_b][e.atom]
+                ca, cb = e.contexts
+                na, nb = data.totals[ca], data.totals[cb]
+                ka, kb = data.counts[ca][e.atom], data.counts[cb][e.atom]
                 pooled = (ka + kb) / (na + nb)
                 if pooled in (0.0, 1.0):
                     continue
@@ -539,6 +540,27 @@ class TestSampleCounts:
         assert all(t == 250 for t in pl.sample_counts(pentagon, w, 250, 0).totals.values())
         sizes = {"C1": 10, "C2": 20, "C3": 30, "C4": 40, "C5": 50}
         assert pl.sample_counts(pentagon, w, sizes, 0).totals == sizes
+
+    def test_a_weight_on_another_structure_is_refused(self, pentagon):
+        with pytest.raises(ValidationError, match="over a different structure"):
+            pl.sample_counts(pentagon, pl.path_weight(pl.cycle_logic(7), 1), 10, 0)
+
+    def test_a_sizes_mapping_names_exactly_the_contexts(self, pentagon):
+        w = pl.path_weight(pentagon, Fraction(1, 5))
+        sizes = dict.fromkeys(pentagon.context_names, 10)
+        with pytest.raises(MissingAtomValueError, match="^missing contexts in the sample sizes: C5$"):
+            pl.sample_counts(pentagon, w, {n: 10 for n in pentagon.context_names[:4]}, 0)
+        with pytest.raises(UnknownAtomError, match="^unknown contexts in the sample sizes: C9$"):
+            pl.sample_counts(pentagon, w, {**sizes, "C9": 10}, 0)
+
+    @pytest.mark.parametrize("size", [2.5, True, -1, "10", None])
+    def test_a_size_is_an_int_at_or_above_zero(self, pentagon, size):
+        w = pl.path_weight(pentagon, Fraction(1, 5))
+        refusal = r"^sample sizes must be integers >= 0, got "
+        with pytest.raises(ValidationError, match=refusal):
+            pl.sample_counts(pentagon, w, size, 0)
+        with pytest.raises(ValidationError, match=refusal):
+            pl.sample_counts(pentagon, w, {**dict.fromkeys(pentagon.context_names, 10), "C3": size}, 0)
 
     def test_numpy_is_imported_only_for_sampling(self):
         probe = "import sys, pastedlogic; print('numpy' in sys.modules)"

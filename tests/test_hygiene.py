@@ -125,8 +125,9 @@ def test_the_tracer_names_resolve(monkeypatch):
 
 
 def numeric_type_tests(source: str) -> list[str]:
-    """``isinstance`` calls that name ``Fraction``, that list ``float`` in
-    a class tuple, or that name ``Mapping`` imported from ``typing``."""
+    """``isinstance`` calls that name ``Fraction`` or ``bool``, that list
+    ``float`` in a class tuple, or that name ``Mapping`` imported from
+    ``typing``."""
     tree = ast.parse(source)
     typing_names = {
         alias.asname or alias.name
@@ -141,7 +142,8 @@ def numeric_type_tests(source: str) -> list[str]:
         classes = node.args[1]
         in_tuple = isinstance(classes, ast.Tuple)
         names = {getattr(c, "id", None) for c in (classes.elts if in_tuple else [classes])}
-        if "Fraction" in names or (in_tuple and "float" in names) or "Mapping" in names & typing_names:
+        numeric = names & {"Fraction", "bool"} or (in_tuple and "float" in names)
+        if numeric or "Mapping" in names & typing_names:
             found.append(f"line {node.lineno}: {ast.unparse(node)}")
     return found
 
@@ -161,11 +163,13 @@ def test_the_check_sees_numeric_type_tests():
         "isinstance(x, (int, float))\n"
         "isinstance(x, float)\n"
         "isinstance(x, Mapping)\n"
+        "isinstance(x, bool) or not isinstance(x, int)\n"
     )
     assert numeric_type_tests(source) == [
         "line 2: isinstance(x, Fraction)",
         "line 3: isinstance(x, (int, float))",
         "line 5: isinstance(x, Mapping)",
+        "line 6: isinstance(x, bool)",
     ]
     assert numeric_type_tests("from collections.abc import Mapping\nisinstance(x, Mapping)\n") == []
 

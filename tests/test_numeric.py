@@ -2,6 +2,7 @@
 SchemaError, and literals parse through numeric_from_json."""
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -117,9 +118,9 @@ class TestTolerances:
         check_tolerance(value)
 
     @pytest.mark.parametrize(
-        "value", [-1, -1e-300, float("nan"), Fraction(-1, 3), "0.1", None, True])
+        "value", [-1, -1e-300, float("nan"), Fraction(-1, 3), "0.1", None, True, float("inf")])
     def test_anything_else_is_refused(self, value):
-        with pytest.raises(ValidationError, match="^tol must be a number >= 0, got "):
+        with pytest.raises(ValidationError, match="^tol must be a finite number >= 0, got "):
             check_tolerance(value)
 
     @staticmethod
@@ -133,28 +134,34 @@ class TestTolerances:
         link = pl.ExponentialLink()
         return pl.context_softmax(pentagon, pl.represent_weight(pentagon, weight, link), link)
 
-    # Each entry point that takes a tolerance or a threshold, called with -1.
+    # Each entry point that takes a tolerance or a threshold, called with ``t``.
     ENTRY_POINTS = {
-        "check_admissible": lambda: pl.check_admissible(
-            pl.path_weight(pl.cycle_logic(5), 1.0), tol=-1),
-        "support": lambda: pl.support(pl.path_weight(pl.cycle_logic(5), 1.0), tol=-1),
-        "classify_weight": lambda: pl.classify_weight(
-            pl.cycle_logic(5), pl.path_weight(pl.cycle_logic(5), Fraction(1, 2)), tol=-1),
-        "classical_membership": lambda: pl.classical_membership(
-            pl.cycle_logic(5), pl.path_weight(pl.cycle_logic(5), Fraction(1, 2)), tol=-1),
-        "gluing_check": lambda: pl.gluing_check(TestTolerances._family(), tol=-1),
-        "glue_to_weight": lambda: pl.glue_to_weight(TestTolerances._family(), tol=-1),
-        "maxent_softmax": lambda: pl.maxent_softmax({"a": 0.0, "b": 1.0}, 0.5, tol=-1),
-        "check_multiplicative_link": lambda: pl.check_multiplicative_link(
-            pl.ExponentialLink(), [(0.5, 1.0)], tol=-1),
-        "single_valuedness_test": lambda: pl.single_valuedness_test(
-            TestTolerances._pentagon_counts(), -1),
-        "analyze z_threshold": lambda: pl.analyze(TestTolerances._pentagon_counts(), -1),
-        "analyze tol": lambda: pl.analyze(TestTolerances._pentagon_counts(), tol=-1),
+        "check_admissible": lambda t: pl.check_admissible(
+            pl.path_weight(pl.cycle_logic(5), 1.0), tol=t),
+        "support": lambda t: pl.support(pl.path_weight(pl.cycle_logic(5), 1.0), tol=t),
+        "classify_weight": lambda t: pl.classify_weight(
+            pl.cycle_logic(5), pl.path_weight(pl.cycle_logic(5), Fraction(1, 2)), tol=t),
+        "classical_membership": lambda t: pl.classical_membership(
+            pl.cycle_logic(5), pl.path_weight(pl.cycle_logic(5), Fraction(1, 2)), tol=t),
+        "gluing_check": lambda t: pl.gluing_check(TestTolerances._family(), tol=t),
+        "glue_to_weight": lambda t: pl.glue_to_weight(TestTolerances._family(), tol=t),
+        "maxent_softmax": lambda t: pl.maxent_softmax({"a": 0.0, "b": 1.0}, 0.5, tol=t),
+        "check_multiplicative_link": lambda t: pl.check_multiplicative_link(
+            pl.ExponentialLink(), [(0.5, 1.0)], tol=t),
+        "single_valuedness_test": lambda t: pl.single_valuedness_test(
+            TestTolerances._pentagon_counts(), t),
+        "analyze z_threshold": lambda t: pl.analyze(TestTolerances._pentagon_counts(), t),
+        "analyze tol": lambda t: pl.analyze(TestTolerances._pentagon_counts(), tol=t),
     }
+
+    REFUSAL = r"^(tol|z_threshold) must be a finite number >= 0, got "
 
     @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
     def test_a_negative_tolerance_is_refused(self, call):
-        refusal = r"^(tol|z_threshold) must be a number >= 0, got -1$"
-        with pytest.raises(ValidationError, match=refusal):
-            call()
+        with pytest.raises(ValidationError, match=self.REFUSAL + "-1$"):
+            call(-1)
+
+    @pytest.mark.parametrize("call", ENTRY_POINTS.values(), ids=ENTRY_POINTS)
+    def test_an_infinite_tolerance_is_refused(self, call):
+        with pytest.raises(ValidationError, match=self.REFUSAL + "inf$"):
+            call(math.inf)

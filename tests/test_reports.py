@@ -198,6 +198,36 @@ def test_report_bytes_are_pinned(name):
     assert dumps(CASES[name]().to_json_dict()) == expected
 
 
+# Report classes the pins above do not hold at the top level.
+MORE = {
+    "weight_rational": lambda: pl.path_weight(pl.cycle_logic(5), Fraction(2, 7)),
+    "weight_float": lambda: pl.path_weight(pl.cycle_logic(5), 0.1 + 0.2),
+    "membership_classical": lambda: pl.classical_membership(
+        pl.cycle_logic(5), pl.path_weight(pl.cycle_logic(5), Fraction(5))),
+    "membership_witness": lambda: pl.classical_membership(
+        pl.cycle_logic(5), pl.half_weight(pl.cycle_logic(5))),
+    "two_valued_state": lambda: pl.enumerate_two_valued_states(pl.cycle_logic(5))[3],
+    "structure": pentagon_pair,
+    "counts": _counts,
+    "cycle_bounds": lambda: pl.cycle_bounds(7),
+    "multiplicative_exponential": lambda: pl.check_multiplicative_link(
+        pl.ExponentialLink(1.3), [(0.1, 0.2), (1.5, -2.25)]),
+    "multiplicative_power": lambda: pl.check_multiplicative_link(
+        pl.PowerLink(2.5), [(0.1, 0.2), (1.5, 2.25)]),
+    "link": lambda: pl.PowerLink(0.5),
+    "scores_per_context": lambda: pl.PerContextScores(
+        {"C1": {"a": Fraction(1, 3), "b": 0.1 + 0.2}}),
+}
+
+
+@pytest.mark.parametrize("make", [*CASES.values(), *MORE.values()], ids=[*CASES, *MORE])
+def test_report_json_is_already_rendered(make):
+    """``render`` leaves a report's JSON as it is, so ``dumps`` of it
+    renders nothing twice."""
+    doc = make().to_json_dict()
+    assert render(doc) == doc
+
+
 def test_every_pin_has_a_case():
     assert sorted(p.stem for p in PINS.glob("*.json")) == sorted(CASES)
 

@@ -21,6 +21,7 @@ from pastedlogic import (
     ExponentialLink,
     GlobalScores,
     IdentityLink,
+    MissingAtomValueError,
     NotAComponentError,
     NotGluedError,
     NotStrictlyPositiveError,
@@ -29,6 +30,7 @@ from pastedlogic import (
     ScoreOutOfDomainError,
     SchemaError,
     TargetOutOfRangeError,
+    UnknownAtomError,
     ValidationError,
 )
 from pastedlogic.numeric import dumps
@@ -681,6 +683,26 @@ class TestGauge:
             pl.gauge_shift(
                 pentagon, scores, 1.0, frozenset({"a1", "a2"}), ExponentialLink(1.0)
             )
+
+    def test_only_global_scores(self, pentagon):
+        scores = PerContextScores({n: dict.fromkeys(pentagon.context_atoms(n), 0.5)
+                                   for n in pentagon.context_names})
+        with pytest.raises(ValidationError, match="^gauge shifts apply to global scores only$"):
+            pl.gauge_shift(pentagon, scores, 1.0, frozenset(pentagon.atoms), ExponentialLink(1.0))
+
+    def test_scores_name_exactly_the_atoms(self, pentagon):
+        scores = GlobalScores({**dict.fromkeys(pentagon.atoms, 0.5), "zz": 0.5})
+        with pytest.raises(UnknownAtomError, match="^unknown atoms in the global scores: zz$"):
+            pl.gauge_shift(pentagon, scores, 1.0, frozenset(pentagon.atoms), ExponentialLink(1.0))
+        scores = GlobalScores(dict.fromkeys(pentagon.atoms[1:], 0.5))
+        with pytest.raises(MissingAtomValueError, match="^missing atoms in the global scores: a1$"):
+            pl.gauge_shift(pentagon, scores, 1.0, frozenset(pentagon.atoms), ExponentialLink(1.0))
+
+    @pytest.mark.parametrize("shift", [math.nan, math.inf, -math.inf, "1", None, True])
+    def test_the_shift_is_a_finite_number(self, pentagon, shift):
+        scores = GlobalScores(dict.fromkeys(pentagon.atoms, 0.5))
+        with pytest.raises(ValidationError, match="^the shift must be a finite number, got "):
+            pl.gauge_shift(pentagon, scores, shift, frozenset(pentagon.atoms), ExponentialLink(1.0))
 
     def test_shifts_one_component_of_a_disjoint_union(self, triangle):
         atoms = list(triangle.atoms) + [f"{a}b" for a in triangle.atoms]

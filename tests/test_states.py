@@ -11,6 +11,7 @@ from pastedlogic import (
     NoTwoValuedStatesError,
     NotAdmissibleError,
     UnknownAtomError,
+    ValidationError,
 )
 
 
@@ -80,6 +81,17 @@ class TestEnumeration:
     def test_limit(self, pentagon):
         with pytest.raises(EnumerationLimitError):
             pl.enumerate_two_valued_states(pentagon, limit=5)
+
+    @pytest.mark.parametrize("limit", [-1, 2.5, True, "11"])
+    def test_a_limit_is_an_int_at_or_above_zero(self, pentagon, limit):
+        with pytest.raises(ValidationError, match="^limit must be an integer >= 0 or None, got "):
+            pl.enumerate_two_valued_states(pentagon, limit=limit)
+
+    def test_no_limit_and_a_limit_at_the_count_list_every_state(self, pentagon):
+        assert len(pl.enumerate_two_valued_states(pentagon, limit=None)) == 11
+        assert len(pl.enumerate_two_valued_states(pentagon, limit=11)) == 11
+        with pytest.raises(EnumerationLimitError, match="^more than 0 two-valued states$"):
+            pl.enumerate_two_valued_states(pentagon, limit=0)
 
     def test_state_order_is_pinned(self, pentagon):
         states = pl.enumerate_two_valued_states(pentagon)
