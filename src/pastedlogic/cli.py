@@ -22,7 +22,6 @@ from .bounds import (
     LABEL_NOT_ADMISSIBLE,
     classify_weight,
     cycle_bounds,
-    path_thresholds,
 )
 from .empirical import DEFAULT_Z_THRESHOLD, analyze, ingest_counts
 from .errors import PastedLogicError, ValidationError
@@ -205,7 +204,6 @@ def cmd_sweep(args) -> int:
     """CSV sweep of the path family against both bounds."""
     bounds = cycle_bounds(args.n)
     structure = cycle_logic(args.n)
-    r_classical, r_theta = path_thresholds(args.n)
     lo = numeric_from_json(args.r_min)
     hi = numeric_from_json(args.r_max)
     if not hi > lo >= 0:

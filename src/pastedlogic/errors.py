@@ -79,8 +79,10 @@ class NoTwoValuedStatesError(PastedLogicError):
 
 
 class ScoreOutOfDomainError(ValidationError):
-    """A score lies outside the link function's domain (or its image
-    overflows the floating range)."""
+    """A link refuses a score or a coordinate: the score is outside its
+    domain or its value is not a positive finite float, or the
+    coordinate is outside the range (0, inf), its float is 0 or past the
+    float range, or it has no score the link evaluates."""
 
 
 class NotGluedError(PastedLogicError):

@@ -93,25 +93,28 @@ class LinkFunction:
 
     A link g maps its domain onto the range (0, inf), and the domain is
     (0, inf) too unless the link says otherwise (only the exponential
-    does).  ``inverse`` checks the range, applies the link's formula
-    ``_inverse`` and returns a score in the domain, or else raises
-    ScoreOutOfDomainError.  A link's parameters (its dataclass fields)
-    are numbers > 0, held as floats.  ``guaranteed_range_radius`` is an
-    r with (0, r) inside the range, used when auto-selecting the
-    representation scale.
+    does).  In floats both directions end where the float range ends:
+    ``evaluate`` takes a score in the domain to a coordinate whose float
+    is positive and finite, ``inverse`` takes a coordinate in the range
+    whose float is positive and finite to a score that ``evaluate``
+    takes, and anything else raises ScoreOutOfDomainError.  Each link
+    writes only its formulas, ``_evaluate`` and ``_inverse``.  A link's
+    parameters (its dataclass fields) are numbers whose float is > 0 and
+    finite, held at the 12 significant digits ``render`` prints, so a
+    link renders from its fields and reads back equal to itself.
     """
 
     kind = "abstract"
-    guaranteed_range_radius = 1.0
 
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if not (is_number(value) and value > 0):
-                raise ValidationError(f"{self.kind} link needs {f.name} > 0")
-            object.__setattr__(self, f.name, as_float(value))
+            held = as_float(value) if is_number(value) else math.nan
+            if not 0 < held < math.inf:
+                raise ValidationError(f"{self.kind} link needs {f.name} > 0 as a finite float")
+            object.__setattr__(self, f.name, render(held))
 
-    def evaluate(self, x: Numeric) -> Numeric:
+    def _evaluate(self, x: Numeric) -> Numeric:
         raise NotImplementedError
 
     def _inverse(self, y: Numeric) -> Numeric:
@@ -122,22 +125,32 @@ class LinkFunction:
 
     in_domain = in_range
 
+    def evaluate(self, x: Numeric) -> Numeric:
+        if not self.in_domain(x):
+            raise ScoreOutOfDomainError(f"score {x!r} is outside the {self.kind} domain")
+        try:
+            y = self._evaluate(x)
+            if 0 < float(y) < math.inf:
+                return y
+        except OverflowError:
+            pass
+        raise ScoreOutOfDomainError(
+            f"the {self.kind} value of score {x!r} is not a positive finite float")
+
     def inverse(self, y: Numeric) -> Numeric:
         if not self.in_range(y):
             raise ScoreOutOfDomainError(f"{y!r} is not in the range (0, inf)")
-        x = self._inverse(y)
-        if not self.in_domain(x):
-            raise ScoreOutOfDomainError(f"{y!r} has no score in the {self.kind} domain")
-        return x
+        try:
+            if float(y) > 0:
+                x = self._inverse(y)
+                self.evaluate(x)
+                return x
+        except (OverflowError, ScoreOutOfDomainError):
+            pass
+        raise ScoreOutOfDomainError(f"{y!r} has no score in the {self.kind} domain")
 
     def to_json_dict(self) -> dict:
-        return {"kind": self.kind, **{f.name: getattr(self, f.name) for f in fields(self)}}
-
-
-def _exact_log(y: Numeric) -> float:
-    """log y for an exact y > 0 whose float underflows to 0: math.log
-    reads the numerator and the denominator exactly."""
-    return math.log(y.numerator) - math.log(y.denominator)
+        return {"kind": self.kind, **fields_to_json(self)}
 
 
 @dataclass(frozen=True)
@@ -147,12 +160,11 @@ class ExponentialLink(LinkFunction):
     beta: float = 1.0
     kind = "exponential"
 
-    def evaluate(self, x: Numeric) -> float:
+    def _evaluate(self, x: Numeric) -> float:
         return math.exp(self.beta * float(x))
 
     def _inverse(self, y: Numeric) -> float:
-        x = float(y)
-        return (math.log(x) if x else _exact_log(y)) / self.beta
+        return math.log(float(y)) / self.beta
 
     def in_domain(self, x: Any) -> bool:
         return is_number(x) and -math.inf < x < math.inf
@@ -165,7 +177,7 @@ class IdentityLink(LinkFunction):
 
     kind = "identity"
 
-    def evaluate(self, x: Numeric) -> Numeric:
+    def _evaluate(self, x: Numeric) -> Numeric:
         return x
 
     def _inverse(self, y: Numeric) -> Numeric:
@@ -179,12 +191,11 @@ class PowerLink(LinkFunction):
     k: float = 2.0
     kind = "power"
 
-    def evaluate(self, x: Numeric) -> float:
+    def _evaluate(self, x: Numeric) -> float:
         return float(x) ** self.k
 
     def _inverse(self, y: Numeric) -> float:
-        x = float(y)
-        return x ** (1.0 / self.k) if x else math.exp(_exact_log(y) / self.k)
+        return float(y) ** (1.0 / self.k)
 
 
 LINK_KINDS = {link.kind: link for link in (ExponentialLink, IdentityLink, PowerLink)}
@@ -320,7 +331,7 @@ def context_softmax(
             for a, n in zip(ctx, nums):
                 if n <= 0:
                     raise ScoreOutOfDomainError(
-                        f"score {table[a]!r} for atom {a!r} is outside the {link.kind} domain"
+                        f"score {table[a]!r} is outside the {link.kind} domain at atom {a!r}"
                     )
             t = sum(nums)
             coordinates[name], _ = coerce_values(table, RATIONAL)
@@ -329,19 +340,10 @@ def context_softmax(
             continue
         q = {}
         for a, u in table.items():
-            if not link.in_domain(u):
-                raise ScoreOutOfDomainError(
-                    f"score {u!r} for atom {a!r} is outside the {link.kind} domain"
-                )
             try:
-                value = link.evaluate(u)
-            except OverflowError:
-                value = math.inf
-            if not 0 < value < math.inf:
-                raise ScoreOutOfDomainError(
-                    f"link value for atom {a!r} is not a positive finite number"
-                )
-            q[a] = value
+                q[a] = link.evaluate(u)
+            except ScoreOutOfDomainError as exc:
+                raise ScoreOutOfDomainError(f"{exc} at atom {a!r}") from None
         z = normalizers[name] = sum(q.values())
         probabilities[name] = {a: q[a] / z for a in ctx}
         coordinates[name] = q
@@ -437,10 +439,7 @@ def gluing_check(
             den = math.prod(p.denominator * q.numerator for p, q in edges)
             cycle_dev.append((cycle, Fraction(abs(num - den), den)))
         else:
-            product = 1.0
-            for p, q in edges:
-                product = product * (p / q)
-            cycle_dev.append((cycle, abs(product - 1)))
+            cycle_dev.append((cycle, abs(math.prod(p / q for p, q in edges) - 1)))
 
     if exact:  # every entry is >= 0, so <= 0 means == 0
         ok = not (any(atom_disc.values()) or any(pair_spread.values())
@@ -492,13 +491,14 @@ def represent_weight(
 
     With u(a) = g^{-1}(alpha * p(a)) every context normaliser equals
     alpha, so P_C(a) = alpha * p(a) / alpha = p(a) in every context.  The
-    default scale alpha = r/2 * min(1, 1/max p) keeps alpha * p inside
-    the guaranteed range interval (0, r) of the link.  A rational weight
-    is cleared to integers n_a over one scale, so with an exact alpha each
-    alpha * p(a) is one integer over another: the identity link gets that
-    Fraction, and every other link the same correctly rounded float from
-    integer division, or the Fraction where that float underflows to 0.
-    Each score is the link's ``inverse``; the atoms it refuses are named.
+    default scale alpha = 1/2 * min(1, 1/max p) keeps alpha * p in (0, 1/2].
+    A rational weight is cleared to integers n_a over one scale, so with
+    an exact alpha each alpha * p(a) is one integer over another: the
+    identity link gets that Fraction, and every other link the same
+    correctly rounded float from integer division, or the Fraction where
+    that float underflows to 0, which has no score.  Each score is the
+    link's ``inverse``, and the atoms it refuses are named in one
+    AlphaOutOfRangeError.
     """
     check_same_structure(structure, weight)
     report = check_admissible(weight)
@@ -517,9 +517,9 @@ def represent_weight(
 
     if alpha is None:
         if exact:  # admissible, so max p <= 1
-            alpha = Fraction(link.guaranteed_range_radius) / 2
+            alpha = Fraction(1, 2)
         else:
-            alpha = 0.5 * link.guaranteed_range_radius * min(1.0, 1.0 / max(values))
+            alpha = 0.5 * min(1.0, 1.0 / max(values))
     if not (is_number(alpha) and alpha > 0):
         raise AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
     scores, outside, unscored = {}, [], []
@@ -715,25 +715,20 @@ def check_multiplicative_link(
     The relative residual |g(u+v) - g(u)g(v)| / g(u)g(v) vanishes for
     the exponential link and for no other strictly increasing link; this
     is what singles out ordinary softmax among the generalized ones.  A
-    pair where g(u)g(v) or g(u+v) is not a positive finite float has no
-    residual and is refused.
+    pair with a point the link does not ``evaluate``, or where g(u)g(v)
+    is not a positive finite float, has no residual and is refused.
     """
     check_tolerance(tol)
     residuals: list[tuple[float, float, float]] = []
     for u, v in pairs:
-        for point in (u, v, u + v):
-            if not link.in_domain(point):
-                raise ScoreOutOfDomainError(
-                    f"{point!r} is outside the {link.kind} domain"
-                )
         try:
             gu, gv, lhs = (float(link.evaluate(x)) for x in (u, v, u + v))
-        except OverflowError:
-            gu = gv = lhs = math.inf
+        except ScoreOutOfDomainError as exc:
+            raise ScoreOutOfDomainError(f"{exc} at the pair ({u!r}, {v!r})") from None
         rhs = gu * gv
-        if not (0 < rhs < math.inf and 0 < lhs < math.inf):
+        if not link.in_range(rhs):
             raise ScoreOutOfDomainError(
-                f"g(u)*g(v) or g(u+v) is not a positive finite float at the pair ({u!r}, {v!r})"
+                f"g(u)*g(v) is not a positive finite float at the pair ({u!r}, {v!r})"
             )
         residuals.append((float(u), float(v), abs(lhs - rhs) / rhs))
     verdict = all(r <= tol for _, _, r in residuals)

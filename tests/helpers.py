@@ -1,6 +1,5 @@
 """Small construction helpers shared by the test modules."""
 
-import math
 from fractions import Fraction
 from itertools import compress
 from random import Random
@@ -240,18 +239,9 @@ def reference_context_softmax(structure, scores, link):
         q = {}
         for a, u in table.items():
             try:
-                value = link.evaluate(u) if link.in_domain(u) else None
-            except OverflowError:
-                value = math.inf
-            if value is None:
-                raise pl.ScoreOutOfDomainError(
-                    f"score {u!r} for atom {a!r} is outside the {link.kind} domain"
-                )
-            if not (value > 0) or (isinstance(value, float) and not math.isfinite(value)):
-                raise pl.ScoreOutOfDomainError(
-                    f"link value for atom {a!r} is not a positive finite number"
-                )
-            q[a] = value
+                q[a] = link.evaluate(u)
+            except pl.ScoreOutOfDomainError as exc:
+                raise pl.ScoreOutOfDomainError(f"{exc} at atom {a!r}") from None
         if all(map(is_exact, q.values())):
             q, _ = coerce_values(q, RATIONAL)
             scale, nums = clear_denominators([q[a] for a in ctx])
@@ -270,10 +260,13 @@ def reference_represent_weight(structure, weight, link, alpha=None):
     """``represent_weight`` as the library ran it before it cleared the
     weight's denominators: positivity, the peak and every alpha * p(a)
     in the weight's own numbers, each checked against the link's range.
-    One change: alpha * p is formed inside the overflow guard, so an
-    exact alpha too large for a float times a float weight is an
-    ``AlphaOutOfRangeError`` here too, where it used to escape as an
-    ``OverflowError``."""
+    Every link but the identity on exact values reads alpha * p as the
+    float it rounds to, or as itself where that float is 0, and the
+    atoms whose alpha * p is outside the range, or else has no score,
+    are named.  One change: alpha * p is formed inside the overflow
+    guard, so an exact alpha too large for a float times a float weight
+    is an ``AlphaOutOfRangeError`` here too, where it used to escape as
+    an ``OverflowError``."""
     check_same_structure(structure, weight)
     report = pl.check_admissible(weight)
     if not report.admissible:
@@ -285,22 +278,31 @@ def reference_represent_weight(structure, weight, link, alpha=None):
     peak = max(values.values())
     if alpha is None:
         if weight.mode == RATIONAL:
-            cap = Fraction(link.guaranteed_range_radius)
-            alpha = Fraction(1, 2) * cap * min(Fraction(1), Fraction(1) / peak)
+            alpha = Fraction(1, 2) * min(Fraction(1), Fraction(1) / peak)
         else:
-            alpha = 0.5 * link.guaranteed_range_radius * min(1.0, 1.0 / peak)
+            alpha = 0.5 * min(1.0, 1.0 / peak)
     if not (is_number(alpha) and alpha > 0):
         raise pl.AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
     try:
         scaled = {a: alpha * v for a, v in values.items()}
-        bad = [a for a, s in scaled.items() if not link.in_range(s)]
-        if not bad:
-            return pl.GlobalScores({a: link.inverse(s) for a, s in scaled.items()})
+        if isinstance(link, pl.IdentityLink) and all(map(is_exact, scaled.values())):
+            return pl.GlobalScores(scaled)
+        scaled = {a: float(s) or s for a, s in scaled.items()}
     except OverflowError:
         raise pl.AlphaOutOfRangeError("alpha * p overflows the float range") from None
-    raise pl.AlphaOutOfRangeError(
-        "alpha * p falls outside the link range for: " + ", ".join(bad)
-    )
+    bad = [a for a, s in scaled.items() if not link.in_range(s)]
+    if bad:
+        raise pl.AlphaOutOfRangeError(
+            "alpha * p falls outside the link range for: " + ", ".join(bad))
+    scores = {}
+    for a, s in scaled.items():
+        try:
+            scores[a] = link.inverse(s)
+        except pl.ScoreOutOfDomainError:
+            bad.append(a)
+    if bad:
+        raise pl.AlphaOutOfRangeError(f"alpha * p has no {link.kind} score for: " + ", ".join(bad))
+    return pl.GlobalScores(scores)
 
 
 def _integer_rows(rows, rhs):

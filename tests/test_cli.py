@@ -430,6 +430,13 @@ MALFORMED = {
     "represent-exponential-beta-without-a-finite-score": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--link", "exponential",
          "--beta", "1e-320"], {"w": WEIGHT}),
+    "represent-exponential-beta-whose-float-is-0": (
+        ["represent", "--structure", "{pent}", "--weight", "{w}", "--beta", "1e-400"],
+        {"w": WEIGHT}),
+    "glue-check-power-k-whose-float-is-0": (
+        ["glue-check", "--structure", "{pent}", "--scores", "{s}", "--link", "power",
+         "--k", "1e-400"],
+        {"s": {"scope": "global", "values": {a: "1/3" for a in PENTAGON_ATOMS}}}),
     "exponential-link-given-k": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--k", "2"],
         {"w": WEIGHT}),

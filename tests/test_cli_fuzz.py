@@ -7,7 +7,8 @@ in a documented exit code; exit 2 must come with one ``error:`` line.
 
 A documented code can still be a silent acceptance, so one mutation is
 held to exit 2: a table keyed by the structure's atoms or contexts that
-gains a name the structure lacks, with a valid value.
+gains a name the structure lacks, with a valid value.  The link flags
+``--beta``, ``--k`` and ``--alpha`` take extreme literals too.
 """
 
 import contextlib
@@ -220,3 +221,30 @@ def test_a_name_outside_the_structure_exits_2(argv, target, path, tmp_path, data
     code, err = run(argv, tmp_path)
     assert code == 2 and err is not None, (code, err)
     assert err.startswith("error:") and err.count("\n") == 1 and extra in err, err
+
+
+# argv ending in a link flag, and the literals that flag is given
+LINK_FLAGS = [
+    ["represent", "--structure", "pentagon.json", "--weight", "weight.json", "--beta"],
+    ["represent", "--structure", "pentagon.json", "--weight", "weight.json",
+     "--link", "power", "--k"],
+    *(["represent", "--structure", "pentagon.json", "--weight", "weight.json",
+       "--link", kind, "--alpha"] for kind in ("exponential", "identity", "power")),
+    ["glue-check", "--structure", "pentagon.json", "--scores", "scores.json", "--beta"],
+    ["glue-check", "--structure", "pentagon.json", "--scores", "scores.json",
+     "--link", "power", "--k"],
+]
+EXTREME_LITERALS = ["0", "1e-400", "1e400", "-1", "nan", "5e-324", "1e-300", "1e300"]
+
+
+@pytest.mark.parametrize("literal", EXTREME_LITERALS)
+@pytest.mark.parametrize("argv", LINK_FLAGS, ids=[" ".join(argv[-3:]) for argv in LINK_FLAGS])
+def test_link_flags_take_extreme_literals(argv, literal, tmp_path):
+    for name, raw in FILES.items():
+        (tmp_path / name).write_bytes(raw)
+    code, err = run([*argv, literal], tmp_path)
+    assert code in {0, 2, 3}
+    if code == 2 and err is not None:
+        assert err.startswith("error:") and err.count("\n") == 1, err
+    else:
+        assert not err, err

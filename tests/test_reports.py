@@ -215,6 +215,9 @@ MORE = {
     "multiplicative_power": lambda: pl.check_multiplicative_link(
         pl.PowerLink(2.5), [(0.1, 0.2), (1.5, 2.25)]),
     "link": lambda: pl.PowerLink(0.5),
+    "family_link_past_twelve_digits": lambda: pl.context_softmax(
+        pl.cycle_logic(5), pl.GlobalScores(dict.fromkeys(pl.cycle_logic(5).atoms, 0.5)),
+        pl.ExponentialLink(0.1 + 0.2)),
     "scores_per_context": lambda: pl.PerContextScores(
         {"C1": {"a": Fraction(1, 3), "b": 0.1 + 0.2}}),
 }

@@ -35,6 +35,8 @@ from pastedlogic import (
 )
 from pastedlogic.numeric import dumps
 
+PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
+
 # Largest probability gap of the patterned non-glued pentagon family:
 # one context scores its shared atom 1 while its neighbour scores
 # everything 0, so that atom gets e/(e+2) against 1/3.
@@ -122,9 +124,51 @@ class TestLinks:
         with pytest.raises(ValidationError):
             PowerLink(-1.0)
 
-    def test_guaranteed_range_radius(self):
-        for link in (ExponentialLink(1.0), IdentityLink(), PowerLink(2.0)):
-            assert link.guaranteed_range_radius == 1.0
+    @pytest.mark.parametrize("value", [math.inf, math.nan, Fraction(1, 10**400), 0.0],
+                             ids=["inf", "nan", "fraction-1e-400", "0.0"])
+    @pytest.mark.parametrize("link", [ExponentialLink, PowerLink], ids=lambda link: link.kind)
+    def test_a_parameter_whose_float_is_not_positive_and_finite(self, link, value):
+        with pytest.raises(ValidationError, match="> 0 as a finite float$"):
+            link(value)
+
+    def test_parameters_are_held_at_twelve_digits(self):
+        link = ExponentialLink(0.1 + 0.2)
+        assert link == ExponentialLink(0.3) and link.beta == 0.3
+        assert pl.link_from_json_dict(json.loads(json.dumps(link.to_json_dict()))) == link
+        assert PowerLink(2 / 3).k == 0.666666666667
+
+    @pytest.mark.parametrize("value", [10**400, Fraction(10**400), Fraction(1, 10**400), 1e-320],
+                             ids=["int-1e400", "fraction-1e400", "fraction-1e-400", "1e-320"])
+    @pytest.mark.parametrize("link", [ExponentialLink(), IdentityLink(), PowerLink()],
+                             ids=lambda link: link.kind)
+    def test_past_the_float_range_only_the_domain_error(self, link, value):
+        """Either direction returns a number whose float is finite, or
+        raises ScoreOutOfDomainError, and nothing else."""
+        for direction in (link.evaluate, link.inverse):
+            try:
+                result = direction(value)
+            except ScoreOutOfDomainError:
+                continue
+            assert math.isfinite(float(result))
+
+    @pytest.mark.parametrize("link", [ExponentialLink, PowerLink], ids=lambda link: link.kind)
+    def test_every_inverse_evaluates(self, link):
+        """A score ``inverse`` returns is one ``evaluate`` takes, right up
+        to both ends of the float range, for parameters from 1e-321 to
+        7.5e306: among them ExponentialLink(3.76214425152e-303), which
+        would otherwise turn the largest double into a score whose value
+        overflows."""
+        ends = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 0.5, 1.0, 3.0, 1e300,
+                1e308, 1.7976931348623157e308]
+        for e in range(-321, 308, 3):
+            for scale in (1.0, 3.76214425152, 7.5):
+                g = link(scale * 10.0**e)
+                for y in ends:
+                    try:
+                        x = g.inverse(y)
+                    except ScoreOutOfDomainError:
+                        continue
+                    assert 0 < g.evaluate(x) < math.inf, (g, y)
 
     def test_json_round_trip(self):
         for link in (ExponentialLink(0.7), IdentityLink(), PowerLink(2.5)):
@@ -584,9 +628,6 @@ def weights(draw):
     return structure, pl.to_float(weight) if draw(st.booleans()) else weight
 
 
-PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
-
-
 class TestPerAtomReference:
     """The softmax round trip read off cleared numerators gives what the
     per-atom references give: the same bytes and the same exact values,
@@ -625,22 +666,47 @@ class TestPerAtomReference:
                 reference_context_softmax, structure, scores, link)
 
     def test_exponential_scores_below_the_smallest_double(self, pentagon):
-        """alpha * p = 1/(3 * 10**400) rounds to the float 0, but its log
-        is an ordinary float: about -922 for every atom."""
+        """alpha * p = 1/(3 * 10**400) is in the range, but its float is
+        0: it has no score, since g of any score near its log (about
+        -922) underflows to 0 and ``context_softmax`` would refuse it."""
         weight = pl.path_weight(pentagon, 1)
         alpha = Fraction(1, 10**400)
-        scores = pl.represent_weight(pentagon, weight, ExponentialLink(), alpha=alpha)
-        expected = -400 * math.log(10) - math.log(3)
-        assert all(math.isclose(u, expected, rel_tol=1e-15) for u in scores.values.values())
-        assert math.isclose(ExponentialLink(2.0).inverse(alpha), -200 * math.log(10), rel_tol=1e-15)
+        with pytest.raises(AlphaOutOfRangeError) as err:
+            pl.represent_weight(pentagon, weight, ExponentialLink(), alpha=alpha)
+        assert str(err.value) == "alpha * p has no exponential score for: " + ", ".join(
+            pentagon.atoms)
+        with pytest.raises(ScoreOutOfDomainError, match="has no score in the exponential domain"):
+            ExponentialLink(2.0).inverse(alpha)
 
     def test_power_scores_below_the_smallest_double(self, pentagon):
-        """Under the cube root the same alpha * p gives about 3.2e-134,
-        read through the log of its numerator and denominator."""
+        """Under the cube root the same alpha * p would score about
+        3.2e-134, whose cube underflows to 0: refused on every atom."""
         weight = pl.path_weight(pentagon, 1)
-        scores = pl.represent_weight(pentagon, weight, PowerLink(3), alpha=Fraction(1, 10**400))
-        expected = math.exp((-400 * math.log(10) - math.log(3)) / 3)
-        assert all(math.isclose(u, expected, rel_tol=1e-12) for u in scores.values.values())
+        with pytest.raises(AlphaOutOfRangeError) as err:
+            pl.represent_weight(pentagon, weight, PowerLink(3), alpha=Fraction(1, 10**400))
+        assert str(err.value) == "alpha * p has no power score for: " + ", ".join(pentagon.atoms)
+
+    def test_round_trip_over_the_float_range(self):
+        """On C5 at alpha = 10**e, e = -420, -413, ..., 413, under five
+        links and on an exact and a float weight, a representation either
+        glues back to the weight or is an AlphaOutOfRangeError: no score
+        it returns is one ``context_softmax`` refuses."""
+        structure = pl.cycle_logic(5)
+        exact = pl.path_weight(structure, Fraction(1, 3))
+        links = (ExponentialLink(), ExponentialLink(0.01), PowerLink(3), PowerLink(0.5),
+                 IdentityLink())
+        glued = 0
+        for weight in (exact, pl.to_float(exact)):
+            for link in links:
+                for e in range(-420, 420, 7):
+                    try:
+                        scores = pl.represent_weight(structure, weight, link, Fraction(10) ** e)
+                    except AlphaOutOfRangeError:
+                        continue
+                    back = pl.glue_to_weight(pl.context_softmax(structure, scores, link))
+                    assert all(abs(back[a] - exact[a]) <= 1e-8 for a in structure.atoms)
+                    glued += 1
+        assert glued == 847
 
     def test_an_alpha_past_the_float_range_on_a_float_weight(self, pentagon):
         weight = pl.to_float(pl.path_weight(pentagon, 1))
@@ -831,8 +897,8 @@ class TestMultiplicativeLink:
         (PowerLink(2.0), (1e100, 1e100)),  # g(u)*g(v) is inf, the residual would be nan
     ])
     def test_float_range_refused(self, link, pair):
-        message = f"g(u)*g(v) or g(u+v) is not a positive finite float at the pair {pair!r}"
-        with pytest.raises(ScoreOutOfDomainError, match=f"^{re.escape(message)}$"):
+        message = f"is not a positive finite float at the pair {pair!r}"
+        with pytest.raises(ScoreOutOfDomainError, match=f"{re.escape(message)}$"):
             pl.check_multiplicative_link(link, [(1.0, 1.0), pair])
 
     def test_report_json(self):
