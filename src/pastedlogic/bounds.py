@@ -13,10 +13,12 @@ the path family  S(p_r) = n/(2+r), so each bound converts to an r
 threshold: the path leaves the classical region at r = n/bound - 2 and
 the theta region at r = n/theta - 2.
 
-The triangle is degenerate: its exclusivity graph is complete, the
-classical bound is 1, and theta carries no extra information, so the
-theta comparison is suppressed there.  The same suppression applies to
-even cycles, where the closed form above is not the relevant value.
+On the triangle (Specker's scenario) the exclusivity graph is complete
+and the closed form gives theta = 1, the classical bound: pairwise
+exclusive outcomes of a quantum model sum to at most 1.  So there every
+nonclassical admissible weight is beyond theta.  The theta comparison is
+suppressed on even cycles, where the closed form above is not the
+relevant value.
 """
 
 from __future__ import annotations
@@ -118,9 +120,9 @@ def _cos_pi_over(n: int, terms: int) -> tuple[Fraction, Fraction]:
 def cycle_bounds(n: int) -> CycleBounds:
     """Classical bound, theta, and the admissible maximum n/2.
 
-    ``theta_applicable`` is False for n = 3 (complete exclusivity graph,
-    nothing between the classical bound and n/2 worth comparing to) and
-    for even n (no gap: the classical bound already equals n/2).
+    ``theta_applicable`` holds for every odd n.  At n = 3 theta equals
+    the classical bound, 1: the exclusivity graph is complete.  It is
+    False for even n (no gap: the classical bound already equals n/2).
     """
     _check_cycle_length(n)
     odd = n % 2 == 1
@@ -131,7 +133,7 @@ def cycle_bounds(n: int) -> CycleBounds:
         theta=theta,
         half_weight_value=Fraction(n, 2),
         odd=odd,
-        theta_applicable=odd and n >= 5,
+        theta_applicable=odd,
     )
 
 
@@ -139,8 +141,8 @@ def path_thresholds(n: int) -> tuple[Fraction, float | None]:
     """r values where the path family crosses each bound.
 
     Solving n/(2+r) = bound gives r = n/bound - 2.  The classical
-    threshold is exact; the theta threshold exists for odd n >= 5 only
-    (pentagon: sqrt(5) - 2).
+    threshold is exact; the theta threshold exists for odd n only
+    (pentagon: sqrt(5) - 2; triangle: 1, the classical threshold).
     """
     b = cycle_bounds(n)
     r_classical = Fraction(n) / b.classical_bound - 2
@@ -171,11 +173,12 @@ def classify_weight(
 ) -> RegionReport:
     """Admissibility, then exact membership, then the theta comparison.
 
-    The theta comparison runs only on odd cycles of length >= 5; on the
-    triangle and on even cycles ``beyond_theta`` stays None.  On a cycle
-    an exact weight's membership verdict is checked against the closed
-    form: classical exactly when the cyclic sum is at most the classical
-    bound, which on even cycles every admissible weight meets.
+    The theta comparison runs only on odd cycles, the triangle included,
+    where theta is the classical bound 1; on even cycles ``beyond_theta``
+    stays None.  On a cycle an exact weight's membership verdict is
+    checked against the closed form: classical exactly when the cyclic
+    sum is at most the classical bound, which on even cycles every
+    admissible weight meets.
     """
     check_same_structure(structure, weight)
     adm = check_admissible(weight, tol)

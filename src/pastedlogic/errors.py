@@ -72,7 +72,8 @@ class EnumerationLimitError(PastedLogicError):
 
 class NoTwoValuedStatesError(PastedLogicError):
     """The structure admits no two-valued state, so the classical
-    polytope is empty and membership queries are vacuous."""
+    polytope is empty and there is no state to maximise over or to
+    return.  Membership is still decided: no weight is classical."""
 
 
 # -------------------------------------------------------------------- softmax

@@ -305,7 +305,10 @@ class MembershipResult:
     ``coefficients`` maps state indices (into ``states``) to rational
     mixture weights, nonzero entries only.  Not classical: ``witness``
     is an integer-scaled functional with ``witness_value = c . p``
-    strictly above ``witness_bound = max over states of c . v``.
+    strictly above ``witness_bound = max over states of c . v``.  On a
+    structure with no two-valued states the witness is 0 on every atom
+    with bound -1: every bound holds over the empty family, so c . p = 0
+    lies above it vacuously.
     """
 
     classical: bool
@@ -350,8 +353,9 @@ def _decide_membership(structure: EventStructure, weight: Weight) -> MembershipR
     atoms = structure.atoms
     target = [as_fraction(weight[a]) for a in atoms] + [Fraction(1)]
     space = structure.state_space
-    if not space.count:
-        raise NoTwoValuedStatesError("no two-valued states: the classical polytope is empty")
+    if not space.count:  # the classical polytope is empty
+        return MembershipResult(False, space, None, dict.fromkeys(atoms, Fraction(0)),
+                                Fraction(-1), Fraction(0))
     solution, farkas = feasible_nonnegative(space, target)
     if solution is not None:
         return MembershipResult(True, space, solution, None, None, None)

@@ -95,58 +95,56 @@ class EventStructure:
         )
 
     @cached_property
-    def overlap_graph(self) -> Mapping[str, tuple[str, ...]]:
-        """The context-overlap graph: each context's neighbours, the
-        contexts sharing an atom with it, in context order."""
+    def _forest(self) -> tuple[Mapping[str, str | None], Mapping[str, str]]:
+        """A breadth-first spanning forest of the context-overlap graph
+        (contexts joined when they share an atom), grown from each
+        unvisited context in context order: each context's parent (None
+        at a root) and the root of its tree."""
         neighbours: dict[str, list[str]] = {name: [] for name in self.context_names}
-        for a, b in self.incidence_index.shared_atoms:
-            neighbours[a].append(b)
-            neighbours[b].append(a)
-        pos = self._context_by_name
-        return {name: tuple(sorted(ns, key=pos.__getitem__)) for name, ns in neighbours.items()}
+        # The keys are pairs in context order, sorted, so each list comes
+        # out in context order: lower neighbours first, then higher ones.
+        for u, v in self.incidence_index.shared_atoms:
+            neighbours[u].append(v)
+            neighbours[v].append(u)
+        parent: dict[str, str | None] = {}
+        root: dict[str, str] = {}
+        for r in self.context_names:
+            if r in parent:
+                continue
+            parent[r], root[r] = None, r
+            queue = [r]
+            for u in queue:  # breadth first: the queue grows as it is read
+                for v in neighbours[u]:
+                    if v not in parent:
+                        parent[v], root[v] = u, r
+                        queue.append(v)
+        return parent, root
 
     @cached_property
     def fundamental_cycles(self) -> tuple[tuple[str, ...], ...]:
         """A cycle basis of the context-overlap graph, as closed chains of
         context names (first name repeated last).
 
-        A breadth-first spanning forest is grown from each unvisited
-        context in context order; each non-tree edge (u, v), u before v,
+        Each edge (u, v) outside the spanning ``_forest``, u before v,
         closes one cycle: u up to the lowest common ancestor, then down
-        to v, then back to u.  There are edges - contexts + components of
-        them.
+        to v, then back to u.  The cycles follow the edges' order in
+        ``shared_atoms``; there are edges - contexts + components of them.
         """
-        names, neighbours = self.context_names, self.overlap_graph
-        pos = self._context_by_name
-        parent: dict[str, str | None] = {}
-        for root in names:
-            if root in parent:
-                continue
-            parent[root] = None
-            queue = [root]
-            for u in queue:  # breadth first: the queue grows as it is read
-                for v in neighbours[u]:
-                    if v not in parent:
-                        parent[v] = u
-                        queue.append(v)
-
-        def to_root(node: str) -> list[str]:
-            path = [node]
-            while parent[path[-1]] is not None:
-                path.append(parent[path[-1]])
-            return path
-
+        parent = self._forest[0]
         cycles: list[tuple[str, ...]] = []
-        for u in names:
-            for v in neighbours[u]:
-                if pos[u] > pos[v] or parent[v] == u or parent[u] == v:
-                    continue  # each non-tree edge once
-                up_u, up_v = to_root(u), to_root(v)
-                on_v = set(up_v)
-                i = next(i for i, a in enumerate(up_u) if a in on_v)  # the lca
-                j = up_v.index(up_u[i])
-                # u ... lca followed by the reversed v-side, then close at u.
-                cycles.append(tuple(up_u[: i + 1] + up_v[:j][::-1] + [u]))
+        for u, v in self.incidence_index.shared_atoms:
+            if parent[v] == u or parent[u] == v:
+                continue  # a tree edge
+            up_u = [u]
+            while parent[up_u[-1]] is not None:
+                up_u.append(parent[up_u[-1]])
+            on_u = {node: i for i, node in enumerate(up_u)}
+            down_v = [v]
+            while down_v[-1] not in on_u:  # climb from v to the lca
+                down_v.append(parent[down_v[-1]])
+            lca = down_v.pop()
+            # u ... lca followed by the reversed v-side, then close at u.
+            cycles.append(tuple(up_u[: on_u[lca] + 1] + down_v[::-1] + [u]))
         return tuple(cycles)
 
     @cached_property
@@ -373,27 +371,16 @@ def incidence(structure: EventStructure) -> IncidenceIndex:
 def connected_components(structure: EventStructure) -> tuple[frozenset[str], ...]:
     """Partition atoms by context-sharing connectivity.
 
-    Two atoms are connected when some chain of contexts links them; the
-    components come back ordered by their earliest atom.
+    Two atoms are connected when some chain of contexts links them, so
+    each atom goes with the tree of the spanning forest that holds its
+    first context.  The components come back ordered by their earliest
+    atom, the order in which atom order meets them.
     """
-    parent = {a: a for a in structure.atoms}
-
-    def find(a: str) -> str:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for ctx in structure.contexts:
-        root = find(ctx[0])
-        for a in ctx[1:]:
-            parent[find(a)] = root
-
+    root, holders = structure._forest[1], structure.incidence_index.contexts_of
     groups: dict[str, list[str]] = {}
     for a in structure.atoms:
-        groups.setdefault(find(a), []).append(a)
-    ordered = sorted(groups.values(), key=lambda g: structure.atom_index[g[0]])
-    return tuple(frozenset(g) for g in ordered)
+        groups.setdefault(root[holders[a][0]], []).append(a)
+    return tuple(frozenset(g) for g in groups.values())
 
 
 def structure_from_json_dict(doc: Mapping) -> EventStructure:

@@ -179,6 +179,30 @@ def reference_two_valued_states(structure):
             return tuple(found)
 
 
+def reference_connected_components(structure):
+    """``connected_components`` as the library ran it before it read the
+    context graph's spanning forest: a union-find over atoms, each context
+    uniting its atoms, then the groups sorted by their earliest atom."""
+    parent = {a: a for a in structure.atoms}
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for ctx in structure.contexts:
+        root = find(ctx[0])
+        for a in ctx[1:]:
+            parent[find(a)] = root
+
+    groups = {}
+    for a in structure.atoms:
+        groups.setdefault(find(a), []).append(a)
+    ordered = sorted(groups.values(), key=lambda g: structure.atom_index[g[0]])
+    return tuple(frozenset(g) for g in ordered)
+
+
 def reference_check_admissible(weight, tol=1e-9):
     """``check_admissible`` as the library ran it before it worked over
     one common denominator: context sums and the box test in the

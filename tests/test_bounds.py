@@ -32,10 +32,12 @@ class TestCycleBounds:
         assert not b.odd
         assert not b.theta_applicable
 
-    def test_triangle_theta_not_applicable(self):
+    def test_triangle_theta_is_the_classical_bound(self):
+        # The exclusivity graph of C3 is complete: theta(K3) = 1.
         b = pl.cycle_bounds(3)
         assert b.classical_bound == 1
-        assert not b.theta_applicable
+        assert b.theta_applicable
+        assert abs(b.theta - 1) <= 1e-12
 
     def test_bad_length(self):
         with pytest.raises(InvalidCycleLengthError):
@@ -97,6 +99,11 @@ class TestPathThresholds:
         theta7 = 7 * math.cos(math.pi / 7) / (1 + math.cos(math.pi / 7))
         assert_allclose(r_theta, 7 / theta7 - 2, atol=1e-12)
 
+    def test_triangle_crosses_theta_where_it_leaves_the_classical_region(self):
+        r_classical, r_theta = pl.path_thresholds(3)
+        assert r_classical == 1
+        assert_allclose(r_theta, 1.0, atol=1e-12)
+
     def test_even_cycle_never_crosses(self):
         r_classical, r_theta = pl.path_thresholds(4)
         assert r_classical == 0
@@ -113,10 +120,13 @@ class TestClassify:
         assert not report.membership.classical
         assert report.cyclic_sum == Fraction(n, 2)
 
-    def test_triangle_half_weight_nonclassical_without_theta(self, triangle):
+    def test_triangle_half_weight_beyond_theta(self, triangle):
+        # Specker's triangle: a1, a2, a3 are pairwise exclusive and sum to
+        # 3/2, past the 1 that pairwise-orthogonal projectors allow.
         report = pl.classify_weight(triangle, pl.half_weight(triangle))
-        assert report.label == "admissible-nonclassical"
-        assert report.beyond_theta is None
+        assert report.label == "beyond-theta"
+        assert report.beyond_theta is True
+        assert report.cyclic_sum == Fraction(3, 2)
 
     @pytest.mark.parametrize("n", [4, 6, 8])
     def test_half_weight_classical_on_even_cycles(self, n):

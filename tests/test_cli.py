@@ -153,6 +153,19 @@ class TestClassify:
         assert cli.main(["classify", "--structure", pent_file, "--weight", w]) == code
         assert json.loads(capsys.readouterr().out)["label"] == label
 
+    def test_a_structure_without_states_is_nonclassical(self, tmp_path, capsys):
+        # Kochen-Specker: the uniform weight is admissible, and no
+        # two-valued state exists to mix it from.
+        ceg = str(DATA / "ceg18.json")
+        atoms = pl.structure_from_json((DATA / "ceg18.json").read_text()).atoms
+        w = weight_file(tmp_path, "w.json", dict.fromkeys(atoms, "1/4"))
+        assert cli.main(["check", "--structure", ceg, "--weight", w]) == 0
+        assert json.loads(capsys.readouterr().out)["admissible"] is True
+        assert cli.main(["classify", "--structure", ceg, "--weight", w]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["label"] == "admissible-nonclassical"
+        assert (doc["membership"]["witness_bound"], doc["membership"]["witness_value"]) == ("-1", "0")
+
     def test_numeric_modes_agree_on_dyadic_weights(self, pent_file, tmp_path):
         w = weight_file(tmp_path, "w.json", pentagon_values("1/4", "1/2"))
         out_r = tmp_path / "r.json"
@@ -248,6 +261,12 @@ class TestSweep:
             r, s, above_c, above_t = line.split(",")
             assert above_c == "0"
             assert above_t == ""
+
+    def test_triangle_theta_flags_with_the_classical_bound(self, tmp_path):
+        lines = self.run_sweep(tmp_path, "--n", "3", "--r-max", "2")
+        flags = [tuple(line.split(",")[2:]) for line in lines[1:]]
+        assert {above_c for above_c, _ in flags} == {"0", "1"}
+        assert all(above_c == above_t for above_c, above_t in flags)
 
     def test_heptagon_flip_matches_thresholds(self, tmp_path):
         lines = self.run_sweep(tmp_path, "--n", "7")

@@ -44,6 +44,12 @@ def _uniform(structure, value):
     return pl.make_weight(structure, {a: value for a in structure.atoms})
 
 
+def _ceg18():
+    """The Cabello-Estebaranz-Garcia-Alcaine set: 18 vectors of R^4 in 9
+    bases, each vector in two of them, so no two-valued state exists."""
+    return pl.structure_from_json((DATA / "ceg18.json").read_text(encoding="utf-8"))
+
+
 def _grid_mixture(k):
     """The uniform mix of six states drawn by ``Random(1)`` from the k x k
     grid's state space: thousands of degenerate Bland pivots."""
@@ -158,6 +164,8 @@ CASES = {
         pl.cycle_logic(5), _uniform(pl.cycle_logic(5), Fraction(1, 2))),
     "region_triangle": lambda: pl.classify_weight(
         pl.cycle_logic(3), pl.path_weight(pl.cycle_logic(3), Fraction(1))),
+    "region_ceg18_uniform": lambda: pl.classify_weight(
+        _ceg18(), _uniform(_ceg18(), Fraction(1, 4))),
     "region_pasting": lambda: pl.classify_weight(
         pentagon_pair(), _uniform(pentagon_pair(), Fraction(1, 3))),
     "region_beyond_theta": lambda: pl.classify_weight(
@@ -238,7 +246,8 @@ def test_every_pin_has_a_case():
 def test_region_report_leaves_out_what_it_lacks():
     doc = CASES["region_pasting"]().to_json_dict()
     assert list(doc) == ["label", "admissibility", "membership"]
-    doc = CASES["region_triangle"]().to_json_dict()
+    square = pl.cycle_logic(4)
+    doc = pl.classify_weight(square, pl.half_weight(square)).to_json_dict()
     assert "cyclic_sum" in doc and "beyond_theta" not in doc
 
 

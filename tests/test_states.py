@@ -364,13 +364,18 @@ class TestMembership:
         with pytest.raises(NotAdmissibleError):
             pl.classical_membership(pentagon, bad)
 
-    def test_no_states_error(self):
+    def test_no_states_gives_the_vacuous_witness(self):
         tight = pl.build_event_structure(
             ["a", "b", "c"], [["a", "b"], ["b", "c"], ["a", "c"]]
         )
         w = pl.make_weight(tight, {a: Fraction(1, 2) for a in tight.atoms})
+        result = pl.classical_membership(tight, w)
+        assert not result.classical and result.coefficients is None
+        assert result.states.count == 0
+        assert result.witness == {"a": 0, "b": 0, "c": 0}
+        assert (result.witness_bound, result.witness_value) == (-1, 0)
         with pytest.raises(NoTwoValuedStatesError):
-            pl.classical_membership(tight, w)
+            result.states.max_value(list(result.witness.values()))
 
     def test_float_mode_tests_the_rationalized_point(self, pentagon):
         half = pl.to_float(pl.half_weight(pentagon))

@@ -2,11 +2,14 @@ import gc
 import itertools
 import json
 import random
+import time
 import weakref
 
+import numpy as np
 import pytest
 
 import pastedlogic as pl
+from helpers import grid_logic, pentagon_pair, random_structure, reference_connected_components
 from pastedlogic import structures
 from pastedlogic import (
     DuplicateAtomError,
@@ -251,6 +254,46 @@ class TestConnectivity:
         components = pl.connected_components(both)
         assert len(components) == 2
         assert components[0] == frozenset(a.atoms)
+
+    def test_components_match_the_union_find(self):
+        structures = [random_structure(np.random.default_rng(seed)) for seed in range(200)]
+        rng = random.Random(0)
+        for _ in range(40):
+            # Disjoint unions with the atom order shuffled across the parts,
+            # so components interleave and their order is not the parts'.
+            parts = rng.sample(structures, rng.randint(2, 3))
+            atoms = [f"{a}_{k}" for k, s in enumerate(parts) for a in s.atoms]
+            rng.shuffle(atoms)
+            contexts = [[f"{a}_{k}" for a in c] for k, s in enumerate(parts) for c in s.contexts]
+            structures.append(pl.build_event_structure(atoms, contexts))
+        for structure in [*structures, pentagon_pair(), grid_logic(4)]:
+            components = pl.connected_components(structure)
+            assert components == reference_connected_components(structure)
+            # The cycle basis has edges - contexts + components cycles, each
+            # closed and each step between contexts that share an atom.
+            inc = structure.incidence_index
+            cycles = structure.fundamental_cycles
+            assert len(cycles) == len(inc.shared_atoms) - len(structure.contexts) + len(components)
+            for cycle in cycles:
+                assert cycle[0] == cycle[-1] and len(set(cycle)) == len(cycle) - 1 >= 3
+                assert all(inc.shared(u, v) for u, v in zip(cycle, cycle[1:]))
+
+    def test_a_long_chain_is_one_tree(self):
+        # C_i = {s_i, s_i+1, p_i}: a path of 20 000 contexts, one tree of
+        # depth 20 000, walked without recursion or root paths per context.
+        n = 20_000
+        atoms = [f"s{i}" for i in range(n + 1)] + [f"p{i}" for i in range(n)]
+        chain = pl.build_event_structure(atoms, [(f"s{i}", f"s{i + 1}", f"p{i}") for i in range(n)])
+        start = time.perf_counter()
+        assert chain.fundamental_cycles == ()
+        assert pl.connected_components(chain) == (frozenset(atoms),)
+        assert time.perf_counter() - start < 5
+
+    def test_a_long_cycle_is_one_fundamental_cycle(self):
+        ring = pl.cycle_logic(2001)
+        (cycle,) = ring.fundamental_cycles
+        assert len(cycle) == 2002 and cycle[0] == cycle[-1]
+        assert set(cycle) == set(ring.context_names)
 
     def test_incidence_is_built_once(self):
         structure = pl.cycle_logic(7)
