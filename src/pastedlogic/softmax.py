@@ -97,11 +97,14 @@ class LinkFunction:
     ``evaluate`` takes a score in the domain to a coordinate whose float
     is positive and finite, ``inverse`` takes a coordinate in the range
     whose float is positive and finite to a score that ``evaluate``
-    takes, and anything else raises ScoreOutOfDomainError.  Each link
-    writes only its formulas, ``_evaluate`` and ``_inverse``.  A link's
-    parameters (its dataclass fields) are numbers whose float is > 0 and
-    finite, held at the 12 significant digits ``render`` prints, so a
-    link renders from its fields and reads back equal to itself.
+    takes, and anything else raises ScoreOutOfDomainError.  That bound
+    holds for exact values too: an identity value is kept as a Fraction
+    only where ``representable`` finds its float positive and finite.
+    Each link writes only its formulas, ``_evaluate`` and ``_inverse``.
+    A link's parameters (its dataclass fields) are numbers whose float
+    is > 0 and finite, held at the 12 significant digits ``render``
+    prints, so a link renders from its fields and reads back equal to
+    itself.
     """
 
     kind = "abstract"
@@ -124,6 +127,17 @@ class LinkFunction:
         return is_number(y) and 0 < y < math.inf
 
     in_domain = in_range
+
+    @staticmethod
+    def representable(nums: list[int], scale: int) -> bool:
+        """Whether every exact value n / scale (ints, scale > 0) has a float
+        > 0 and finite, the test ``evaluate`` and ``inverse`` put to a
+        float.  Int division rounds as ``float`` of a Fraction does, and
+        rounding is monotone, so the least and the largest n decide."""
+        try:
+            return 0 < min(nums) / scale and max(nums) / scale < math.inf
+        except OverflowError:
+            return False
 
     def evaluate(self, x: Numeric) -> Numeric:
         if not self.in_domain(x):
@@ -316,28 +330,26 @@ def context_softmax(
     name exactly the structure's atoms and contexts.  Under the identity
     link a context whose scores are all exact (ints and Fractions) is its
     own coordinates, held as Fractions: they are cleared to integers n_a
-    over one scale once, the domain is read off the signs of the n_a, and
-    with t their sum Z = t / scale and P(a) = n_a / t.
+    over one scale once, and with t their sum Z = t / scale and
+    P(a) = n_a / t, where the link's ``representable`` takes every score;
+    a context outside that goes through ``evaluate`` like any other, which
+    names its first atom outside the link's contract.
     """
     probabilities: dict[str, dict[str, Numeric]] = {}
     coordinates: dict[str, dict[str, Numeric]] = {}
     normalizers: dict[str, Numeric] = {}
     scores.check(structure)
-    identity = isinstance(link, IdentityLink)
+    identity, representable = isinstance(link, IdentityLink), link.representable
     for name, ctx in zip(structure.context_names, structure.contexts):
         table = scores.context_scores(ctx, name)
         if identity and all(map(is_exact, table.values())):
             scale, nums = clear_denominators(list(table.values()))
-            for a, n in zip(ctx, nums):
-                if n <= 0:
-                    raise ScoreOutOfDomainError(
-                        f"score {table[a]!r} is outside the {link.kind} domain at atom {a!r}"
-                    )
-            t = sum(nums)
-            coordinates[name], _ = coerce_values(table, RATIONAL)
-            normalizers[name] = Fraction(t, scale)
-            probabilities[name] = {a: Fraction(n, t) for a, n in zip(ctx, nums)}
-            continue
+            if representable(nums, scale):
+                t = sum(nums)
+                coordinates[name], _ = coerce_values(table, RATIONAL)
+                normalizers[name] = Fraction(t, scale)
+                probabilities[name] = {a: Fraction(n, t) for a, n in zip(ctx, nums)}
+                continue
         q = {}
         for a, u in table.items():
             try:
@@ -494,7 +506,8 @@ def represent_weight(
     default scale alpha = 1/2 * min(1, 1/max p) keeps alpha * p in (0, 1/2].
     A rational weight is cleared to integers n_a over one scale, so with
     an exact alpha each alpha * p(a) is one integer over another: the
-    identity link gets that Fraction, and every other link the same
+    identity link gets that Fraction where its float is > 0 and finite
+    on every atom, and otherwise, like every other link, the same
     correctly rounded float from integer division, or the Fraction where
     that float underflows to 0, which has no score.  Each score is the
     link's ``inverse``, and the atoms it refuses are named in one
@@ -526,8 +539,10 @@ def represent_weight(
     try:
         if exact and is_exact(alpha):
             num, den = alpha.numerator, alpha.denominator * scale
-            if isinstance(link, IdentityLink):  # g^{-1}(y) = y, and every y > 0
-                return GlobalScores({a: Fraction(num * n, den) for a, n in zip(atoms, nums)})
+            if isinstance(link, IdentityLink):  # g^{-1}(y) = y
+                products = [num * n for n in nums]
+                if link.representable(products, den):
+                    return GlobalScores({a: Fraction(p, den) for a, p in zip(atoms, products)})
             scaled = [num * n / den or Fraction(num * n, den) for n in nums]
         else:
             scaled = [alpha * v for v in values]

@@ -287,10 +287,12 @@ def reference_represent_weight(structure, weight, link, alpha=None):
     Every link but the identity on exact values reads alpha * p as the
     float it rounds to, or as itself where that float is 0, and the
     atoms whose alpha * p is outside the range, or else has no score,
-    are named.  One change: alpha * p is formed inside the overflow
+    are named.  Two changes: alpha * p is formed inside the overflow
     guard, so an exact alpha too large for a float times a float weight
     is an ``AlphaOutOfRangeError`` here too, where it used to escape as
-    an ``OverflowError``."""
+    an ``OverflowError``; and the identity link keeps the exact alpha * p
+    only where every float of it is > 0 and finite, as ``context_softmax``
+    takes it."""
     check_same_structure(structure, weight)
     report = pl.check_admissible(weight)
     if not report.admissible:
@@ -309,11 +311,13 @@ def reference_represent_weight(structure, weight, link, alpha=None):
         raise pl.AlphaOutOfRangeError(f"alpha must be positive, got {alpha!r}")
     try:
         scaled = {a: alpha * v for a, v in values.items()}
-        if isinstance(link, pl.IdentityLink) and all(map(is_exact, scaled.values())):
-            return pl.GlobalScores(scaled)
-        scaled = {a: float(s) or s for a, s in scaled.items()}
+        rounded = {a: float(s) or s for a, s in scaled.items()}
     except OverflowError:
         raise pl.AlphaOutOfRangeError("alpha * p overflows the float range") from None
+    if isinstance(link, pl.IdentityLink) and all(map(is_exact, scaled.values())) and all(
+            map(float, scaled.values())):
+        return pl.GlobalScores(scaled)
+    scaled = rounded
     bad = [a for a, s in scaled.items() if not link.in_range(s)]
     if bad:
         raise pl.AlphaOutOfRangeError(
@@ -390,3 +394,4 @@ def reference_independent_rows(rows, rhs):
         pivots.append((lead, row))
         kept.append(i)
     return kept
+

@@ -563,11 +563,18 @@ class TestSampleCounts:
             pl.sample_counts(pentagon, w, {**dict.fromkeys(pentagon.context_names, 10), "C3": size}, 0)
 
     def test_numpy_is_imported_only_for_sampling(self):
-        probe = "import sys, pastedlogic; print('numpy' in sys.modules)"
+        """Not by any layer: the probe loads the CLI, which imports every
+        one, and touches every exported name."""
+        probe = (
+            "import sys, pastedlogic, pastedlogic.cli\n"
+            "for name in pastedlogic.__all__:\n"
+            "    getattr(pastedlogic, name)\n"
+            "print('pastedlogic.softmax' in sys.modules, 'numpy' in sys.modules)"
+        )
         out = subprocess.run(
             [sys.executable, "-c", probe], capture_output=True, text=True, check=True
         )
-        assert out.stdout.strip() == "False"
+        assert out.stdout.strip() == "True False"
 
     def test_missing_numpy_is_a_one_line_error_naming_the_extra(self):
         probe = (

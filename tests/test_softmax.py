@@ -33,7 +33,7 @@ from pastedlogic import (
     UnknownAtomError,
     ValidationError,
 )
-from pastedlogic.numeric import dumps
+from pastedlogic.numeric import FLOAT, RATIONAL, dumps
 
 PROPERTY = settings(derandomize=True, database=None, max_examples=300, deadline=None)
 
@@ -242,6 +242,29 @@ class TestContextSoftmax:
         assert family.is_exact()
         assert dumps(family) == dumps(reference)
         assert dumps(pl.gluing_check(family)) == dumps(pl.gluing_check(reference))
+
+    @pytest.mark.parametrize("value", [Fraction(1, 10**400), Fraction(10**400), 10**400],
+                             ids=["fraction-1e-400", "fraction-1e400", "int-1e400"])
+    def test_identity_past_the_float_range_whatever_the_neighbours(self, pentagon, value):
+        """An exact identity score is taken only where its float is
+        positive and finite, as it is beside a float neighbour."""
+        exact = dict.fromkeys(pentagon.atoms, Fraction(1, 3))
+        message = f"the identity value of score {value!r} is not a positive finite float at atom 'a1'"
+        for values in (exact, {**exact, "x1": 1 / 3}):
+            with pytest.raises(ScoreOutOfDomainError) as err:
+                pl.context_softmax(pentagon, GlobalScores({**values, "a1": value}), IdentityLink())
+            assert str(err.value) == message
+
+    def test_identity_names_the_first_atom_outside_the_contract(self, pentagon):
+        """In context order, whatever the reason: C1 = (a1, a2, x1), and
+        a2's float overflows before x1 is found outside the domain."""
+        values = {**dict.fromkeys(pentagon.atoms, Fraction(1, 3)), "a2": Fraction(10**400),
+                  "x1": Fraction(-1)}
+        with pytest.raises(ScoreOutOfDomainError, match="not a positive finite float at atom 'a2'$"):
+            pl.context_softmax(pentagon, GlobalScores(values), IdentityLink())
+        values["a2"] = Fraction(1, 3)
+        with pytest.raises(ScoreOutOfDomainError, match="outside the identity domain at atom 'x1'$"):
+            pl.context_softmax(pentagon, GlobalScores(values), IdentityLink())
 
     def test_domain_violation(self, triangle):
         scores = GlobalScores({a: -1.0 for a in triangle.atoms})
@@ -529,12 +552,15 @@ class TestRepresentation:
                      id="power-square-underflows"),
         pytest.param(1, IdentityLink(), math.inf, "falls outside the link range",
                      id="identity-infinite-alpha"),
+        pytest.param(1, IdentityLink(), Fraction(1, 10**400), "has no identity score",
+                     id="identity-exact-below-the-smallest-double"),
     ])
     def test_alpha_p_outside_the_range_lists_every_atom(self, pentagon, r, link, alpha, reason):
         """alpha * p of a float weight underflows to 0.0 on every atom,
         and an infinite alpha makes it inf; on the exact weight every
         alpha * p is in the range, but its inverse under the power link
-        has no float above 0."""
+        has no float above 0, and under the identity it is its own float,
+        0."""
         weight = pl.path_weight(pentagon, r)
         with pytest.raises(AlphaOutOfRangeError) as err:
             pl.represent_weight(pentagon, weight, link, alpha=alpha)
@@ -555,6 +581,7 @@ POSITIVE = {
 }
 POSITIVE["mixed"] = st.one_of(*POSITIVE.values())
 NOT_POSITIVE = st.sampled_from([0, Fraction(0), -1, Fraction(-1, 3), 0.0, -0.5])
+PAST_THE_FLOATS = st.sampled_from([Fraction(1, 10**400), Fraction(10**400)])
 
 ALPHAS = st.sampled_from([
     None, 1, Fraction(3, 4), Fraction(1, 7), Fraction(5), 0.25,
@@ -579,7 +606,8 @@ def outcome(call, *args, **kwargs):
 @st.composite
 def score_assignments(draw):
     """A seeded random structure and scores of one kind on it, global or
-    per context, sometimes with one score 0 or negative."""
+    per context, sometimes with one or two scores 0 or negative, or exact
+    with a float of 0 or past the float range."""
     structure = random_structure(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
     numbers = POSITIVE[draw(st.sampled_from(sorted(POSITIVE)))]
     if draw(st.booleans()):
@@ -591,10 +619,9 @@ def score_assignments(draw):
             for name, ctx in zip(structure.context_names, structure.contexts)
         })
         cells = [(name, a) for name, table in scores.values.items() for a in table]
-    if draw(st.booleans()):
-        name, a = draw(st.sampled_from(cells))
+    for name, a in draw(st.lists(st.sampled_from(cells), max_size=2)):
         table = scores.values if name is None else scores.values[name]
-        table[a] = draw(NOT_POSITIVE)
+        table[a] = draw(st.one_of(NOT_POSITIVE, PAST_THE_FLOATS))
     return structure, scores
 
 
@@ -690,12 +717,13 @@ class TestPerAtomReference:
         """On C5 at alpha = 10**e, e = -420, -413, ..., 413, under five
         links and on an exact and a float weight, a representation either
         glues back to the weight or is an AlphaOutOfRangeError: no score
-        it returns is one ``context_softmax`` refuses."""
+        it returns is one ``context_softmax`` refuses.  Each link glues
+        the same alphas back on both weights."""
         structure = pl.cycle_logic(5)
         exact = pl.path_weight(structure, Fraction(1, 3))
         links = (ExponentialLink(), ExponentialLink(0.01), PowerLink(3), PowerLink(0.5),
                  IdentityLink())
-        glued = 0
+        glued = {}
         for weight in (exact, pl.to_float(exact)):
             for link in links:
                 for e in range(-420, 420, 7):
@@ -705,11 +733,18 @@ class TestPerAtomReference:
                         continue
                     back = pl.glue_to_weight(pl.context_softmax(structure, scores, link))
                     assert all(abs(back[a] - exact[a]) <= 1e-8 for a in structure.atoms)
-                    glued += 1
-        assert glued == 847
+                    glued.setdefault((weight.mode, link), []).append(e)
+        assert sum(map(len, glued.values())) == 818
+        assert all(glued[RATIONAL, link] == glued[FLOAT, link] for link in links)
 
     def test_an_alpha_past_the_float_range_on_a_float_weight(self, pentagon):
         weight = pl.to_float(pl.path_weight(pentagon, 1))
+        with pytest.raises(AlphaOutOfRangeError, match="overflows the float range"):
+            pl.represent_weight(pentagon, weight, IdentityLink(), alpha=Fraction(10**400))
+
+    def test_an_alpha_past_the_float_range_on_an_exact_weight(self, pentagon):
+        """The identity keeps alpha * p exact only where its float is finite."""
+        weight = pl.path_weight(pentagon, 1)
         with pytest.raises(AlphaOutOfRangeError, match="overflows the float range"):
             pl.represent_weight(pentagon, weight, IdentityLink(), alpha=Fraction(10**400))
 
