@@ -10,7 +10,8 @@ updated by exact division by the previous D.  Bland's rule, unchanged
 index), makes termination unconditional and the pivots those of the
 Fraction tableau.  Infeasibility comes with a Farkas certificate read
 off the optimal dual: a vector y with  y . A_j <= 0  for every column j
-and  y . b > 0.  Both outcomes are checked against the input.
+and  y . b > 0.  The solver only solves: the caller checks the answer,
+in the form it reports it.
 
 The adjugate is mostly zeros and small integers, so it is held by
 columns, each a dict of its nonzeros: the entering column's image
@@ -21,14 +22,13 @@ the new D·B⁻¹ (or of D·B⁻¹ b, or of D·y), an integer by Cramer's rule.
 
 The columns are given as a ``VertexFamily`` of 0/1 vertices, too many to
 list.  Bland's entering column is the family's first vertex whose dual
-sum exceeds a threshold, and the certificate is checked against the
-family's maximum; the pivots are those of a scan over the full list.
+sum exceeds a threshold; the pivots are those of a scan over the full
+list.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 from typing import Protocol, Sequence
 
 from .numeric import clear_denominators
@@ -44,8 +44,7 @@ class VertexFamily(Protocol):
 
     Column j holds a 1 in the rows ``positions(j)`` and in the last row.
     ``first_above(w, t)`` is the lowest j whose sum of ``w`` over
-    ``positions(j)`` exceeds ``t``, or None; ``max_value(w)`` is the
-    largest such sum.  ``StateSpace`` is one.
+    ``positions(j)`` exceeds ``t``, or None.  ``StateSpace`` is one.
     """
 
     count: int
@@ -53,8 +52,6 @@ class VertexFamily(Protocol):
     def positions(self, j: int) -> Sequence[int]: ...
 
     def first_above(self, w: Sequence[Rational], t: Rational) -> int | None: ...
-
-    def max_value(self, w: Sequence[Rational]) -> Rational: ...
 
 
 def feasible_nonnegative(
@@ -66,13 +63,11 @@ def feasible_nonnegative(
     Entries of ``rhs`` are ints or Fractions; its last entry is the
     normalisation row.  Returns ``(x, None)`` on success, with ``x`` a
     sparse dict of the nonzero coordinates, or ``(None, y)`` with a
-    Farkas certificate of infeasibility.  Both outcomes are verified
-    internally before being returned.
+    Farkas certificate of infeasibility.  Neither is checked here.
     """
     m, n = len(rhs), family.count
     sign = [1 if v >= 0 else -1 for v in rhs]  # flipped rows start feasible
     rhs_scale, beta = clear_denominators(list(map(abs, rhs)))  # D·B⁻¹ b
-    scaled_rhs = list(map(mul, sign, beta))  # rhs_scale·rhs
     det = 1
     # D·B⁻¹ by columns, nonzeros only, and D·y.  Column k and dual[k]
     # carry the flip of row k, so a vertex column enters as plain 0/1.
@@ -150,46 +145,11 @@ def feasible_nonnegative(
         basis[leaving] = entering
 
     if all(beta[i] == 0 for i in range(m) if basis[i] >= n):
-        solution = {
+        return {
             basis[i]: Fraction(beta[i], det * rhs_scale)
             for i in range(m)
             if basis[i] < n and beta[i] != 0
-        }
-        _verify_solution(family, rhs, solution)
-        return solution, None
+        }, None
 
-    # y = D·y / D, the row flips already folded in; D·y has its signs.
-    # D > 0, so D·y and rhs_scale·rhs certify what y and rhs do.
-    _verify_certificate(family, scaled_rhs, dual)
+    # y = D·y / D, the row flips already folded in.
     return None, [Fraction(v, det) for v in dual]
-
-
-def _verify_solution(
-    family: VertexFamily, rhs: Sequence[Rational], solution: dict[int, Rational]
-) -> None:
-    """Check that ``solution`` is a nonnegative mixture of its columns
-    giving ``rhs``, in integers: over one common denominator the
-    coefficients and ``rhs`` are integers, and the coefficients' sums
-    per row must be the scaled ``rhs``."""
-    m = len(rhs)
-    _, scaled = clear_denominators([*rhs, *solution.values()])
-    total = [0] * m
-    for j, x in zip(solution, scaled[m:]):
-        if x < 0:
-            raise RuntimeError("simplex returned a negative coefficient")
-        for i in [*family.positions(j), m - 1]:
-            total[i] += x
-    if total != scaled[:m]:
-        raise RuntimeError("simplex solution does not reproduce the target")
-
-
-def _verify_certificate(
-    family: VertexFamily, rhs: Sequence[Rational], y: Sequence[Rational]
-) -> None:
-    """Check a Farkas certificate: y . rhs > 0 and y . a_j <= 0 for every
-    column.  Both are signs, so positive multiples of ``rhs`` and ``y``,
-    such as the integer ones the simplex holds, check the same."""
-    if sum(map(mul, y, rhs)) <= 0:
-        raise RuntimeError("Farkas certificate does not separate the target")
-    if family.max_value(y[:-1]) + y[-1] > 0:
-        raise RuntimeError("Farkas certificate fails on a column")

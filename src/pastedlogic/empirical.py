@@ -35,6 +35,7 @@ from .bounds import RegionReport, classify_weight
 from .errors import (
     EmptyContextSampleError,
     NegativeCountError,
+    NotAdmissibleError,
     PastedLogicError,
     SchemaError,
     ValidationError,
@@ -42,7 +43,7 @@ from .errors import (
 from .numeric import (DEFAULT_TOL, _require_keys, check_tolerance, clear_denominators,
                       fields_to_json, is_integer, load_json, read_text, render)
 from .structures import EventStructure, check_names, incidence, structure_from_json_dict
-from .weights import Weight, check_same_structure, make_weight
+from .weights import Weight, check_admissible, check_same_structure, make_weight
 
 __all__ = [
     "CountData",
@@ -404,10 +405,15 @@ def sample_counts(
     A convenience for demos and tests; contexts are sampled in structure
     order from one seeded generator, so the result is a pure function of
     (structure, weight, sizes, seed).  The weight must live on
-    ``structure``, and the sizes are one int >= 0 for every context or a
-    mapping naming exactly the structure's contexts.
+    ``structure`` and be admissible at the default tolerance, and the
+    sizes are one int >= 0 for every context or a mapping naming exactly
+    the structure's contexts.  A float value within the tolerance below
+    0 is drawn as 0.
     """
     check_same_structure(structure, weight)
+    report = check_admissible(weight)
+    if not report.admissible:
+        raise NotAdmissibleError(report)
     if not isinstance(n_per_context, Mapping):
         n_per_context = dict.fromkeys(structure.context_names, n_per_context)
     check_names(n_per_context, structure.context_names, "contexts in the sample sizes")
@@ -424,7 +430,7 @@ def sample_counts(
     rng = np.random.default_rng(seed)
     raw: dict[str, dict[str, int]] = {}
     for name, ctx in zip(structure.context_names, structure.contexts):
-        probs = np.array([float(weight[a]) for a in ctx], dtype=float)
+        probs = np.maximum([float(weight[a]) for a in ctx], 0.0)
         probs = probs / probs.sum()
         draw = rng.multinomial(n_per_context[name], probs)
         raw[name] = {a: int(k) for a, k in zip(ctx, draw)}

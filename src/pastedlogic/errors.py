@@ -99,14 +99,15 @@ class NotStrictlyPositiveError(PastedLogicError):
     """A strictly positive weight was required but some atoms carry zero.
 
     Zero atoms are listed in ``zero_atoms``.  Weights on the boundary are
-    reachable as limits of strictly positive ones; see ``boundary_path``.
+    reachable as limits of strictly positive ones; on an n-cycle,
+    ``boundary_path`` gives such a limit.
     """
 
     def __init__(self, zero_atoms):
         atoms = tuple(zero_atoms)
         super().__init__(
             "weight vanishes on %s; boundary weights are limits of strictly "
-            "positive ones (see boundary_path)" % (", ".join(atoms),)
+            "positive ones (on an n-cycle, see boundary_path)" % (", ".join(atoms),)
         )
         self.zero_atoms = atoms
 

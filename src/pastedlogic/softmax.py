@@ -649,10 +649,13 @@ def maxent_softmax(
     is found by bracketing (doubling from [-1, 1], up to 2**40) and
     bisection until the mean is within ``tol``; a bisection that ends
     farther away, as it can on scores of very different sizes, raises.
+    The scores and the target are finite numbers, read as floats.
     """
     check_tolerance(tol)
     names = list(scores)
-    u = [as_float(scores[n]) for n in names]
+    u = list(coerce_values(scores, FLOAT)[0].values())
+    if not (is_number(target_mean) and -math.inf < target_mean < math.inf):
+        raise ValidationError(f"target mean must be a finite number, got {target_mean!r}")
     if len(u) < 2 or max(u) == min(u):
         raise DegenerateScoresError("scores must not all be equal")
     if not (min(u) < target_mean < max(u)):

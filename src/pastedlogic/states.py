@@ -15,7 +15,8 @@ The convex hull of the two-valued states is the classical polytope;
 membership of a weight is decided exactly over the rationals by a
 simplex that prices against the table, and both answers carry
 certificates -- an explicit convex decomposition, or a separating
-functional c with  c . p > beta = max over states of c . v.
+functional c with  c . p > beta = max over states of c . v -- checked
+once here, in that form, before they are returned.
 """
 
 from __future__ import annotations
@@ -350,23 +351,50 @@ def classical_membership(
 def _decide_membership(structure: EventStructure, weight: Weight) -> MembershipResult:
     """``classical_membership`` for a weight already checked admissible
     on ``structure``."""
-    atoms = structure.atoms
-    target = [as_fraction(weight[a]) for a in atoms] + [Fraction(1)]
+    target = [as_fraction(weight[a]) for a in structure.atoms] + [Fraction(1)]
     space = structure.state_space
-    if not space.count:  # the classical polytope is empty
-        return MembershipResult(False, space, None, dict.fromkeys(atoms, Fraction(0)),
-                                Fraction(-1), Fraction(0))
-    solution, farkas = feasible_nonnegative(space, target)
+    if space.count:
+        answer = feasible_nonnegative(space, target)
+    else:  # the classical polytope is empty: y = (0, ..., 0, 1) separates
+        answer = None, [0] * (len(target) - 1) + [1]
+    return _certify(space, target, *answer)
+
+
+def _certify(
+    space: StateSpace,
+    target: Sequence[Fraction],
+    solution: Mapping[int, Fraction] | None,
+    farkas: Sequence[Rational] | None,
+) -> MembershipResult:
+    """The solver's answer for ``target`` (the point by atom position,
+    then 1), checked in the form the result reports it.
+
+    A mixture: over one common denominator every coefficient is >= 0,
+    and the states it names, plus the normalisation row, give
+    ``target``.  A Farkas dual: cleared to the integer witness c, which
+    must exceed its bound, max over states of c . v, priced once (-1
+    over no states).  A failed check is a RuntimeError.
+    """
+    m = len(target)
     if solution is not None:
+        _, scaled = clear_denominators([*target, *solution.values()])
+        total = [0] * m
+        for j, x in zip(solution, scaled[m:]):
+            if x < 0:
+                raise RuntimeError("mixture has a negative coefficient")
+            for i in [*space.positions(j), m - 1]:
+                total[i] += x
+        if total != scaled[:m]:
+            raise RuntimeError("mixture does not give the point")
         return MembershipResult(True, space, solution, None, None, None)
 
     # Separating functional: drop the normalisation row into the bound.
     c = clear_denominators(farkas[:-1])[1]
-    bound = space.max_value(c)
+    bound = space.max_value(c) if space.count else -1
     value = sum(map(mul, c, target))
     if value <= bound:
-        raise RuntimeError("separating witness failed verification")
-    witness = {a: Fraction(v) for a, v in zip(atoms, c)}
+        raise RuntimeError("witness does not exceed its bound")
+    witness = {a: Fraction(v) for a, v in zip(space.structure.atoms, c)}
     return MembershipResult(False, space, None, witness, Fraction(bound), value)
 
 

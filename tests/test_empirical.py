@@ -19,6 +19,7 @@ from pastedlogic import (
     EmptyContextSampleError,
     MissingAtomValueError,
     NegativeCountError,
+    NotAdmissibleError,
     SchemaError,
     SingularKKTError,
     UnknownAtomError,
@@ -562,6 +563,27 @@ class TestSampleCounts:
         with pytest.raises(ValidationError, match=refusal):
             pl.sample_counts(pentagon, w, {**dict.fromkeys(pentagon.context_names, 10), "C3": size}, 0)
 
+    def test_an_inadmissible_weight_is_refused(self, pentagon):
+        # 1/2 on every atom sums to 3/2 per context; the half weight with
+        # x1 = -1/2, or with C1 = (a1, a2, x1) all zero, is refused too.
+        half = pl.half_weight(pentagon).values
+        halves = dict.fromkeys(pentagon.atoms, Fraction(1, 2))
+        negative = {**half, "x1": Fraction(-1, 2)}
+        zeros = {**half, "a1": Fraction(0), "a2": Fraction(0)}
+        for values in (halves, negative, zeros):
+            weight = pl.make_weight(pentagon, values)
+            with pytest.raises(NotAdmissibleError) as err:
+                pl.sample_counts(pentagon, weight, 10, 0)
+            assert err.value.report == pl.check_admissible(weight)
+
+    def test_a_value_just_below_zero_is_drawn_as_zero(self, pentagon):
+        values = dict(pl.to_float(pl.half_weight(pentagon)).values)
+        values["a1"] += 1e-12
+        values["x1"] = -1e-12
+        weight = pl.make_weight(pentagon, values, mode="float")
+        assert pl.check_admissible(weight).admissible
+        assert pl.sample_counts(pentagon, weight, 100, 3).counts["C1"]["x1"] == 0
+
     def test_numpy_is_imported_only_for_sampling(self):
         """Not by any layer: the probe loads the CLI, which imports every
         one, and touches every exported name."""
@@ -593,6 +615,23 @@ class TestSampleCounts:
         assert out.stdout.count("\n") == 1
         assert "pastedlogic[sample]" in out.stdout
         assert out.stderr == ""
+
+    def test_admissibility_is_checked_before_numpy_is_imported(self):
+        probe = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import pastedlogic as pl\n"
+            "s = pl.cycle_logic(5)\n"
+            "w = pl.make_weight(s, dict.fromkeys(s.atoms, 1))\n"
+            "try:\n"
+            "    pl.sample_counts(s, w, 10, 0)\n"
+            "except pl.NotAdmissibleError as exc:\n"
+            "    print(exc)\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+        )
+        assert out.stdout == "weight is not admissible\n"
 
     def test_zero_probability_atoms_never_drawn(self, pentagon):
         data = pl.sample_counts(pentagon, pl.half_weight(pentagon), 100, 7)

@@ -10,15 +10,17 @@ the same ``y``, value for value and in the same order.
 
 import math
 from fractions import Fraction
+from pathlib import Path
 from random import Random
 
 import pytest
 
 import pastedlogic as pl
 from helpers import ListFamily, grid_logic, pentagon_pair, reference_two_valued_states
-from pastedlogic import _simplex
 from pastedlogic._simplex import feasible_nonnegative
 from pastedlogic.numeric import as_fraction
+
+DATA = Path(__file__).parent / "data"
 
 
 def reference_feasible_nonnegative(columns, rhs):
@@ -152,18 +154,32 @@ def test_empty_family():
     assert reference_feasible_nonnegative([], [1]) == (None, [1])
 
 
+def point_target(structure, weight):
+    """A weight as a membership target: its exact values by atom
+    position, then the normalisation 1."""
+    return [as_fraction(weight[a]) for a in structure.atoms] + [Fraction(1)]
+
+
 def test_tampered_answers_are_rejected():
-    family = ListFamily([{0}, set()])  # columns [1, 1] and [0, 1]
-    _simplex._verify_certificate(family, [1, -1], [1, -1])
-    _simplex._verify_solution(family, [1, 1], {0: Fraction(1)})
-    with pytest.raises(RuntimeError, match="separate"):
-        _simplex._verify_certificate(family, [1, 1], [1, -1])
-    with pytest.raises(RuntimeError, match="fails on a column"):  # y . [1, 1] = 1
-        _simplex._verify_certificate(family, [0, -1], [2, -1])
-    with pytest.raises(RuntimeError, match="reproduce"):
-        _simplex._verify_solution(family, [1, 1], {1: Fraction(1)})
+    # Rows: the pentagon's ten atoms by position (a1 first), then
+    # normalisation.  State 0 has a1, a3 and x4 at 1.
+    pentagon = pl.cycle_logic(5)
+    space = pentagon.state_space
+    vertex = point_target(pentagon, space[0].as_weight())
+    half = point_target(pentagon, pl.half_weight(pentagon))
+    assert pl.states._certify(space, vertex, {0: Fraction(1)}, None).classical
+    assert not pl.states._certify(space, half, *feasible_nonnegative(space, half)).classical
     with pytest.raises(RuntimeError, match="negative"):
-        _simplex._verify_solution(family, [0, 0], {0: Fraction(-1), 1: Fraction(1)})
+        pl.states._certify(space, vertex, {0: Fraction(-1), 1: Fraction(2)}, None)
+    with pytest.raises(RuntimeError, match="does not give the point"):
+        pl.states._certify(space, vertex, {1: Fraction(1)}, None)
+    # A dual that does not separate: y . b = 1 - 1 = 0 at state 0.
+    with pytest.raises(RuntimeError, match="witness does not exceed its bound"):
+        pl.states._certify(space, vertex, None, [1] + [0] * 9 + [-1])
+    # A dual that some state beats: y . b = 1/2 + 1 > 0 at the half
+    # weight, but the states with a1 = 1 give y . v = 2 > 0.
+    with pytest.raises(RuntimeError, match="witness does not exceed its bound"):
+        pl.states._certify(space, half, None, [1] + [0] * 9 + [1])
 
 
 def membership_cases():
@@ -258,11 +274,63 @@ def test_the_state_space_prices_like_the_explicit_list():
 
 
 def test_tampered_answers_are_rejected_on_the_state_space():
-    space = pl.cycle_logic(5).state_space
-    # Rows: the ten atoms by position (a1 first), then normalisation.
-    a1, normalisation = [1] + [0] * 10, [0] * 10 + [1]
-    _simplex._verify_certificate(space, a1, [1] + [0] * 9 + [-1])
-    with pytest.raises(RuntimeError):  # states with a1 = 1 get y . v = 2
-        _simplex._verify_certificate(space, normalisation, [1] + [0] * 9 + [1])
-    with pytest.raises(RuntimeError):  # state 0 has a1 = 1 as well
-        _simplex._verify_solution(space, normalisation, {0: Fraction(1)})
+    # The solver's own answers pass the check; each tampered copy fails.
+    pentagon = pl.cycle_logic(5)
+    space = pentagon.state_space
+    mixture = point_target(pentagon, pl.path_weight(pentagon, 1))
+    solution, _ = feasible_nonnegative(space, mixture)
+    assert pl.states._certify(space, mixture, solution, None).coefficients == solution
+    first, *rest = solution
+    with pytest.raises(RuntimeError, match="negative"):
+        pl.states._certify(space, mixture, {**solution, first: -solution[first]}, None)
+    with pytest.raises(RuntimeError, match="does not give the point"):
+        pl.states._certify(space, mixture, {j: solution[j] for j in rest}, None)
+
+    half = point_target(pentagon, pl.half_weight(pentagon))
+    _, farkas = feasible_nonnegative(space, half)
+    assert not pl.states._certify(space, half, None, farkas).classical
+    # x1 is 0 at the half weight, so raising its entry leaves c . p as it
+    # is, while the states with x1 = 1 now beat it.
+    x1 = pentagon.atom_index["x1"]
+    raised = [*farkas[:x1], farkas[x1] + 10, *farkas[x1 + 1:]]
+    with pytest.raises(RuntimeError, match="witness does not exceed its bound"):
+        pl.states._certify(space, half, None, raised)
+
+
+def test_an_infeasible_answer_prices_the_state_space_once(monkeypatch):
+    calls = []
+    original = pl.StateSpace.max_value
+
+    def counted(self, w):
+        calls.append(w)
+        return original(self, w)
+
+    monkeypatch.setattr(pl.StateSpace, "max_value", counted)
+    pentagon = pl.cycle_logic(5)
+    result = pl.classical_membership(pentagon, pl.half_weight(pentagon))
+    assert not result.classical
+    assert calls == [list(map(int, result.witness.values()))]
+
+
+def test_every_answer_goes_through_the_one_check(monkeypatch):
+    checked = []
+    original = pl.states._certify
+
+    def recorded(space, target, solution, farkas):
+        result = original(space, target, solution, farkas)
+        checked.append((solution, farkas, result))
+        return result
+
+    monkeypatch.setattr(pl.states, "_certify", recorded)
+    ceg18 = pl.structure_from_json((DATA / "ceg18.json").read_text(encoding="utf-8"))
+    uniform = pl.make_weight(ceg18, dict.fromkeys(ceg18.atoms, Fraction(1, 4)))
+    result = pl.classical_membership(ceg18, uniform)
+    assert ceg18.state_space.count == 0
+    ((solution, farkas, seen),) = checked
+    assert seen is result and solution is None
+    assert farkas == [0] * len(ceg18.atoms) + [1]
+    assert (result.witness_bound, result.witness_value) == (-1, 0)
+    pentagon = pl.cycle_logic(5)
+    for r in (Fraction(1, 10), 1):
+        assert pl.classical_membership(pentagon, pl.path_weight(pentagon, r)) is checked[-1][2]
+    assert [seen.classical for *_, seen in checked] == [False, False, True]

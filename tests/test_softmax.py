@@ -896,6 +896,20 @@ class TestMaxent:
             pl.maxent_softmax({"a": 1e200, "b": 0.0}, 1.0)
 
 
+    @pytest.mark.parametrize("score,reason", [
+        ("x", "is not numeric"), (True, "is not numeric"), (math.nan, "is not finite"),
+        (math.inf, "is not finite"), (-math.inf, "is not finite"),
+    ])
+    def test_a_score_is_a_finite_number(self, score, reason):
+        with pytest.raises(ValidationError, match=f"^value for 'b' {reason}: "):
+            pl.maxent_softmax({"a": 0.0, "b": score, "c": 1.0}, 0.5)
+
+    @pytest.mark.parametrize("target", ["x", None, True, math.nan, math.inf, -math.inf])
+    def test_the_target_is_a_finite_number(self, target):
+        with pytest.raises(ValidationError, match="^target mean must be a finite number, got "):
+            pl.maxent_softmax({"a": 0.0, "b": 1.0}, target)
+
+
     @pytest.mark.parametrize("target", [1e-301, 9e-301], ids=["below", "above"])
     def test_no_bracket(self, target):
         # The mean at beta = 0 is 5e-301; a bracket on either side needs |beta| > 2**40.
