@@ -16,6 +16,10 @@ first use (PEP 562), so a script that only loads structures never loads
 the LP, softmax or empirical layers.  The package holds only the
 submodules: every other name is read from its submodule on each use, so
 it is always the submodule's current value.
+
+``_EXPORTS`` is the one list of public names: a submodule keeps no
+``__all__`` of its own, and a new public name is added here, under the
+submodule that defines it.
 """
 
 import importlib

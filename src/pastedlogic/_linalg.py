@@ -22,8 +22,6 @@ from typing import Iterator, Mapping, Sequence
 from .errors import SingularKKTError
 from .numeric import clear_denominators
 
-__all__ = ["solve_exact", "independent_rows"]
-
 RHS = -1  # below every column
 
 

@@ -33,8 +33,6 @@ from typing import Protocol, Sequence
 
 from .numeric import clear_denominators
 
-__all__ = ["feasible_nonnegative"]
-
 Rational = int | Fraction
 
 

@@ -41,18 +41,6 @@ from .weights import (
     cyclic_sum,
 )
 
-__all__ = [
-    "CycleBounds",
-    "RegionReport",
-    "cycle_bounds",
-    "path_thresholds",
-    "classify_weight",
-    "LABEL_NOT_ADMISSIBLE",
-    "LABEL_CLASSICAL",
-    "LABEL_NONCLASSICAL",
-    "LABEL_BEYOND_THETA",
-]
-
 LABEL_NOT_ADMISSIBLE = "not-admissible"
 LABEL_CLASSICAL = "classical"
 LABEL_NONCLASSICAL = "admissible-nonclassical"

@@ -233,7 +233,7 @@ def cmd_analyze(args) -> int:
         args.data,
         structure=_load_structure(args.structure) if args.structure else None,
     )
-    report = analyze(data, args.z_threshold, args.tol)
+    report = analyze(data, args.z_threshold)
     _emit(args, report)
     if report.classification is None:
         return EXIT_WITHHELD
@@ -348,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True, help="JSON file: outcome -> score")
     p.add_argument("--target", type=_finite_float, required=True)
 
-    p = command("analyze", cmd_analyze, "counts -> gate -> reconstruct -> classify", tol)
+    p = command("analyze", cmd_analyze, "counts -> gate -> reconstruct -> classify")
     p.add_argument("--data", required=True, help="JSON count document or CSV file")
     p.add_argument("--structure", default=None, help="structure file (required for CSV)")
     p.add_argument("--z-threshold", type=_tolerance, default=DEFAULT_Z_THRESHOLD)

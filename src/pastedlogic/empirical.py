@@ -40,25 +40,10 @@ from .errors import (
     SchemaError,
     ValidationError,
 )
-from .numeric import (DEFAULT_TOL, _require_keys, check_tolerance, clear_denominators,
+from .numeric import (_require_keys, check_tolerance, clear_denominators,
                       fields_to_json, is_integer, load_json, read_text, render)
 from .structures import EventStructure, check_names, incidence, structure_from_json_dict
 from .weights import Weight, check_admissible, check_same_structure, make_weight
-
-__all__ = [
-    "CountData",
-    "FrequencyEstimates",
-    "SingleValuednessReport",
-    "ReconstructedWeight",
-    "AnalysisReport",
-    "ingest_counts",
-    "estimate_frequencies",
-    "single_valuedness_test",
-    "project_affine",
-    "reconstruct_weight",
-    "analyze",
-    "sample_counts",
-]
 
 DEFAULT_Z_THRESHOLD = 1.96
 
@@ -357,19 +342,15 @@ class AnalysisReport:
     to_json_dict = fields_to_json
 
 
-def analyze(
-    data: CountData,
-    z_threshold: float = DEFAULT_Z_THRESHOLD,
-    tol: float = DEFAULT_TOL,
-) -> AnalysisReport:
+def analyze(data: CountData, z_threshold: float = DEFAULT_Z_THRESHOLD) -> AnalysisReport:
     """Run estimate -> single-valuedness gate -> reconstruct -> classify.
 
     Classification is withheld (with the reason recorded) when the
     single-valuedness gate fails or when the projected weight leaves the
     [0, 1] box; both conditions mean the counts do not determine an
-    admissible weight to classify.
+    admissible weight to classify.  The projected weight is exact, so
+    its classification takes no tolerance.
     """
-    check_tolerance(tol)
     freqs = estimate_frequencies(data)
     sv = single_valuedness_test(data, z_threshold)
     recon = reconstruct_weight(data)
@@ -387,7 +368,7 @@ def analyze(
             recon.box_violations
         )
     else:
-        classification = classify_weight(data.structure, recon.p_star, tol)
+        classification = classify_weight(data.structure, recon.p_star)
     return AnalysisReport(freqs, sv, recon, classification, reason)
 
 

@@ -61,28 +61,6 @@ from .weights import (
     Numeric, Weight, check_admissible, check_same_structure, half_weight, make_weight, path_weight,
 )
 
-__all__ = [
-    "LinkFunction",
-    "ExponentialLink",
-    "IdentityLink",
-    "PowerLink",
-    "link_from_json_dict",
-    "GlobalScores",
-    "PerContextScores",
-    "scores_from_json_dict",
-    "ContextDistributionFamily",
-    "GluingReport",
-    "MultiplicativeLinkReport",
-    "context_softmax",
-    "gluing_check",
-    "glue_to_weight",
-    "represent_weight",
-    "gauge_shift",
-    "boundary_path",
-    "maxent_softmax",
-    "check_multiplicative_link",
-]
-
 
 # ------------------------------------------------------------------ links
 
@@ -649,9 +627,12 @@ def maxent_softmax(
     is found by bracketing (doubling from [-1, 1], up to 2**40) and
     bisection until the mean is within ``tol``; a bisection that ends
     farther away, as it can on scores of very different sizes, raises.
-    The scores and the target are finite numbers, read as floats.
+    ``scores`` maps each outcome to a finite number, and the target is a
+    finite number; both are read as floats.
     """
     check_tolerance(tol)
+    if not isinstance(scores, Mapping):
+        raise ValidationError(f"scores must be a mapping, got {type(scores).__name__}")
     names = list(scores)
     u = list(coerce_values(scores, FLOAT)[0].values())
     if not (is_number(target_mean) and -math.inf < target_mean < math.inf):

@@ -39,15 +39,6 @@ from .numeric import DEFAULT_TOL, as_fraction, clear_denominators, is_integer, r
 from .structures import EventStructure, cycle_form
 from .weights import Weight, check_admissible, check_same_structure, make_weight
 
-__all__ = [
-    "TwoValuedState",
-    "StateSpace",
-    "MembershipResult",
-    "enumerate_two_valued_states",
-    "classical_membership",
-    "max_cyclic_value",
-]
-
 DEFAULT_ENUMERATION_LIMIT = 10**6
 
 Rational = int | Fraction

@@ -40,20 +40,6 @@ from .numeric import _require_keys, is_integer, load_json
 if TYPE_CHECKING:
     from .states import StateSpace
 
-__all__ = [
-    "EventStructure",
-    "IncidenceIndex",
-    "CycleForm",
-    "build_event_structure",
-    "check_names",
-    "cycle_logic",
-    "cycle_form",
-    "incidence",
-    "connected_components",
-    "structure_from_json_dict",
-    "structure_from_json",
-]
-
 
 @dataclass(frozen=True)
 class EventStructure:

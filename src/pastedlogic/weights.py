@@ -40,22 +40,6 @@ from .numeric import (
 )
 from .structures import EventStructure, check_names, cycle_form
 
-__all__ = [
-    "Weight",
-    "AdmissibilityReport",
-    "make_weight",
-    "weight_from_json_dict",
-    "weight_from_json",
-    "to_rational",
-    "to_float",
-    "check_admissible",
-    "check_same_structure",
-    "half_weight",
-    "path_weight",
-    "cyclic_sum",
-    "support",
-]
-
 Numeric = Fraction | float
 
 _ONE = Fraction(1)

@@ -494,7 +494,7 @@ OPTIONS = {
     "glue-check": {"--structure", "--scores", "--link", "--beta", "--k", "--tol", "--out"},
     "sweep": {"--n", "--r-min", "--r-max", "--points", "--out"},
     "maxent": {"--scores", "--target", "--tol", "--out"},
-    "analyze": {"--data", "--structure", "--z-threshold", "--tol", "--out"},
+    "analyze": {"--data", "--structure", "--z-threshold", "--out"},
 }
 
 
@@ -511,11 +511,12 @@ class TestOptions:
     def test_option_sets_are_pinned(self):
         options = self.subcommand_options()
         assert {name: set(opts) for name, opts in options.items()} == OPTIONS
-        assert sum(len(opts) for opts in options.values()) == 45
+        assert sum(len(opts) for opts in options.values()) == 44
 
     @pytest.mark.parametrize("argv", [
         ["sweep", "--n", "5", "--tol", "1e-3"],
         ["analyze", "--data", str(DATA / "counts_beyond.json"), "--mode", "float"],
+        ["analyze", "--data", str(DATA / "counts_beyond.json"), "--tol", "1e-3"],
     ])
     def test_dropped_flags_are_usage_errors(self, capsys, argv):
         with pytest.raises(SystemExit) as exc:

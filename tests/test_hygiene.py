@@ -4,9 +4,11 @@ The repository has no linter configured, so this test is the guard: it
 parses each module of ``src/pastedlogic`` and fails on a name bound by a
 module-level import that the module never reads.  ``__init__.py``
 re-exports by design and ``from __future__`` imports bind nothing, so
-both are exempt; a name listed in ``__all__`` counts as used.  Likewise
-every private module-level function or class is referred to somewhere
-in the package besides its own definition.
+both are exempt.  Likewise every private module-level function or class
+is referred to somewhere in the package besides its own definition.
+
+``_EXPORTS`` in ``__init__`` is the one list of public names, so no
+other module names ``__all__``.
 
 What a number is, and which numbers are exact, is decided in
 ``numeric`` alone: outside it no ``isinstance`` call names ``Fraction``
@@ -39,7 +41,6 @@ MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 def unused_imports(source: str) -> list[str]:
     tree = ast.parse(source)
     imported: dict[str, int] = {}
-    exported: set[str] = set()
     for node in tree.body:
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -47,16 +48,8 @@ def unused_imports(source: str) -> list[str]:
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
                 imported[alias.asname or alias.name] = node.lineno
-        elif isinstance(node, ast.Assign) and any(
-            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
-        ):
-            exported |= set(ast.literal_eval(node.value))
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    return [
-        f"line {line}: {name}"
-        for name, line in imported.items()
-        if name not in read and name not in exported
-    ]
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
 
 
 def test_the_package_has_modules():
@@ -71,6 +64,22 @@ def test_no_unused_module_imports(path):
 def test_the_check_sees_an_unused_import():
     source = "from typing import Mapping, Sequence\nimport math\nx: Sequence = []\n"
     assert unused_imports(source) == ["line 1: Mapping", "line 2: math"]
+
+
+def names_all(source: str) -> list[int]:
+    """The lines of ``source`` that name ``__all__``."""
+    tree = ast.parse(source)
+    return [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Name) and n.id == "__all__"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_only_the_package_lists_public_names(path):
+    assert names_all(path.read_text(encoding="utf-8")) == []
+
+
+def test_the_check_sees_a_module_list_of_names():
+    source = '__all__ = ["f"]\n__all__ += ["g"]\nx: list = __all__\n'
+    assert names_all(source) == [1, 2, 3]
 
 
 def unreferenced_private(sources: list[str]) -> list[str]:

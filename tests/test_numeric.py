@@ -151,7 +151,6 @@ class TestTolerances:
         "single_valuedness_test": lambda t: pl.single_valuedness_test(
             TestTolerances._pentagon_counts(), t),
         "analyze z_threshold": lambda t: pl.analyze(TestTolerances._pentagon_counts(), t),
-        "analyze tol": lambda t: pl.analyze(TestTolerances._pentagon_counts(), tol=t),
     }
 
     REFUSAL = r"^(tol|z_threshold) must be a finite number >= 0, got "

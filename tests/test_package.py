@@ -90,11 +90,13 @@ def test_the_cli_loads_every_traced_layer(monkeypatch):
 
 def test_every_name_is_the_object_its_module_defines():
     """A name resolves, on first use and after, to the object of the
-    submodule that defines it, and a submodule name to the submodule.
-    The package holds the submodules and none of the other names."""
+    submodule that ``_EXPORTS`` lists it under, which is the submodule
+    that defines it, and a submodule name to the submodule.  The package
+    holds the submodules and none of the other names."""
     code = (
         "import importlib, json, sys, types, pastedlogic as pl\n"
         f"names = {sorted(EAGER_NAMES)!r}\n"
+        "listed = {n: 'pastedlogic.' + m for m, ns in pl._EXPORTS.items() for n in ns}\n"
         "wrong = []\n"
         "for name in names:\n"
         "    first = getattr(pl, name)\n"
@@ -102,8 +104,8 @@ def test_every_name_is_the_object_its_module_defines():
         "        home = importlib.import_module('pastedlogic.' + name)\n"
         "        held = vars(pl)[name] is home\n"
         "    else:\n"
-        "        home = getattr(sys.modules[first.__module__], name)\n"
-        "        held = name not in vars(pl) and first.__module__.startswith('pastedlogic.')\n"
+        "        home = getattr(sys.modules[listed[name]], name)\n"
+        "        held = name not in vars(pl) and first.__module__ == listed[name]\n"
         "    if not (held and first is home and getattr(pl, name) is home):\n"
         "        wrong.append(name)\n"
         "print(json.dumps(wrong))\n"

@@ -909,6 +909,11 @@ class TestMaxent:
         with pytest.raises(ValidationError, match="^target mean must be a finite number, got "):
             pl.maxent_softmax({"a": 0.0, "b": 1.0}, target)
 
+    @pytest.mark.parametrize("scores", [[0.0, 1.0], "ab", None, 5], ids=repr)
+    def test_the_scores_are_a_mapping(self, scores):
+        with pytest.raises(ValidationError, match="^scores must be a mapping, got "):
+            pl.maxent_softmax(scores, 0.5)
+
 
     @pytest.mark.parametrize("target", [1e-301, 9e-301], ids=["below", "above"])
     def test_no_bracket(self, target):
