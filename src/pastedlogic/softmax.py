@@ -482,12 +482,12 @@ def represent_weight(
     With u(a) = g^{-1}(alpha * p(a)) every context normaliser equals
     alpha, so P_C(a) = alpha * p(a) / alpha = p(a) in every context.  The
     default scale alpha = 1/2 * min(1, 1/max p) keeps alpha * p in (0, 1/2].
-    A rational weight is cleared to integers n_a over one scale, so with
-    an exact alpha each alpha * p(a) is one integer over another: the
-    identity link gets that Fraction where its float is > 0 and finite
-    on every atom, and otherwise, like every other link, the same
-    correctly rounded float from integer division, or the Fraction where
-    that float underflows to 0, which has no score.  Each score is the
+    A rational weight is read as its ``point``, integers n_a over one
+    scale, so with an exact alpha each alpha * p(a) is one integer over
+    another: the identity link gets that Fraction where its float is > 0
+    and finite on every atom, and otherwise, like every other link, the
+    same correctly rounded float from integer division, or the Fraction
+    where that float underflows to 0, which has no score.  Each score is the
     link's ``inverse``, and the atoms it refuses are named in one
     AlphaOutOfRangeError.
     """
@@ -498,11 +498,8 @@ def represent_weight(
     atoms = structure.atoms
     values = [weight.values[a] for a in atoms]
     exact = weight.mode == RATIONAL
-    if exact:
-        scale, nums = clear_denominators(values)
-        zeros = [a for a, n in zip(atoms, nums) if n <= 0]
-    else:
-        zeros = [a for a, v in zip(atoms, values) if not v > 0]
+    scale, nums = weight.point if exact else (1, values)
+    zeros = [a for a, n in zip(atoms, nums) if not n > 0]
     if zeros:
         raise NotStrictlyPositiveError(zeros)
 

@@ -35,7 +35,7 @@ from .errors import (
     UnknownAtomError,
     ValidationError,
 )
-from .numeric import DEFAULT_TOL, as_fraction, clear_denominators, is_integer, render
+from .numeric import DEFAULT_TOL, clear_denominators, is_integer, render
 from .structures import EventStructure, cycle_form
 from .weights import Weight, check_admissible, check_same_structure, make_weight
 
@@ -293,14 +293,14 @@ def enumerate_two_valued_states(
 class MembershipResult:
     """Verdict plus certificate for one membership query.
 
-    ``states`` is the structure's ``StateSpace``.  Classical:
-    ``coefficients`` maps state indices (into ``states``) to rational
-    mixture weights, nonzero entries only.  Not classical: ``witness``
-    is an integer-scaled functional with ``witness_value = c . p``
-    strictly above ``witness_bound = max over states of c . v``.  On a
-    structure with no two-valued states the witness is 0 on every atom
-    with bound -1: every bound holds over the empty family, so c . p = 0
-    lies above it vacuously.
+    ``states`` is the structure's ``StateSpace``; p is the weight's
+    ``point``.  Classical: ``coefficients`` maps state indices (into
+    ``states``) to p's mixture weights, nonzero only.  Not classical:
+    ``witness`` is an integer functional with ``witness_value = c . p``
+    strictly above ``witness_bound = max over states of c . v``.  With
+    no two-valued states the witness is 0 on every atom with bound -1:
+    every bound holds over the empty family, so c . p = 0 lies above it
+    vacuously.
     """
 
     classical: bool
@@ -341,8 +341,10 @@ def classical_membership(
 
 def _decide_membership(structure: EventStructure, weight: Weight) -> MembershipResult:
     """``classical_membership`` for a weight already checked admissible
-    on ``structure``."""
-    target = [as_fraction(weight[a]) for a in structure.atoms] + [Fraction(1)]
+    on ``structure``.  The LP solves for the weight's integer ``point``
+    and its scale: the point times the scale, so the same pivots."""
+    scale, nums = weight.point
+    target = [*nums, scale]
     space = structure.state_space
     if space.count:
         answer = feasible_nonnegative(space, target)
@@ -353,20 +355,21 @@ def _decide_membership(structure: EventStructure, weight: Weight) -> MembershipR
 
 def _certify(
     space: StateSpace,
-    target: Sequence[Fraction],
+    target: Sequence[Rational],
     solution: Mapping[int, Fraction] | None,
     farkas: Sequence[Rational] | None,
 ) -> MembershipResult:
-    """The solver's answer for ``target`` (the point by atom position,
-    then 1), checked in the form the result reports it.
+    """The solver's answer for ``target`` (the point times its last
+    entry, then that entry), checked in the form the result reports it.
 
     A mixture: over one common denominator every coefficient is >= 0,
-    and the states it names, plus the normalisation row, give
-    ``target``.  A Farkas dual: cleared to the integer witness c, which
-    must exceed its bound, max over states of c . v, priced once (-1
-    over no states).  A failed check is a RuntimeError.
+    and the states it names, plus the normalisation row, give ``target``;
+    it is divided by the last entry once.  A Farkas dual: cleared to the
+    integer witness c, which must exceed its bound, max over states of
+    c . v, priced once (-1 over no states); c . p is one quotient by the
+    last entry.  A failed check is a RuntimeError.
     """
-    m = len(target)
+    m, scale = len(target), target[-1]
     if solution is not None:
         _, scaled = clear_denominators([*target, *solution.values()])
         total = [0] * m
@@ -377,12 +380,13 @@ def _certify(
                 total[i] += x
         if total != scaled[:m]:
             raise RuntimeError("mixture does not give the point")
-        return MembershipResult(True, space, solution, None, None, None)
+        mixture = {j: x / scale for j, x in solution.items()}
+        return MembershipResult(True, space, mixture, None, None, None)
 
     # Separating functional: drop the normalisation row into the bound.
     c = clear_denominators(farkas[:-1])[1]
     bound = space.max_value(c) if space.count else -1
-    value = sum(map(mul, c, target))
+    value = Fraction(sum(map(mul, c, target)), scale)
     if value <= bound:
         raise RuntimeError("witness does not exceed its bound")
     witness = {a: Fraction(v) for a, v in zip(space.structure.atoms, c)}

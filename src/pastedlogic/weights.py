@@ -15,6 +15,7 @@ from __future__ import annotations
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Any
 
 from .errors import (
@@ -63,6 +64,14 @@ class Weight:
     def items(self):
         """(atom, value) pairs in structure atom order."""
         return tuple((a, self.values[a]) for a in self.structure.atoms)
+
+    @cached_property
+    def point(self) -> tuple[int, tuple[int, ...]]:
+        """``(scale, nums)``: the values in atom order over their least
+        common denominator, floats decomposed exactly.  Computed on first
+        read, as the values never change, and not a field, so not printed."""
+        scale, nums = clear_denominators(list(map(as_fraction, self.values.values())))
+        return scale, tuple(nums)
 
     to_json_dict = fields_to_json
 
@@ -144,7 +153,7 @@ def check_admissible(weight: Weight, tol: float = DEFAULT_TOL) -> AdmissibilityR
 
     Float mode compares against ``tol``; rational mode ignores ``tol``
     and demands exact equality.  A rational weight is checked in
-    integers over one common denominator: a context sums to 1 when its
+    integers, on its ``point``: a context sums to 1 when its
     scaled values sum to the scale, and a value is in [0, 1] when its
     scaled value is in [0, scale].  A negative ``tol`` is refused.
     """
@@ -152,7 +161,7 @@ def check_admissible(weight: Weight, tol: float = DEFAULT_TOL) -> AdmissibilityR
     structure = weight.structure
     contexts = zip(structure.context_names, structure.contexts)
     if weight.mode == RATIONAL:
-        scale, nums = clear_denominators(list(weight.values.values()))
+        scale, nums = weight.point
         scaled = dict(zip(weight.values, nums))
         sums: dict[str, Numeric] = {}
         worst = 0

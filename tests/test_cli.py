@@ -276,6 +276,20 @@ class TestSweep:
         assert [lines[i].split(",")[2] for i in (i_c, i_c + 1)] == ["1", "0"]
         assert [lines[i].split(",")[3] for i in (i_t, i_t + 1)] == ["1", "0"]
 
+    @pytest.mark.parametrize("n", [10**6, 10**6 + 1])
+    def test_a_long_cycle_takes_the_closed_form(self, tmp_path, monkeypatch, n):
+        # No structure is built: each cyclic sum is n/(2+r), and the
+        # theta flag, on the odd cycle, is exceeds_theta's verdict on it.
+        monkeypatch.setattr(cli, "cycle_logic", None)
+        bounds = pl.cycle_bounds(n)
+        lines = self.run_sweep(tmp_path, "--n", str(n), "--points", "5")
+        assert len(lines) == 6
+        for line in lines[1:]:
+            r, s, above_c, above_t = line.split(",")
+            assert Fraction(s) == n / (2 + Fraction(r))
+            assert above_c == str(int(Fraction(s) > n // 2))
+            assert above_t == (str(int(bounds.exceeds_theta(Fraction(s)))) if n % 2 else "")
+
     def test_bad_range_exits_2(self, tmp_path, capsys):
         assert cli.main(["sweep", "--n", "5", "--r-min", "2", "--r-max", "1"]) == 2
         assert "r-min" in capsys.readouterr().err

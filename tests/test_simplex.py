@@ -13,10 +13,15 @@ from fractions import Fraction
 from pathlib import Path
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pastedlogic as pl
-from helpers import ListFamily, grid_logic, pentagon_pair, reference_two_valued_states
+from helpers import (
+    ListFamily, grid_logic, pentagon_pair, random_structure, reference_two_valued_states,
+)
 from pastedlogic._simplex import feasible_nonnegative
 from pastedlogic.numeric import as_fraction
 
@@ -334,3 +339,64 @@ def test_every_answer_goes_through_the_one_check(monkeypatch):
     for r in (Fraction(1, 10), 1):
         assert pl.classical_membership(pentagon, pl.path_weight(pentagon, r)) is checked[-1][2]
     assert [seen.classical for *_, seen in checked] == [False, False, True]
+
+
+@st.composite
+def exact_weights(draw):
+    """A structure with two-valued states and an exact weight on it: a
+    rational mixture of up to four states (classical), or that mixture
+    with one atom moved (usually outside the classical polytope, and
+    often outside the admissible one), or on a cycle a path weight on
+    either side of the classical threshold."""
+    structure = draw(st.one_of(
+        st.integers(0, 2**32 - 1).map(np.random.default_rng).map(random_structure),
+        st.builds(pl.cycle_logic, st.integers(3, 7)),
+    ).filter(lambda s: s.state_space.count))
+    space = structure.state_space
+    if structure.atoms[0] == "a1" and draw(st.booleans()):
+        return structure, pl.path_weight(structure, Fraction(draw(st.integers(0, 40)), 20))
+    picks = draw(st.lists(st.integers(0, space.count - 1), min_size=1, max_size=4))
+    coeffs = [draw(st.integers(1, 9)) for _ in picks]
+    values = dict.fromkeys(structure.atoms, Fraction(0))
+    for i, c in zip(picks, coeffs):
+        for a in space[i].ones:
+            values[a] += Fraction(c, sum(coeffs))
+    if draw(st.booleans()):
+        values[draw(st.sampled_from(structure.atoms))] = Fraction(draw(st.integers(0, 9)), 7)
+    return structure, pl.make_weight(structure, values)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(exact_weights())
+def test_the_integer_point_decides_like_the_fraction_point(case):
+    # The point times its scale, with the scale in the normalisation row,
+    # takes the Fraction point's pivots: the same basis, the mixture
+    # times the scale, and the same Farkas vector.
+    structure, weight = case
+    atoms, space = structure.atoms, structure.state_space
+    scale, nums = weight.point
+    x, y = feasible_nonnegative(space, [*nums, scale])
+    columns = [[int(a in s.ones) for a in atoms] + [1] for s in space]
+    x_ref, y_ref = reference_feasible_nonnegative(columns, point_target(structure, weight))
+    assert (x is None, y) == (x_ref is None, y_ref)
+    if x is not None:
+        assert list(x) == list(x_ref)
+        assert [v / scale for v in x.values()] == list(x_ref.values())
+
+
+def test_classify_passes_the_integer_point(monkeypatch, pentagon):
+    seen = []
+    original = pl.states.feasible_nonnegative
+
+    def recorded(family, rhs):
+        seen.append(rhs)
+        return original(family, rhs)
+
+    monkeypatch.setattr(pl.states, "feasible_nonnegative", recorded)
+    weights = [pl.path_weight(pentagon, Fraction(1, 3)), pl.half_weight(pentagon),
+               pl.path_weight(pentagon, 0.7)]
+    for weight in weights:
+        pl.classify_weight(pentagon, weight)
+        assert all(type(v) is int for v in seen[-1])
+        assert seen[-1] == [*weight.point[1], weight.point[0]]
+    assert len(seen) == 3 and [rhs[-1] for rhs in seen[:2]] == [7, 2]

@@ -1,4 +1,5 @@
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 
 import pastedlogic as pl
 from helpers import random_structure, reference_check_admissible
-from pastedlogic.numeric import dumps
+from pastedlogic.numeric import dumps, fields_to_json
 from pastedlogic import (
     MissingAtomValueError,
     NegativePathParameterError,
@@ -169,6 +170,42 @@ class TestIntegerAdmissibility:
                 verdicts.append((bump is None, pl.check_admissible(weight).admissible))
         assert verdicts.count((True, True)) > 50
         assert (False, True) not in verdicts
+
+
+class TestPoint:
+    """``Weight.point``: the values over their least common denominator,
+    read once and never printed."""
+
+    def test_a_float_decomposes_exactly(self, triangle):
+        values = dict.fromkeys(triangle.atoms, 0.5)
+        values["a1"] = 0.1
+        w = pl.make_weight(triangle, values)
+        assert Fraction(0.1) == Fraction(3602879701896397, 2**55)
+        scale, nums = w.point
+        assert scale == 2**55
+        assert nums[triangle.atom_index["a1"]] == 3602879701896397
+        assert nums[triangle.atom_index["x1"]] == 2**54
+
+    def test_int_and_fraction_values(self, triangle):
+        ones = pl.make_weight(triangle, dict.fromkeys(triangle.atoms, 1))
+        assert ones.point == (1, (1,) * len(triangle.atoms))
+        thirds = {a: Fraction(1, 3) if a[0] == "a" else Fraction(1, 2) for a in triangle.atoms}
+        assert pl.make_weight(triangle, thirds).point[0] == 6
+
+    @pytest.mark.parametrize("r", [0, Fraction(3, 7), 0.1, 1e-300])
+    def test_each_value_is_its_numerator_over_the_scale(self, pentagon, r):
+        w = pl.path_weight(pentagon, r)
+        scale, nums = w.point
+        assert all(type(n) is int for n in (scale, *nums))
+        assert [Fraction(n, scale) for n in nums] == [Fraction(w[a]) for a in pentagon.atoms]
+        assert math.gcd(scale, *nums) == 1
+
+    def test_read_once_and_not_printed(self, pentagon):
+        w = pl.path_weight(pentagon, Fraction(1, 3))
+        before = fields_to_json(w)
+        assert w.point is w.point
+        assert fields_to_json(w) == before
+        assert list(before) == ["mode", "values"]
 
 
 class TestPathFamily:
