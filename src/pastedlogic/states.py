@@ -9,7 +9,8 @@ assigned that a later context still contains -- decide which choices
 remain (the transfer-matrix, or path-decomposition, dynamic program of
 Arnborg and Proskurowski, *Discrete Appl. Math.* 23, 1989).  The table
 counts, ranks and unranks the states and maximises a linear function
-over all of them without visiting them one by one.
+over all of them without visiting them one by one; for that max-plus
+pass each level is compiled once into one Python expression.
 
 The convex hull of the two-valued states is the classical polytope;
 membership of a weight is decided exactly over the rationals by a
@@ -24,7 +25,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from functools import cached_property, reduce
+from operator import mul
 from typing import Iterator, Mapping, Sequence
 
 from ._simplex import feasible_nonnegative
@@ -65,34 +67,35 @@ class TwoValuedState:
         return {a: self[a] for a in self.structure.atoms}
 
 
-# One table level: per node, its transitions (gain, child).  ``gain`` is
-# the position of the atom the transition newly sets to 1, or -1 when the
-# context's 1-atom was fixed by an earlier context.
-Level = list[tuple[tuple[int, int], ...]]
+# One table level: per node, its transitions (gain, child, completions).
+# ``gain`` is the position of the atom the transition newly sets to 1, or
+# -1 when the context's 1-atom was fixed by an earlier context;
+# ``completions`` is the number of states below ``child``.
+Level = list[tuple[tuple[int, int, int], ...]]
 
 
-def _frontier_table(structure: EventStructure) -> tuple[list[Level], list[list[int]]]:
-    """The pruned frontier table and, per level, each node's count of
-    completions.
+def _frontier_table(structure: EventStructure) -> tuple[list[Level], int]:
+    """The pruned frontier table and its number of states.
 
     The forward pass follows the rules of a backtracking search: at
     context i, a frontier with two 1-atoms in the context is dead, one
     1-atom is the only candidate, and otherwise every unassigned atom of
     the context is a candidate, in context order.  The backward pass
-    counts completions and drops every transition that has none.
+    counts completions, drops every transition that has none and stores
+    each kept transition's count.
     """
     index = structure.atom_index
     contexts = [tuple(index[a] for a in ctx) for ctx in structure.contexts]
     last_use = {p: i for i, ctx in enumerate(contexts) for p in ctx}
     frontier: tuple[int, ...] = ()
     keys: dict[tuple[int, ...], int] = {(): 0}  # frontier values -> node
-    levels: list[Level] = []
+    levels: list[list[tuple[tuple[int, int], ...]]] = []
     for i, ctx in enumerate(contexts):
         following = tuple(p for p in frontier if last_use[p] > i) + tuple(
             p for p in ctx if p not in frontier and last_use[p] > i
         )
         next_keys: dict[tuple[int, ...], int] = {}
-        level: Level = []
+        level = []
         for key in keys:
             value = dict(zip(frontier, key))
             fixed = [p for p in ctx if value.get(p) == 1]
@@ -110,30 +113,34 @@ def _frontier_table(structure: EventStructure) -> tuple[list[Level], list[list[i
 
     live = {node: node for node in keys.values()}  # old node -> kept node
     counts = [1] * len(live)  # the last frontier is empty: one node or none
-    all_counts = [counts]
     for i in reversed(range(len(levels))):
         kept_level: Level = []
-        kept_counts: list[int] = []
         renumber = {}
         for node, transitions in enumerate(levels[i]):
-            kept = tuple((gain, live[child]) for gain, child in transitions if child in live)
+            kept = tuple((g, live[c], counts[live[c]]) for g, c in transitions if c in live)
             if kept:
                 renumber[node] = len(kept_level)
                 kept_level.append(kept)
-                kept_counts.append(sum(counts[child] for _, child in kept))
-        levels[i], live, counts = kept_level, renumber, kept_counts
-        all_counts.append(counts)
-    all_counts.reverse()
-    return levels, all_counts
+        levels[i], live = kept_level, renumber
+        counts = [sum(count for *_, count in node) for node in kept_level]
+    return levels, counts[0] if counts else 0
 
 
-def _compile(level: Level) -> tuple[list[int], list[int], list[tuple[int, int, int]]]:
-    """A level as flat lists: the gain and child of each node's first
-    transition, and ``(node, gain, child)`` for every further one."""
-    g0 = [node[0][0] for node in level]
-    c0 = [node[0][1] for node in level]
-    extra = [(i, g, c) for i, node in enumerate(level) for g, c in node[1:]]
-    return g0, c0, extra
+def _kernel(level: Level):
+    """``lambda g, a: [...]``: per node of ``level``, the largest
+    ``g[gain] + a[child]`` (``a[child]`` where nothing is gained), one
+    expression for the level built from the table's indices alone.  Terms
+    fold as ``x if x >= y else y``, which keeps the first largest as
+    ``max`` does, at a third to a half of its cost; past 32 terms, which
+    would nest past the parser's 200 parentheses, it is ``max``."""
+
+    def best(node):
+        terms = [f"g[{g}] + a[{c}]" if g >= 0 else f"a[{c}]" for g, c, _ in node]
+        if len(terms) > 32:
+            return f"max({', '.join(terms)})"
+        return reduce(lambda e, t: f"(x if (x := {e}) >= (y := {t}) else y)", terms)
+
+    return eval(f"lambda g, a: [{', '.join(map(best, level))}]")
 
 
 class StateSpace:
@@ -149,16 +156,22 @@ class StateSpace:
     indexed by atom position, and a state's sum is  sum of w_a over its
     1-atoms a.  Every query walks the table once: O(number of
     transitions), whatever the number of states.  For the max-plus pass
-    each level is also compiled into flat lists (``_compile``): the first
-    transitions of all its nodes are priced by a few list operations, and
-    only the further transitions take a loop.
+    each level is compiled, on the first pricing call, into one function
+    (``_kernel``), so a level is priced by one call; the compiled levels
+    are not pickled, and are built again when next needed.
     """
 
     def __init__(self, structure: EventStructure):
         self.structure = structure
-        self._levels, self._counts = _frontier_table(structure)
-        self.count: int = self._counts[0][0] if self._counts[0] else 0
-        self._compiled = [_compile(level) for level in reversed(self._levels)]
+        self._levels, self.count = _frontier_table(structure)
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
+
+    @cached_property
+    def _kernels(self) -> list:
+        """The compiled levels, from the last context back."""
+        return [_kernel(level) for level in reversed(self._levels)]
 
     def __len__(self) -> int:
         return self.count
@@ -186,7 +199,7 @@ class StateSpace:
                 stack.pop()
                 marks.pop()
                 continue
-            gain, child = step
+            gain, child, _ = step
             if gain >= 0:
                 ones.append(gain)
             if len(stack) == depth:
@@ -203,11 +216,11 @@ class StateSpace:
         if not 0 <= i < self.count:
             raise IndexError("state index out of range")
         ones, node = [], 0
-        for level, counts in zip(self._levels, self._counts[1:]):
-            for gain, child in level[node]:
-                if i < counts[child]:
+        for level in self._levels:
+            for gain, child, count in level[node]:
+                if i < count:
                     break
-                i -= counts[child]
+                i -= count
             if gain >= 0:
                 ones.append(gain)
             node = child
@@ -217,11 +230,11 @@ class StateSpace:
         """The rank of ``state``; ValueError if it is not in the space."""
         ones = {self.structure.atom_index.get(a) for a in state.ones}
         rank, node = 0, 0
-        for level, counts in zip(self._levels if self.count else (), self._counts[1:]):
-            for gain, child in level[node]:
+        for level in self._levels if self.count else ():
+            for gain, child, count in level[node]:
                 if gain < 0 or gain in ones:
                     break
-                rank += counts[child]
+                rank += count
             node = child
         if rank < self.count and self[rank] == state:
             return rank
@@ -234,16 +247,9 @@ class StateSpace:
         if not self.count:
             raise NoTwoValuedStatesError("no two-valued states")
         gains = [*w, 0]
-        after: list[Rational] = [0]
-        table = [after]
-        for g0, c0, extra in self._compiled:
-            best = list(map(add, map(gains.__getitem__, g0), map(after.__getitem__, c0)))
-            for node, g, c in extra:
-                value = gains[g] + after[c]
-                if value > best[node]:
-                    best[node] = value
-            table.append(best)
-            after = best
+        table: list[list[Rational]] = [[0]]
+        for kernel in self._kernels:
+            table.append(kernel(gains, table[-1]))
         table.reverse()
         return table, gains
 
@@ -251,23 +257,25 @@ class StateSpace:
         """The largest sum of ``w`` over the 1-atoms of any state."""
         return self._best_completions(w)[0][0][0]
 
-    def first_above(self, w: Sequence[Rational], t: Rational) -> int | None:
+    def first_above(self, w: Sequence[Rational], t: Rational) -> tuple[int, list[int]] | None:
         """The lowest index of a state whose sum of ``w`` exceeds ``t``,
-        or None.  The descent takes, at each context, the first
-        transition some completion of which clears ``t``; every state
-        in the subtrees it skips sums to at most ``t``."""
+        with the positions of its 1-atoms (in context order), or None.
+        The descent takes, at each context, the first transition some
+        completion of which clears ``t``; every state in the subtrees it
+        skips sums to at most ``t``."""
         best, gains = self._best_completions(w)
         if best[0][0] <= t:
             return None
-        rank, node, total = 0, 0, 0
-        for level, counts, after in zip(self._levels, self._counts[1:], best[1:]):
-            for gain, child in level[node]:
+        rank, node, total, ones = 0, 0, 0, []
+        for level, after in zip(self._levels, best[1:]):
+            for gain, child, count in level[node]:
                 if total + gains[gain] + after[child] > t:
                     break
-                rank += counts[child]
+                rank += count
             total += gains[gain]
+            ones.append(gain)
             node = child
-        return rank
+        return rank, [p for p in ones if p >= 0]
 
 
 def enumerate_two_valued_states(

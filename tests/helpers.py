@@ -119,7 +119,7 @@ class ListFamily:
         self.calls += 1
         if self.calls > self.max_calls:
             raise AssertionError(f"more than {self.max_calls} pricing calls: the simplex cycles")
-        return next((j for j, s in enumerate(self.sums(w)) if s > t), None)
+        return next(((j, self.vertices[j]) for j, s in enumerate(self.sums(w)) if s > t), None)
 
     def max_value(self, w):
         return max(self.sums(w), default=float("-inf"))
@@ -128,6 +128,12 @@ class ListFamily:
         """The vertices as explicit columns of ``m`` rows, the last one
         the normalisation row."""
         return [[int(i in v or i == m - 1) for i in range(m)] for v in self.vertices]
+
+
+def first_found(family, w, t):
+    """``family.first_above(w, t)`` with its positions sorted, or None."""
+    found = family.first_above(w, t)
+    return found and (found[0], sorted(found[1]))
 
 
 def reference_two_valued_states(structure):

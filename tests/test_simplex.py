@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 
 import pastedlogic as pl
 from helpers import (
-    ListFamily, grid_logic, pentagon_pair, random_structure, reference_two_valued_states,
+    ListFamily, first_found, grid_logic, pentagon_pair, random_structure,
+    reference_two_valued_states,
 )
 from pastedlogic._simplex import feasible_nonnegative
 from pastedlogic.numeric import as_fraction
@@ -85,6 +86,16 @@ def assert_same(got, want):
         assert all(type(v) is Fraction for v in x.values())
 
 
+def solve(family, rhs):
+    """``feasible_nonnegative`` on a rational ``rhs`` over its least
+    common denominator, the mixture divided by it again: the scale moves
+    no pivot and leaves the Farkas vector as it is, so both compare with
+    the reference's as they are."""
+    scale = math.lcm(*(Fraction(v).denominator for v in rhs))
+    x, y = feasible_nonnegative(family, [int(v * scale) for v in rhs])
+    return (None if x is None else {j: v / scale for j, v in x.items()}), y
+
+
 RHS_ENTRIES = [0, 0, 0, 1, 1, 2, -1, -2, Fraction(1, 2), Fraction(-2, 3), Fraction(5, 7)]
 
 
@@ -112,17 +123,16 @@ def test_random_lps_match_the_fraction_tableau():
     for _ in range(600):
         family, rhs = random_lp(rng)
         want = reference_feasible_nonnegative(family.columns(len(rhs)), rhs)
-        assert_same(feasible_nonnegative(family, rhs), want)
+        assert_same(solve(family, rhs), want)
         outcomes["feasible" if want[0] is not None else "infeasible"] += 1
         outcomes["negative"] += min(rhs) < 0
     assert min(outcomes.values()) > 100
 
 
 def test_random_lps_with_integer_targets_rescale_exactly():
-    # Integer right-hand sides leave rhs_scale at 1, so a coefficient
-    # that is not an integer means the final det exceeded 1: some pivot
-    # had pivot != det and rescaled the adjugate, on top of the
-    # in-place pivot == det updates.
+    # A coefficient that is not an integer means the final det exceeded
+    # 1: some pivot had pivot != det and rescaled the adjugate, on top of
+    # the in-place pivot == det updates.
     rng = Random(20261019)
     fractional = feasible = 0
     for _ in range(400):
@@ -173,7 +183,7 @@ def test_tampered_answers_are_rejected():
     vertex = point_target(pentagon, space[0].as_weight())
     half = point_target(pentagon, pl.half_weight(pentagon))
     assert pl.states._certify(space, vertex, {0: Fraction(1)}, None).classical
-    assert not pl.states._certify(space, half, *feasible_nonnegative(space, half)).classical
+    assert not pl.states._certify(space, half, *solve(space, half)).classical
     with pytest.raises(RuntimeError, match="negative"):
         pl.states._certify(space, vertex, {0: Fraction(-1), 1: Fraction(2)}, None)
     with pytest.raises(RuntimeError, match="does not give the point"):
@@ -268,12 +278,12 @@ def test_the_state_space_prices_like_the_explicit_list():
         assert space.count == listed.count
         assert [space.positions(j) for j in range(space.count)] == listed.vertices
         target = [as_fraction(weight[a]) for a in atoms] + [Fraction(1)]
-        got = feasible_nonnegative(space, target)
-        assert_same(got, feasible_nonnegative(listed, target))
+        got = solve(space, target)
+        assert_same(got, solve(listed, target))
         for w in (target[:-1], [-v for v in target[:-1]], [i % 3 - 1 for i in range(len(atoms))]):
             assert space.max_value(w) == listed.max_value(w)
             for t in (-1, 0, Fraction(1, 2), 1, space.max_value(w)):
-                assert space.first_above(w, t) == listed.first_above(w, t)
+                assert first_found(space, w, t) == first_found(listed, w, t)
         verdicts.add(got[0] is not None)
     assert verdicts == {True, False}
 
@@ -283,7 +293,7 @@ def test_tampered_answers_are_rejected_on_the_state_space():
     pentagon = pl.cycle_logic(5)
     space = pentagon.state_space
     mixture = point_target(pentagon, pl.path_weight(pentagon, 1))
-    solution, _ = feasible_nonnegative(space, mixture)
+    solution, _ = solve(space, mixture)
     assert pl.states._certify(space, mixture, solution, None).coefficients == solution
     first, *rest = solution
     with pytest.raises(RuntimeError, match="negative"):
@@ -292,7 +302,7 @@ def test_tampered_answers_are_rejected_on_the_state_space():
         pl.states._certify(space, mixture, {j: solution[j] for j in rest}, None)
 
     half = point_target(pentagon, pl.half_weight(pentagon))
-    _, farkas = feasible_nonnegative(space, half)
+    _, farkas = solve(space, half)
     assert not pl.states._certify(space, half, None, farkas).classical
     # x1 is 0 at the half weight, so raising its entry leaves c . p as it
     # is, while the states with x1 = 1 now beat it.

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 from itertools import product
 
@@ -5,7 +6,9 @@ import numpy as np
 import pytest
 
 import pastedlogic as pl
-from helpers import grid_logic, pentagon_pair, random_structure, reference_two_valued_states
+from helpers import (
+    first_found, grid_logic, pentagon_pair, random_structure, reference_two_valued_states,
+)
 from pastedlogic import (
     EnumerationLimitError,
     NoTwoValuedStatesError,
@@ -13,6 +16,7 @@ from pastedlogic import (
     UnknownAtomError,
     ValidationError,
 )
+from pastedlogic.numeric import dumps
 
 
 def lucas(n):
@@ -161,9 +165,28 @@ NAMED_STRUCTURES = {
 }
 
 
+# Beyond the named ones: levels of up to 20 nodes, and a context of
+# 1 000 atoms, priced by a max of 1 000 terms.
+PRICING_STRUCTURES = {
+    **NAMED_STRUCTURES,
+    "grid4": lambda: grid_logic(4),
+    "wide": lambda: pl.build_event_structure(
+        [f"w{i}" for i in range(1000)] + ["u", "v", "x"],
+        [[f"w{i}" for i in range(1000)], ["w0", "u", "v"], ["v", "w1", "x"]],
+    ),
+}
+
+
 def state_sums(states, structure, w):
     index = structure.atom_index
     return [sum(w[index[a]] for a in state.ones) for state in states]
+
+
+def scanned(states, structure, sums, t):
+    """``first_found``'s answer by a scan of the listed states: the lowest
+    index whose sum exceeds ``t``, with its 1-atom positions, or None."""
+    i = next((i for i, v in enumerate(sums) if v > t), None)
+    return None if i is None else (i, sorted(structure.atom_index[a] for a in states[i].ones))
 
 
 class TestStateSpace:
@@ -193,7 +216,7 @@ class TestStateSpace:
                 sums = state_sums(reference, structure, w)
                 t = sums[int(rng.integers(len(sums)))]
                 assert space.max_value(w) == max(sums)
-                assert space.first_above(w, t) == next((i for i, v in enumerate(sums) if v > t), None)
+                assert first_found(space, w, t) == scanned(reference, structure, sums, t)
         assert 0 < empty < 200
 
     def test_pricing_matches_a_scan_on_irregular_tables(self):
@@ -207,7 +230,7 @@ class TestStateSpace:
             reference = reference_two_valued_states(structure)
             nodes = [node for level in space._levels for node in level]
             wide += any(len(node) >= 3 for node in nodes)
-            fixed += any(gain < 0 for node in nodes for gain, _ in node)
+            fixed += any(gain < 0 for node in nodes for gain, *_ in node)
             ints = [int(v) for v in rng.integers(-5, 6, size=len(structure.atoms))]
             fractions = [Fraction(int(v), int(d)) for v, d in zip(
                 rng.integers(-9, 10, size=len(ints)), rng.integers(1, 7, size=len(ints)))]
@@ -221,8 +244,7 @@ class TestStateSpace:
                 sums = state_sums(reference, structure, w)
                 assert space.max_value(w) == max(sums)
                 for t in (-1, 0, max(sums) - 1, max(sums)):
-                    assert space.first_above(w, t) == next(
-                        (i for i, v in enumerate(sums) if v > t), None)
+                    assert first_found(space, w, t) == scanned(reference, structure, sums, t)
             empty += not reference
         assert wide and fixed and empty
 
@@ -256,9 +278,33 @@ class TestStateSpace:
         with pytest.raises(NoTwoValuedStatesError):
             space.max_value([1, 1, 1])
 
-    @pytest.mark.parametrize("name", ["C7", "C8", "pasting", "grid3"])
+    def test_a_space_pickles_without_its_compiled_levels(self):
+        # Pricing compiles the levels, which do not pickle: a copy drops
+        # them and compiles them again on its next pricing call.
+        structure = pl.cycle_logic(9)
+        w = [i % 5 - 2 for i in range(len(structure.atoms))]
+        for r in (Fraction(1, 10), 1):
+            report = pl.classify_weight(structure, pl.path_weight(structure, r))
+            assert "_kernels" in vars(structure.state_space)
+            copy, copied = pickle.loads(pickle.dumps((report, structure)))
+            assert dumps(copy.to_json_dict()) == dumps(report.to_json_dict())
+            space = copied.state_space
+            assert copy.membership.states is space and "_kernels" not in vars(space)
+            assert space.max_value(w) == structure.state_space.max_value(w)
+            assert "_kernels" in vars(space)
+        assert {report.label, copy.label} == {"classical"}
+
+    def test_counting_listing_and_ranking_compile_nothing(self):
+        space = pl.StateSpace(pl.cycle_logic(7))
+        states = list(space)
+        assert space.count == len(states) == lucas(7)
+        assert [space.index(s) for s in states] == list(range(space.count))
+        assert space[5] == states[5] and len(space.positions(5)) == len(states[5].ones)
+        assert "_kernels" not in vars(space)
+
+    @pytest.mark.parametrize("name", ["C7", "C8", "pasting", "grid3", "grid4", "wide"])
     def test_max_value_and_first_above_match_brute_force(self, name):
-        structure = NAMED_STRUCTURES[name]()
+        structure = PRICING_STRUCTURES[name]()
         space = structure.state_space
         states = list(space)
         rng = np.random.default_rng(len(name))
@@ -268,8 +314,7 @@ class TestStateSpace:
             assert space.max_value(w) == max(sums)
             # Thresholds at a state's own sum test the strict inequality.
             for t in {*rng.choice(sums, size=4).tolist(), min(sums) - 1, max(sums)}:
-                want = next((i for i, v in enumerate(sums) if v > t), None)
-                assert space.first_above(w, t) == want
+                assert first_found(space, w, t) == scanned(states, structure, sums, t)
         w = [Fraction(1, 3)] * len(structure.atoms)
         assert space.max_value(w) == max(state_sums(states, structure, w))
 
