@@ -1,10 +1,11 @@
 """Command line front end.
 
-Every subcommand reads/writes the JSON formats of the library and exits
-with a uniform code: 0 success (classical / admissible / glued), 2
-validation problem, 3 admissible but nonclassical (or not glued), 4
-beyond the theta bound, 5 not admissible, 6 classification withheld by
-the empirical gates.
+Every subcommand reads the JSON formats of the library and returns its
+report with an exit code; ``main`` alone writes the report, to stdout or
+``--out``.  The codes are uniform: 0 success (classical / admissible /
+glued), 2 validation problem (a report that cannot be written included),
+3 admissible but nonclassical (or not glued), 4 beyond the theta bound,
+5 not admissible, 6 classification withheld by the empirical gates.
 """
 
 from __future__ import annotations
@@ -74,13 +75,12 @@ def _load_structure(path: str):
     return structure_from_json_dict(load_json(path))
 
 
-def _load_weight(path: str, structure, mode: str | None):
-    w = weight_from_json_dict(load_json(path), structure)
-    if mode == RATIONAL:
-        return to_rational(w)
-    if mode == FLOAT:
-        return to_float(w)
-    return w
+def _load_weight(args):
+    """The ``--structure`` and the ``--weight`` on it, in ``--mode`` if given."""
+    structure = _load_structure(args.structure)
+    w = weight_from_json_dict(load_json(args.weight), structure)
+    convert = {RATIONAL: to_rational, FLOAT: to_float}.get(args.mode)
+    return structure, convert(w) if convert else w
 
 
 def _link(args, embedded=None) -> LinkFunction:
@@ -92,13 +92,13 @@ def _link(args, embedded=None) -> LinkFunction:
     return link_from_json_dict(embedded)
 
 
-def _emit(args, payload) -> None:
+def _emit(out: str | None, payload) -> None:
     text = dumps(payload) if not isinstance(payload, str) else payload
-    if args.out:
+    if out:
         try:
-            Path(args.out).write_text(text)
+            Path(out).write_text(text)
         except OSError as exc:
-            raise PastedLogicError(f"cannot write {args.out}: {exc.strerror}") from None
+            raise PastedLogicError(f"cannot write {out}: {exc.strerror}") from None
     else:
         sys.stdout.write(text)
 
@@ -106,84 +106,58 @@ def _emit(args, payload) -> None:
 # ------------------------------------------------------------- subcommands
 
 
-def cmd_gen_cycle(args) -> int:
-    structure = cycle_logic(args.n)
-    _emit(args, structure)
-    return EXIT_OK
+def cmd_gen_cycle(args) -> tuple[object, int]:
+    return cycle_logic(args.n), EXIT_OK
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> tuple[object, int]:
     """The pentagon three-regime table along the path family."""
     structure = cycle_logic(5)
     columns = [a for i in range(1, 6) for a in (f"a{i}", f"x{i}")]
-    uniform = path_weight(structure, Fraction(1))
-    half = path_weight(structure, Fraction(0))
-    midpoint = {f"a{i}": Fraction(0) for i in range(1, 6)}
-    midpoint.update({f"x{i}": Fraction(1) for i in range(1, 6)})
+    midpoint = {a: Fraction(1 if a[0] == "x" else 0) for a in columns}
     proxy = path_weight(structure, Fraction(10**12))
-    payload = {
-        "columns": columns,
-        "rows": [
-            {
-                "regime": "midpoint",
-                "r": "limit",
-                "annotation": (
-                    "limit r -> infinity, not attained; at r = 10^12 the "
-                    "cyclic atoms sit within 1e-12 of 0"
-                ),
-                "values": {a: midpoint[a] for a in columns},
-                "proxy_max_gap": max(float(abs(proxy[a] - midpoint[a])) for a in columns),
-            },
-            {
-                "regime": "uniform",
-                "r": "1",
-                "values": {a: uniform[a] for a in columns},
-            },
-            {
-                "regime": "half-weight",
-                "r": "0",
-                "values": {a: half[a] for a in columns},
-            },
-        ],
-    }
-    _emit(args, payload)
-    return EXIT_OK
+    rows = [
+        {
+            "regime": "midpoint",
+            "r": "limit",
+            "annotation": (
+                "limit r -> infinity, not attained; at r = 10^12 the "
+                "cyclic atoms sit within 1e-12 of 0"
+            ),
+            "values": midpoint,
+            "proxy_max_gap": max(float(abs(proxy[a] - midpoint[a])) for a in columns),
+        }
+    ]
+    for regime, r in (("uniform", 1), ("half-weight", 0)):
+        weight = path_weight(structure, Fraction(r))
+        rows.append({"regime": regime, "r": str(r), "values": {a: weight[a] for a in columns}})
+    return {"columns": columns, "rows": rows}, EXIT_OK
 
 
-def cmd_check(args) -> int:
-    structure = _load_structure(args.structure)
-    weight = _load_weight(args.weight, structure, args.mode)
-    report = check_admissible(weight, args.tol)
-    _emit(args, report)
-    return EXIT_OK if report.admissible else EXIT_NOT_ADMISSIBLE
+def cmd_check(args) -> tuple[object, int]:
+    report = check_admissible(_load_weight(args)[1], args.tol)
+    return report, EXIT_OK if report.admissible else EXIT_NOT_ADMISSIBLE
 
 
-def cmd_enumerate(args) -> int:
-    structure = _load_structure(args.structure)
-    states = enumerate_two_valued_states(structure, args.limit)
-    _emit(args, {"count": len(states), "states": states})
-    return EXIT_OK
+def cmd_enumerate(args) -> tuple[object, int]:
+    states = enumerate_two_valued_states(_load_structure(args.structure), args.limit)
+    return {"count": len(states), "states": states}, EXIT_OK
 
 
-def cmd_classify(args) -> int:
-    structure = _load_structure(args.structure)
-    weight = _load_weight(args.weight, structure, args.mode)
-    report = classify_weight(structure, weight, args.tol)
-    _emit(args, report)
-    return _LABEL_EXIT[report.label]
+def cmd_classify(args) -> tuple[object, int]:
+    report = classify_weight(*_load_weight(args), args.tol)
+    return report, _LABEL_EXIT[report.label]
 
 
-def cmd_represent(args) -> int:
-    structure = _load_structure(args.structure)
-    weight = _load_weight(args.weight, structure, args.mode)
+def cmd_represent(args) -> tuple[object, int]:
+    structure, weight = _load_weight(args)
     link = _link(args)
     alpha = None if args.alpha is None else numeric_from_json(args.alpha)
     scores = represent_weight(structure, weight, link, alpha)
-    _emit(args, {**scores.to_json_dict(), "link": link})
-    return EXIT_OK
+    return {**scores.to_json_dict(), "link": link}, EXIT_OK
 
 
-def cmd_glue_check(args) -> int:
+def cmd_glue_check(args) -> tuple[object, int]:
     structure = _load_structure(args.structure)
     doc = load_json(args.scores)
     embedded = None
@@ -192,14 +166,12 @@ def cmd_glue_check(args) -> int:
         doc = dict(doc)
         embedded = doc.pop("link")
     scores = scores_from_json_dict(doc)
-    link = _link(args, embedded)
-    family = context_softmax(structure, scores, link)
+    family = context_softmax(structure, scores, _link(args, embedded))
     report = gluing_check(family, args.tol)
-    _emit(args, report)
-    return EXIT_OK if report.glued else EXIT_NONCLASSICAL
+    return report, EXIT_OK if report.glued else EXIT_NONCLASSICAL
 
 
-def cmd_sweep(args) -> int:
+def cmd_sweep(args) -> tuple[object, int]:
     """CSV sweep of the path family against both bounds: its cyclic sum is n/(2+r)."""
     bounds = cycle_bounds(args.n)
     lo = numeric_from_json(args.r_min)
@@ -215,27 +187,21 @@ def cmd_sweep(args) -> int:
         above_classical = int(s > bounds.classical_bound)
         above_theta = int(bounds.exceeds_theta(s)) if bounds.theta_applicable else ""
         lines.append(f"{r},{s},{above_classical},{above_theta}")
-    _emit(args, "\n".join(lines) + "\n")
-    return EXIT_OK
+    return "\n".join(lines) + "\n", EXIT_OK
 
 
-def cmd_maxent(args) -> int:
+def cmd_maxent(args) -> tuple[object, int]:
     scores = values_from_json(load_json(args.scores), "scores file")
     beta, distribution = maxent_softmax(scores, args.target, args.tol)
-    _emit(args, {"beta": beta, "distribution": distribution})
-    return EXIT_OK
+    return {"beta": beta, "distribution": distribution}, EXIT_OK
 
 
-def cmd_analyze(args) -> int:
-    data = ingest_counts(
-        args.data,
-        structure=_load_structure(args.structure) if args.structure else None,
-    )
-    report = analyze(data, args.z_threshold)
-    _emit(args, report)
+def cmd_analyze(args) -> tuple[object, int]:
+    structure = _load_structure(args.structure) if args.structure else None
+    report = analyze(ingest_counts(args.data, structure=structure), args.z_threshold)
     if report.classification is None:
-        return EXIT_WITHHELD
-    return _LABEL_EXIT[report.classification.label]
+        return report, EXIT_WITHHELD
+    return report, _LABEL_EXIT[report.classification.label]
 
 
 # ------------------------------------------------------------------ parser
@@ -295,11 +261,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     link.add_argument("--beta", default=None, help="exponential link: beta > 0")
     link.add_argument("--k", default=None, help="power link: exponent k > 0")
+    weight_files = argparse.ArgumentParser(add_help=False)
+    weight_files.add_argument("--structure", required=True)
+    weight_files.add_argument("--weight", required=True)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help, *parents):
-        p = sub.add_parser(name, parents=[*parents, out], help=help)
+    def command(name, func, help, *parents, weight=False):
+        """The options of ``parents``, then --out, then --structure and
+        --weight if ``weight``: the order --help prints them in."""
+        tail = [out, weight_files] if weight else [out]
+        p = sub.add_parser(name, parents=[*parents, *tail], help=help)
         p.set_defaults(func=func)
         return p
 
@@ -308,26 +280,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("table1", cmd_table1, "pentagon three-regime table (midpoint/uniform/half)")
 
-    p = command("check", cmd_check, "admissibility report for a weight", mode, tol)
-    p.add_argument("--structure", required=True)
-    p.add_argument("--weight", required=True)
+    command("check", cmd_check, "admissibility report for a weight", mode, tol, weight=True)
 
     p = command("enumerate", cmd_enumerate, "list all two-valued states")
     p.add_argument("--structure", required=True)
     p.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
 
-    p = command(
-        "classify", cmd_classify, "region classification with certificates", mode, tol
+    command(
+        "classify", cmd_classify, "region classification with certificates", mode, tol,
+        weight=True,
     )
-    p.add_argument("--structure", required=True)
-    p.add_argument("--weight", required=True)
 
     p = command(
         "represent", cmd_represent, "global scores reproducing a strictly positive weight",
-        mode, link,
+        mode, link, weight=True,
     )
-    p.add_argument("--structure", required=True)
-    p.add_argument("--weight", required=True)
     p.add_argument("--alpha", default=None, help="scale (rational literal); default auto")
 
     p = command(
@@ -355,13 +322,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        _emit(args.out, payload)
     except PastedLogicError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    return code
 
 
 if __name__ == "__main__":

@@ -58,8 +58,8 @@ class NegativePathParameterError(ValidationError):
 class NotAdmissibleError(PastedLogicError):
     """A weight required to be admissible is not; carries the report."""
 
-    def __init__(self, report, message: str = "weight is not admissible"):
-        super().__init__(message)
+    def __init__(self, report):
+        super().__init__("weight is not admissible")
         self.report = report
 
 

@@ -157,16 +157,17 @@ class StateSpace:
     1-atoms a.  Every query walks the table once: O(number of
     transitions), whatever the number of states.  For the max-plus pass
     each level is compiled, on the first pricing call, into one function
-    (``_kernel``), so a level is priced by one call; the compiled levels
-    are not pickled, and are built again when next needed.
+    (``_kernel``), so a level is priced by one call.  A space pickles as
+    its structure's ``state_space``, which a copy shares with the live
+    structure or builds again.
     """
 
     def __init__(self, structure: EventStructure):
         self.structure = structure
         self._levels, self.count = _frontier_table(structure)
 
-    def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k != "_kernels"}
+    def __reduce__(self):
+        return getattr, (self.structure, "state_space")
 
     @cached_property
     def _kernels(self) -> list:

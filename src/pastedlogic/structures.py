@@ -188,6 +188,10 @@ class EventStructure:
     def context_atoms(self, name: str) -> tuple[str, ...]:
         return self.contexts[self.context_position(name)]
 
+    def __reduce__(self):
+        # a copy, pickled or deep, is the live equal structure
+        return build_event_structure, (self.atoms, self.contexts, self.context_names)
+
     def to_json_dict(self) -> dict:
         return {
             "atoms": list(self.atoms),
@@ -208,8 +212,9 @@ def build_event_structure(
     Checks, in order: atoms are non-empty unique strings; every context
     is non-empty, mentions only declared atoms, and repeats none of them;
     no two contexts have the same atom set or the same name; every atom
-    occurs in at least one context.  Equal structures are one object while
-    any of them is alive, so what one has cached is built once.
+    occurs in at least one context.  Equal structures, pickled and deep
+    copies included, are one object while any of them is alive, so what
+    one has cached is built once.
     """
     atom_list: list[str] = []
     seen: set[str] = set()

@@ -16,6 +16,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from types import MappingProxyType
 from typing import Any
 
 from .errors import (
@@ -49,7 +50,8 @@ _ONE = Fraction(1)
 @dataclass(frozen=True)
 class Weight:
     """An atom -> value map over one structure, homogeneous in mode;
-    ``make_weight`` builds it, with the values in structure atom order."""
+    ``make_weight`` builds it, with the values in structure atom order,
+    read-only."""
 
     structure: EventStructure
     mode: str
@@ -72,6 +74,9 @@ class Weight:
         read, as the values never change, and not a field, so not printed."""
         scale, nums = clear_denominators(list(map(as_fraction, self.values.values())))
         return scale, tuple(nums)
+
+    def __reduce__(self):
+        return make_weight, (self.structure, dict(self.values), self.mode)
 
     to_json_dict = fields_to_json
 
@@ -98,7 +103,7 @@ def make_weight(
     check_names(values, structure.atom_index, "atoms in the weight")
     coerced, actual_mode = coerce_values(values, mode)
     return Weight(structure=structure, mode=actual_mode,
-                  values={a: coerced[a] for a in structure.atoms})
+                  values=MappingProxyType({a: coerced[a] for a in structure.atoms}))
 
 
 def weight_from_json_dict(doc: Mapping, structure: EventStructure) -> Weight:

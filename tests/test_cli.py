@@ -403,11 +403,63 @@ class TestAnalyze:
 
 PENTAGON_ATOMS = list(pentagon_values(0, 0))
 WEIGHT = {"mode": "rational", "values": pentagon_values("1/3", "1/3")}
+HALF = {"mode": "rational", "values": pentagon_values("1/2", "0")}
+NOT_ADMISSIBLE = {"mode": "rational", "values": pentagon_values("1/2", "1/2")}
+GATE_FAIL = str(DATA / "counts_gate_fail.json")
+
+
+def write_files(tmp_path, files):
+    """``files`` written to tmp_path: a dict as JSON, bytes as they are,
+    None as a directory; returns each name's path, and "pent"."""
+    paths = {"pent": str(DATA / "pentagon.json")}
+    for name, content in files.items():
+        path = tmp_path / name
+        paths[name] = str(path)
+        if content is None:
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        else:
+            path.write_text(json.dumps(content))
+    return paths
+
+
+# One run of each subcommand, its files (as in MALFORMED below) and its
+# exit code; the codes cover every label.
+REPORTS = {
+    "gen-cycle": (["gen-cycle", "--n", "5"], {}, 0),
+    "table1": (["table1"], {}, 0),
+    "check": (["check", "--structure", "{pent}", "--weight", "{w}"], {"w": NOT_ADMISSIBLE}, 5),
+    "enumerate": (["enumerate", "--structure", "{pent}"], {}, 0),
+    "classify": (["classify", "--structure", "{pent}", "--weight", "{w}"], {"w": HALF}, 4),
+    "represent": (["represent", "--structure", "{pent}", "--weight", "{w}"], {"w": WEIGHT}, 0),
+    "glue-check": (  # a2 reads 1/2 in C2 and 1/3 in C1: no weight glues them
+        ["glue-check", "--structure", "{pent}", "--scores", "{s}", "--link", "identity"],
+        {"s": {"scope": "per-context", "values": {
+            f"C{i}": {a: 2 if (i, a) == (2, "a2") else 1 for a in ctx}
+            for i, ctx in enumerate(pl.cycle_logic(5).contexts, 1)}}}, 3),
+    "sweep": (["sweep", "--n", "5", "--points", "9"], {}, 0),
+    "maxent": (["maxent", "--scores", "{s}", "--target", "0.5"], {"s": {"w": 0, "l": 1}}, 0),
+    "analyze": (["analyze", "--data", GATE_FAIL], {}, 6),
+}
+
+
+@pytest.mark.parametrize("argv,files,code", REPORTS.values(), ids=REPORTS)
+def test_out_gets_the_bytes_stdout_would_and_the_same_code(tmp_path, capsys, argv, files, code):
+    argv = [a.format(**write_files(tmp_path, files)) for a in argv]
+    assert cli.main(argv) == code
+    printed = capsys.readouterr()
+    assert printed.out and printed.err == ""
+    out = tmp_path / "report.out"
+    assert cli.main([*argv, "--out", str(out)]) == code
+    assert capsys.readouterr() == ("", "")
+    assert out.read_bytes() == printed.out.encode()
+
 
 # argv ("{name}" stands for a file of tmp_path), and the files to write
-# there: a dict is written as JSON, bytes as they are, None makes a
-# directory.  Each input once ended in a traceback, a silently ignored
-# flag or an answer that is not one.
+# there, as write_files takes them.  Each input once ended in a
+# traceback, a silently ignored flag or an answer that is not one.  An
+# --out that cannot be written exits 2 whatever the report's own code.
 MALFORMED = {
     "represent-alpha-not-a-literal": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--alpha", "abc"],
@@ -455,6 +507,14 @@ MALFORMED = {
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--link", "power",
          "--beta", "2"], {"w": WEIGHT}),
     "out-is-a-directory": (["gen-cycle", "--n", "5", "--out", "{dir}"], {"dir": None}),
+    "out-is-a-directory-where-check-exits-5": (
+        ["check", "--structure", "{pent}", "--weight", "{w}", "--out", "{dir}"],
+        {"w": NOT_ADMISSIBLE, "dir": None}),
+    "out-is-a-directory-where-classify-exits-4": (
+        ["classify", "--structure", "{pent}", "--weight", "{w}", "--out", "{dir}"],
+        {"w": HALF, "dir": None}),
+    "out-is-a-directory-where-analyze-exits-6": (
+        ["analyze", "--data", GATE_FAIL, "--out", "{dir}"], {"dir": None}),
     "out-in-a-missing-directory": (
         ["gen-cycle", "--n", "5", "--out", "{dir}/missing/cycle.json"], {"dir": None}),
     "represent-power-k-without-a-float-score": (
@@ -478,16 +538,7 @@ MALFORMED = {
 
 @pytest.mark.parametrize("argv,files", MALFORMED.values(), ids=MALFORMED)
 def test_malformed_input_exits_2_with_one_line(tmp_path, capsys, argv, files):
-    paths = {"pent": str(DATA / "pentagon.json")}
-    for name, content in files.items():
-        path = tmp_path / name
-        paths[name] = str(path)
-        if content is None:
-            path.mkdir()
-        elif isinstance(content, bytes):
-            path.write_bytes(content)
-        else:
-            path.write_text(json.dumps(content))
+    paths = write_files(tmp_path, files)
     assert cli.main([a.format(**paths) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -1,4 +1,6 @@
+import gc
 import pickle
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -278,21 +280,31 @@ class TestStateSpace:
         with pytest.raises(NoTwoValuedStatesError):
             space.max_value([1, 1, 1])
 
-    def test_a_space_pickles_without_its_compiled_levels(self):
-        # Pricing compiles the levels, which do not pickle: a copy drops
-        # them and compiles them again on its next pricing call.
-        structure = pl.cycle_logic(9)
+    def test_a_space_pickles_as_its_structures_space(self):
+        # A copy is the live structure's space, compiled levels and all.
+        # Once the structure is gone, a copy builds its space again and
+        # compiles it on its first pricing call.
+        nine = pl.cycle_logic(9)
+        # the 9-cycle with its contexts listed backwards: no other test holds it
+        structure = pl.build_event_structure(
+            nine.atoms, nine.contexts[::-1], nine.context_names[::-1])
         w = [i % 5 - 2 for i in range(len(structure.atoms))]
+        best = structure.state_space.max_value(w)
         for r in (Fraction(1, 10), 1):
             report = pl.classify_weight(structure, pl.path_weight(structure, r))
             assert "_kernels" in vars(structure.state_space)
             copy, copied = pickle.loads(pickle.dumps((report, structure)))
             assert dumps(copy.to_json_dict()) == dumps(report.to_json_dict())
-            space = copied.state_space
-            assert copy.membership.states is space and "_kernels" not in vars(space)
-            assert space.max_value(w) == structure.state_space.max_value(w)
-            assert "_kernels" in vars(space)
+            assert copied is structure and copy.membership.states is structure.state_space
         assert {report.label, copy.label} == {"classical"}
+        data, alive = pickle.dumps(report), weakref.ref(structure)
+        del report, copy, copied, structure
+        gc.collect()
+        assert alive() is None
+        space = pickle.loads(data).membership.states
+        assert "_kernels" not in vars(space)
+        assert space.max_value(w) == best
+        assert "_kernels" in vars(space)
 
     def test_counting_listing_and_ranking_compile_nothing(self):
         space = pl.StateSpace(pl.cycle_logic(7))

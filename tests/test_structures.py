@@ -1,6 +1,8 @@
+import copy
 import gc
 import itertools
 import json
+import pickle
 import random
 import time
 import weakref
@@ -190,6 +192,21 @@ class TestInterning:
         rebuilt = _named_pentagon("dropped-")
         assert "state_space" not in vars(rebuilt)
         assert structures._interned[key] is rebuilt
+
+    @pytest.mark.parametrize("clone", [lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    def test_a_copy_is_the_live_structure_with_its_caches(self, clone):
+        assert clone(pl.cycle_logic(5)) is pl.cycle_logic(5)
+        pentagon = _named_pentagon("copied-")
+        pentagon.state_space
+        again = clone(pentagon)
+        assert again is pentagon and "state_space" in vars(again)
+
+    def test_a_copy_whose_original_is_gone_is_the_structure_built_next(self):
+        data = pickle.dumps(_named_pentagon("unpickled-"))
+        gc.collect()
+        again = pickle.loads(data)
+        assert _named_pentagon("unpickled-") is again
 
     @pytest.mark.parametrize("atoms,contexts,error", [
         (["p", "p"], [["p"]], DuplicateAtomError),

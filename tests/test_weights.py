@@ -1,5 +1,7 @@
+import copy
 import json
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -206,6 +208,27 @@ class TestPoint:
         assert w.point is w.point
         assert fields_to_json(w) == before
         assert list(before) == ["mode", "values"]
+
+
+class TestReadOnly:
+    def test_values_cannot_be_assigned(self, pentagon):
+        w = pl.path_weight(pentagon, 1)
+        assert pl.check_admissible(w).admissible
+        with pytest.raises(TypeError):
+            w.values["a1"] = Fraction(9)
+        assert w["a1"] == Fraction(1, 3) and pl.check_admissible(w).admissible
+
+    @pytest.mark.parametrize("clone", [lambda w: pickle.loads(pickle.dumps(w)), copy.deepcopy],
+                             ids=["pickle", "deepcopy"])
+    @pytest.mark.parametrize("r", [Fraction(3, 7), 0.1])
+    def test_a_copy_is_equal_and_prints_the_same(self, pentagon, clone, r):
+        w = pl.path_weight(pentagon, r)
+        w.point
+        again = clone(w)
+        assert again == w and dumps(again) == dumps(w)
+        assert again.structure is pentagon and again.point == w.point
+        with pytest.raises(TypeError):
+            again.values["a1"] = 0
 
 
 class TestPathFamily:
