@@ -39,7 +39,7 @@ _EXPORTS = {
         "NegativeCountError", "NegativePathParameterError", "NoTwoValuedStatesError",
         "NotACycleStructureError", "NotAComponentError", "NotAdmissibleError", "NotGluedError",
         "NotStrictlyPositiveError", "PastedLogicError", "SchemaError", "ScoreOutOfDomainError",
-        "SingularKKTError", "TargetOutOfRangeError", "UnknownAtomError", "ValidationError",
+        "SingularSystemError", "TargetOutOfRangeError", "UnknownAtomError", "ValidationError",
     ),
     "numeric": (),
     "softmax": (

@@ -30,7 +30,6 @@ from itertools import combinations
 from pathlib import Path
 from typing import Any
 
-from ._linalg import solve_exact
 from .bounds import RegionReport, classify_weight
 from .errors import (
     EmptyContextSampleError,
@@ -41,7 +40,7 @@ from .errors import (
     ValidationError,
 )
 from .numeric import (_require_keys, check_tolerance, clear_denominators,
-                      fields_to_json, is_integer, load_json, read_text, render)
+                      fields_to_json, is_exact, is_integer, load_json, read_text, render)
 from .structures import EventStructure, check_names, incidence, structure_from_json_dict
 from .weights import Weight, check_admissible, check_same_structure, make_weight
 
@@ -287,24 +286,26 @@ def project_affine(
     where every context sums to 1: the kept contexts' multipliers and
     the projected point.
 
-    Redundant context rows are dropped by exact rank reduction, once per
-    structure (``EventStructure.projection_plan``); the kept contexts'
-    multipliers solve ``A Aᵀ μ = A p̂ − 1`` (``A Aᵀ`` counts the atoms two
-    contexts share) and ``p* = p̂ − Aᵀ μ``, in integers over one common
-    denominator D of p̂ and one of D·μ.
+    ``values`` maps every atom, and nothing else, to an int or a Fraction,
+    or ``ValidationError`` is raised.  Redundant context rows are dropped
+    and the Gram matrix ``A Aᵀ`` (the atoms two contexts share) factored,
+    once per structure (``EventStructure.projection_plan``); a call only
+    substitutes ``A p̂ − 1`` to get the multipliers μ, and ``p* = p̂ − Aᵀ μ``,
+    in integers over one common denominator D of p̂ and one of D·μ.
     """
-    atoms, holders = structure.atoms, structure.incidence_index.contexts_of
-    scale, nums = clear_denominators([values[a] for a in atoms])
-    kept, rows, gram = structure.projection_plan
-    den, shift = clear_denominators(
-        solve_exact(gram, [sum(nums[p] for p in row) - scale for row in rows]))
-    by_name = dict(zip(kept, shift))
-    den_star = den * scale  # μ = shift / den_star and p* = p̂ − Aᵀμ
-    return (
-        {name: Fraction(s, den_star) for name, s in by_name.items()},
-        {a: Fraction(n * den - sum(by_name.get(h, 0) for h in holders[a]), den_star)
-         for a, n in zip(atoms, nums)},
-    )
+    check_names(values, structure.atom_index, "atoms in the point")
+    if not all(map(is_exact, values.values())):
+        raise ValidationError("project_affine takes exact values: ints or Fractions")
+    scale, nums = clear_denominators([values[a] for a in structure.atoms])
+    kept, rows, factor = structure.projection_plan
+    den, shift = factor.solve([sum(nums[p] for p in row) - scale for row in rows])
+    star = [n * den for n in nums]  # μ = shift / den_star and p* = p̂ − Aᵀμ
+    for row, s in zip(rows, shift):
+        for p in row:
+            star[p] -= s
+    den_star = den * scale
+    return ({name: Fraction(s, den_star) for name, s in zip(kept, shift)},
+            {a: Fraction(n, den_star) for a, n in zip(structure.atoms, star)})
 
 
 def reconstruct_weight(data: CountData) -> ReconstructedWeight:

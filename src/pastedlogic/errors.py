@@ -144,5 +144,5 @@ class EmptyContextSampleError(ValidationError):
     """Every context needs at least one observation."""
 
 
-class SingularKKTError(PastedLogicError):
-    """The constrained least-squares system is inconsistent."""
+class SingularSystemError(PastedLogicError):
+    """An exact linear system is singular, or its constraints are inconsistent."""

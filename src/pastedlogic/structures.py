@@ -23,7 +23,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import TYPE_CHECKING, Collection, Iterable, Sequence
 
-from ._linalg import independent_rows
+from ._linalg import Factor, independent_rows
 from .errors import (
     DuplicateAtomError,
     DuplicateContextError,
@@ -162,18 +162,18 @@ class EventStructure:
         return StateSpace(self)
 
     @cached_property
-    def projection_plan(self) -> tuple[list[str], list[list[int]], list[Counter]]:
+    def projection_plan(self) -> tuple[list[str], list[list[int]], Factor]:
         """The structure's half of ``empirical.project_affine``, built once:
         the first maximal independent set of contexts, their atom positions,
-        and their Gram matrix A Aᵀ (the atoms two of them share)."""
+        and the factor of their Gram matrix A Aᵀ (the atoms two of them share)."""
         index, names = self.atom_index, self.context_names
         holders = self.incidence_index.contexts_of
         rows = [[index[a] for a in ctx] for ctx in self.contexts]
         kept = independent_rows([dict.fromkeys(row, 1) for row in rows], [1] * len(rows))
         position = {names[i]: k for k, i in enumerate(kept)}
-        return [names[i] for i in kept], [rows[i] for i in kept], [
+        return [names[i] for i in kept], [rows[i] for i in kept], Factor([
             Counter(position[h] for a in self.contexts[i] for h in holders[a] if h in position)
-            for i in kept]
+            for i in kept])
 
     @cached_property
     def _context_by_name(self) -> Mapping[str, int]:

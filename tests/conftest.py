@@ -13,6 +13,37 @@ import pastedlogic as pl
 set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "pastedlogic-hypothesis")
 
 
+# The membership LP has no pivot bound, so a pricing fault would make it
+# cycle for ever.  Tier-1's largest LP, C41 at r = 1/10, prices 8 908
+# times (8 907 pivots and the last, empty, pricing call).
+PRICING_BUDGET = 50_000
+
+
+@pytest.fixture(autouse=True)
+def pricing_budget(monkeypatch):
+    """Fail, rather than hang, an LP on the real ``StateSpace`` that
+    prices more than ``PRICING_BUDGET`` times, as ``ListFamily`` does for
+    the fake.  The count restarts at each ``states.feasible_nonnegative``
+    call; LPs a test runs through ``_simplex`` directly share one count.
+    Subprocesses (CLI, demos, the benchmark selftest) are not covered."""
+    from pastedlogic import states
+
+    first_above, solve, calls = states.StateSpace.first_above, states.feasible_nonnegative, [0]
+
+    def counted(space, w, t):
+        calls[0] += 1
+        if calls[0] > PRICING_BUDGET:
+            raise AssertionError(f"more than {PRICING_BUDGET} pricing calls: the simplex cycles")
+        return first_above(space, w, t)
+
+    def budgeted(family, rhs):
+        calls[0] = 0
+        return solve(family, rhs)
+
+    monkeypatch.setattr(states.StateSpace, "first_above", counted)
+    monkeypatch.setattr(states, "feasible_nonnegative", budgeted)
+
+
 @pytest.fixture(scope="session")
 def triangle():
     return pl.cycle_logic(3)

@@ -359,7 +359,7 @@ def reference_solve_exact(matrix, rhs):
     for k in range(n):
         pivot = next((r for r in range(k, n) if a[r][k]), None)
         if pivot is None:
-            raise pl.SingularKKTError("singular system in exact solve")
+            raise pl.SingularSystemError("singular system in exact solve")
         a[k], a[pivot] = a[pivot], a[k]
         top = a[k][k + 1:]
         p = a[k][k]
@@ -392,7 +392,7 @@ def reference_independent_rows(rows, rhs):
         lead = next((c for c, v in enumerate(row[:-1]) if v), None)
         if lead is None:
             if row[-1]:
-                raise pl.SingularKKTError(
+                raise pl.SingularSystemError(
                     "inconsistent constraints: a dependent context sum "
                     "disagrees with the others"
                 )
@@ -401,3 +401,16 @@ def reference_independent_rows(rows, rhs):
         kept.append(i)
     return kept
 
+
+def reference_projection(structure, values):
+    """``project_affine`` from the dense references: the contexts kept by
+    ``reference_independent_rows``, their multipliers μ by
+    ``reference_solve_exact`` on their Gram matrix A Aᵀ, and
+    p* = p̂ − Aᵀ μ."""
+    sets, names = structure.context_sets, structure.context_names
+    dense = [[int(a in s) for a in structure.atoms] for s in sets]
+    kept = reference_independent_rows(dense, [1] * len(sets))
+    gram = [[len(sets[i] & sets[j]) for j in kept] for i in kept]
+    mu = reference_solve_exact(gram, [sum(values[a] for a in sets[i]) - 1 for i in kept])
+    point = {a: values[a] - sum(m for i, m in zip(kept, mu) if a in sets[i]) for a in structure.atoms}
+    return {names[i]: m for i, m in zip(kept, mu)}, point

@@ -11,21 +11,24 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
-from helpers import pentagon_pair
+from helpers import grid_logic, pentagon_pair, random_structure, reference_projection
 from pastedlogic import (
     EmptyContextSampleError,
     MissingAtomValueError,
     NegativeCountError,
     NotAdmissibleError,
     SchemaError,
-    SingularKKTError,
+    SingularSystemError,
     UnknownAtomError,
     ValidationError,
 )
 from pastedlogic.empirical import BETWEEN_SAMPLES_NOTE
+from pastedlogic.numeric import clear_denominators
 
 DATA = Path(__file__).parent / "data"
 
@@ -424,7 +427,7 @@ class TestReconstruct:
         data = ingest(S, {
             "C1": {"a": 1, "b": 1}, "C2": {"c": 3}, "C3": {"a": 1, "b": 1, "c": 1},
         })
-        with pytest.raises(SingularKKTError, match="inconsistent constraints"):
+        with pytest.raises(SingularSystemError, match="inconsistent constraints"):
             pl.reconstruct_weight(data)
 
     @pytest.mark.parametrize(
@@ -478,6 +481,86 @@ class TestReconstruct:
         data = pl.sample_counts(pentagon, pl.path_weight(pentagon, Fraction(1, 3)), 40, 1)
         doc = pl.reconstruct_weight(data).to_json_dict()
         assert set(doc) == {"p_hat", "p_star", "residuals", "multipliers", "box_violations"}
+
+
+def _projection_outcome(projection, structure, values):
+    try:
+        multipliers, point = projection(structure, values)
+    except SingularSystemError as exc:
+        return str(exc)
+    return list(multipliers.items()), point
+
+
+def _random_values(structure, rng, top):
+    return {a: Fraction(rng.randint(0, top), rng.randint(1, top)) for a in structure.atoms}
+
+
+def _array_grid(k):
+    """A k x k array of atoms whose rows and columns are the contexts: the
+    rows sum to the columns, so the last column is a dependent context."""
+    atoms = [f"e{i}_{j}" for i in range(k) for j in range(k)]
+    return pl.build_event_structure(
+        atoms, [atoms[i * k:(i + 1) * k] for i in range(k)] + [atoms[j::k] for j in range(k)])
+
+
+class TestProjectAffine:
+    """``project_affine`` pushes its right-hand side through the Gram
+    factor that ``projection_plan`` holds; it must give the dense
+    reference's kept contexts, multipliers, point and errors."""
+
+    @pytest.mark.parametrize("structure", [
+        *(pl.cycle_logic(n) for n in (3, 4, 5, 6, 7, 8, 9, 11, 21, 31, 41, 64, 101)),
+        *(grid_logic(k) for k in range(2, 9)),
+        *(_array_grid(k) for k in (2, 3, 5)),
+        pentagon_pair(),
+    ], ids=lambda s: f"{len(s.contexts)}-contexts-{len(s.atoms)}-atoms")
+    def test_equals_the_dense_reference(self, structure):
+        rng = random.Random(len(structure.atoms))
+        for top in (1, 40, 5000):
+            values = _random_values(structure, rng, top)
+            got = _projection_outcome(pl.project_affine, structure, values)
+            assert got == _projection_outcome(reference_projection, structure, values)
+
+    def test_the_last_column_of_an_atom_array_is_dropped(self):
+        for k in (2, 3, 5):
+            kept, _, _ = _array_grid(k).projection_plan
+            assert kept == [f"C{i}" for i in range(1, 2 * k)]
+
+    def test_a_common_denominator_past_500_bits(self):
+        # Pooled frequencies like the pipeline's scattered C41 counts: one
+        # denominator per atom, between 1 500 and 5 000.
+        structure, rng = pl.cycle_logic(41), random.Random(41)
+        values = {a: Fraction(rng.randint(1, 1500), rng.randint(1500, 5000)) for a in structure.atoms}
+        assert clear_denominators(list(values.values()))[0].bit_length() > 500
+        got = _projection_outcome(pl.project_affine, structure, values)
+        assert got == _projection_outcome(reference_projection, structure, values)
+
+    @settings(derandomize=True, database=None, max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 7, 300]))
+    def test_random_structures(self, seed, top):
+        # About two in five have a dependent context whose sum is not 1,
+        # so both sides raise "inconsistent constraints".
+        structure = random_structure(np.random.default_rng(seed))
+        values = _random_values(structure, random.Random(seed), top)
+        got = _projection_outcome(pl.project_affine, structure, values)
+        assert got == _projection_outcome(reference_projection, structure, values)
+
+    def test_a_missing_atom_is_named(self, pentagon):
+        values = dict.fromkeys(pentagon.atoms, Fraction(1, 3))
+        del values["x5"]
+        with pytest.raises(MissingAtomValueError, match="missing atoms in the point: x5"):
+            pl.project_affine(pentagon, values)
+
+    def test_an_extra_atom_is_named(self, pentagon):
+        values = {**dict.fromkeys(pentagon.atoms, Fraction(1, 3)), "z": Fraction(0)}
+        with pytest.raises(UnknownAtomError, match="unknown atoms in the point: z"):
+            pl.project_affine(pentagon, values)
+
+    @pytest.mark.parametrize("value", [0.5, "1/2"])
+    def test_a_value_that_is_not_exact_is_refused(self, pentagon, value):
+        values = {**dict.fromkeys(pentagon.atoms, Fraction(1, 3)), "a1": value}
+        with pytest.raises(ValidationError, match="exact values"):
+            pl.project_affine(pentagon, values)
 
 
 class TestAnalyze:

@@ -1,5 +1,6 @@
 """The exact solve and rank sweep behind the empirical projection."""
 
+import math
 from fractions import Fraction as F
 from random import Random
 
@@ -8,8 +9,8 @@ import pytest
 
 import pastedlogic as pl
 from helpers import grid_logic, random_structure, reference_independent_rows, reference_solve_exact
-from pastedlogic import SingularKKTError
-from pastedlogic._linalg import independent_rows, solve_exact
+from pastedlogic import SingularSystemError
+from pastedlogic._linalg import Factor, independent_rows, solve_exact
 
 
 def residual(matrix, x, rhs):
@@ -43,12 +44,37 @@ class TestSolveExact:
         ],
     )
     def test_singular_matrix_raises(self, matrix):
-        with pytest.raises(SingularKKTError, match="singular"):
+        with pytest.raises(SingularSystemError, match="singular"):
             solve_exact(matrix, [F(1)] * len(matrix))
 
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError, match="not square"):
             solve_exact([{0: 1, 1: 2}], [F(1)])
+
+
+class TestFactor:
+    def test_one_factor_serves_many_right_hand_sides(self):
+        rng = Random(7)
+        for n in (1, 2, 4, 7, 10):
+            while True:  # a random sparse nonsingular matrix, Fractions in some rows
+                matrix = [{c: F(rng.randint(-9, 9) or 1, rng.choice((1, 1, 2, 3, 7))) for c in range(n)
+                           if rng.random() < 0.4 or c == i} for i in range(n)]
+                if not isinstance(_outcome(reference_solve_exact, _dense(matrix, n), [0] * n), str):
+                    break
+            factor = Factor(matrix)
+            for _ in range(15):
+                rhs = [rng.randint(-10**40, 10**40) for _ in range(n)]
+                den, nums = factor.solve(rhs)
+                assert den > 0 and math.gcd(den, *nums) == 1
+                assert [F(v, den) for v in nums] == reference_solve_exact(_dense(matrix, n), rhs)
+
+    @pytest.mark.parametrize("n", [41, 101, 201])
+    def test_a_cycles_factor_is_linear_in_its_size(self, n):
+        # The reduced rows and their steps, with no dense inverse or L:
+        # about 5n integers, where G⁻¹ would hold n²/2.
+        _, _, factor = pl.cycle_logic(n).projection_plan
+        held = sum(1 + len(others) + 3 * len(steps) for _, steps, _, _, _, others in factor.rows)
+        assert len(factor.rows) == n and held <= 10 * n
 
 
 class TestIndependentRows:
@@ -60,14 +86,14 @@ class TestIndependentRows:
 
     def test_inconsistent_dependent_row_raises(self):
         rows = [{0: 1, 1: 1}, {2: 1}, {0: 1, 1: 1, 2: 1}]
-        with pytest.raises(SingularKKTError, match="inconsistent"):
+        with pytest.raises(SingularSystemError, match="inconsistent"):
             independent_rows(rows, [1, 1, 1])
 
 
 def _outcome(solver, *args):
     try:
         return solver(*args)
-    except SingularKKTError as exc:
+    except SingularSystemError as exc:
         return str(exc)
 
 

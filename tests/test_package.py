@@ -30,7 +30,7 @@ EAGER_NAMES = {
     "NegativeCountError", "NegativePathParameterError", "NoTwoValuedStatesError",
     "NotACycleStructureError", "NotAComponentError", "NotAdmissibleError", "NotGluedError",
     "NotStrictlyPositiveError", "PastedLogicError", "SchemaError", "ScoreOutOfDomainError",
-    "SingularKKTError", "TargetOutOfRangeError", "UnknownAtomError", "ValidationError",
+    "SingularSystemError", "TargetOutOfRangeError", "UnknownAtomError", "ValidationError",
     "ContextDistributionFamily", "ExponentialLink", "GlobalScores", "GluingReport",
     "IdentityLink", "LinkFunction", "MultiplicativeLinkReport", "PerContextScores",
     "PowerLink", "boundary_path", "check_multiplicative_link", "context_softmax",

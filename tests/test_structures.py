@@ -232,10 +232,12 @@ class TestInterning:
     def test_reloaded_counts_share_one_projection_plan_and_state_space(self, monkeypatch):
         from pastedlogic import states
 
-        rows, tables = [], []
+        rows, factors, tables = [], [], []
         independent_rows, frontier_table = structures.independent_rows, states._frontier_table
+        factor = structures.Factor
         monkeypatch.setattr(structures, "independent_rows",
                             lambda *a: rows.append(1) or independent_rows(*a))
+        monkeypatch.setattr(structures, "Factor", lambda gram: factors.append(1) or factor(gram))
         monkeypatch.setattr(states, "_frontier_table",
                             lambda s: tables.append(1) or frontier_table(s))
         pentagon = _named_pentagon("reloaded-")
@@ -250,10 +252,10 @@ class TestInterning:
         second = pl.ingest_counts(json.loads(doc))
         assert second.structure is first.structure
         assert pl.reconstruct_weight(first) == pl.reconstruct_weight(second)
-        assert rows == [1]
+        assert rows == [1] and factors == [1]
         labels = {pl.analyze(data).classification.label for data in (first, second)}
         assert labels == {"beyond-theta"}  # 5/2 on the cyclic atoms
-        assert rows == [1] and tables == [1]
+        assert rows == [1] and factors == [1] and tables == [1]
 
 
 class TestConnectivity:
