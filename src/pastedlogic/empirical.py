@@ -225,12 +225,12 @@ def single_valuedness_test(
     pbar = (k + k')/(N + N').  A pooled frequency of exactly 0 or 1, or
     a variance that underflows to 0.0 (counts beyond about 10**160),
     makes the denominator vanish: a zero gap then counts as agreement,
-    a nonzero gap is flagged degenerate and fails the gate.
+    a nonzero gap is flagged degenerate and makes max |z| infinite.  The
+    gate passes when max |z| <= z_threshold, which is always finite.
     """
     check_tolerance(z_threshold, "z_threshold")
     entries: list[PairStatistic] = []
     max_abs = 0.0
-    passed = True
     for atom, holders in incidence(data.structure).contexts_of.items():
         for ca, cb in combinations(holders, 2):
             na, nb = data.totals[ca], data.totals[cb]
@@ -245,13 +245,9 @@ def single_valuedness_test(
                 z, degenerate = (None, True) if diff else (0.0, False)
             entries.append(PairStatistic(atom, (ca, cb), Fraction(ka, na), Fraction(kb, nb),
                                          Fraction(abs(diff), na * nb), z, degenerate))
-            if degenerate:
-                passed = False
-                max_abs = math.inf
-            elif z is not None:
-                max_abs = max(max_abs, abs(z))
-    passed = passed and max_abs <= z_threshold
-    return SingleValuednessReport(float(z_threshold), tuple(entries), max_abs, passed)
+            max_abs = math.inf if degenerate else max(max_abs, abs(z))
+    return SingleValuednessReport(float(z_threshold), tuple(entries), max_abs,
+                                  max_abs <= z_threshold)
 
 
 # ------------------------------------------------------------- reconstruct
@@ -360,8 +356,7 @@ def analyze(data: CountData, z_threshold: float = DEFAULT_Z_THRESHOLD) -> Analys
     reason: str | None = None
     if not sv.passed:
         reason = (
-            "single-valuedness gate failed: max |z| = "
-            f"{'inf' if math.isinf(sv.max_abs_z) else f'{sv.max_abs_z:.6g}'}"
+            f"single-valuedness gate failed: max |z| = {sv.max_abs_z:.6g}"
             f" exceeds {z_threshold:g}"
         )
     elif recon.box_violations:

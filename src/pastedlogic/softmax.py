@@ -347,16 +347,18 @@ def context_softmax(
 
 @dataclass(frozen=True)
 class GluingReport:
-    """Three views of the same agreement question.
+    """The verdict, its one deciding view, and two diagnostic views.
 
     ``atom_discrepancies``: per shared atom, the largest probability gap
-    across containing contexts (the defining condition).
+    across containing contexts; ``glued`` reads this view alone.
     ``pair_ratio_spreads``: per overlapping context pair, how far the
-    q-ratios of its shared atoms are from each other (a pair glues only
-    if all its shared atoms give one common normaliser ratio).
+    q-ratios of its shared atoms are from the first (0 when it shares
+    one atom); in JSON the two names, with ``\\`` and ``|`` escaped by
+    a backslash, are joined by ``|``.
     ``cycle_deviations``: per fundamental cycle of the context-overlap
-    graph, |product of edge ratios - 1| (ratios must telescope around
-    closed chains).  In exact mode every comparison is exact.
+    graph, |product of edge ratios - 1|.  Both ratio views scale with
+    the normalisers, so they only show where a failed family's
+    normalisers do not line up.  In exact mode every entry is exact.
     """
 
     glued: bool
@@ -365,13 +367,15 @@ class GluingReport:
     atom_discrepancies: Mapping[str, Numeric]
     pair_ratio_spreads: Mapping[tuple[str, str], Numeric]
     cycle_deviations: tuple[tuple[tuple[str, ...], Numeric], ...]
+    _ESCAPES = str.maketrans({"\\": r"\\", "|": r"\|"})  # a class constant, not a field
 
     def max_discrepancy(self) -> Numeric:
         return max(self.atom_discrepancies.values(), default=0)
 
     def to_json_dict(self) -> dict:
         return {**fields_to_json(self), **render({
-            "pair_ratio_spreads": {f"{a}|{b}": v for (a, b), v in self.pair_ratio_spreads.items()},
+            "pair_ratio_spreads": {"|".join(n.translate(self._ESCAPES) for n in pair): v
+                                   for pair, v in self.pair_ratio_spreads.items()},
             "cycle_deviations": [{"cycle": c, "deviation": v} for c, v in self.cycle_deviations],
         })}
 
@@ -381,13 +385,20 @@ def gluing_check(
 ) -> GluingReport:
     """Do the context distributions agree wherever they overlap?
 
-    An exact family (every probability a Fraction) is decided exactly and
-    ``tol`` is ignored: it glues when every entry of the report is 0.
-    Otherwise each entry is compared with ``tol``.  The cycles are the
-    structure's ``fundamental_cycles``, each edge taking the ratio of
-    the first atom its two contexts share.  The report is computed once
-    per family and ``tol`` and then returned as it is, so a family must
-    not be changed after it is built.  A negative ``tol`` is refused.
+    It glues when every shared atom has one probability: exactly for an
+    exact family (every probability a Fraction; ``tol`` is ignored),
+    within ``tol`` otherwise.  No normaliser enters, so a score shift
+    that leaves the probabilities alone leaves the verdict alone.  For
+    an exact family this is the rule that every view be 0: with one
+    probability per shared atom, q_C(a) = P(a) Z_C, so a pair's q-ratios
+    all equal Z_C / Z_C' and a cycle's product telescopes to 1.  The
+    converse fails: contexts {a, b} and {a, c, d} with every coordinate
+    1 give both ratio views 0, yet P(a) is 1/2 against 1/3.  The cycles
+    are the structure's ``fundamental_cycles``, each edge taking the
+    ratio of the first atom its two contexts share.  The report is
+    computed once per family and ``tol`` and then returned as it is, so
+    a family must not be changed after it is built.  A negative ``tol``
+    is refused.
     """
     check_tolerance(tol)
     memo = family._gluing_reports
@@ -412,7 +423,7 @@ def gluing_check(
 
     pair_spread: dict[tuple[str, str], Numeric] = {}
     for pair, shared in inc.shared_atoms.items():
-        if exact and len(shared) == 1:
+        if len(shared) == 1:
             pair_spread[pair] = zero  # one ratio cannot spread
             continue
         ca, cb = pair
@@ -431,18 +442,9 @@ def gluing_check(
         else:
             cycle_dev.append((cycle, abs(math.prod(p / q for p, q in edges) - 1)))
 
-    if exact:  # every entry is >= 0, so <= 0 means == 0
-        ok = not (any(atom_disc.values()) or any(pair_spread.values())
-                  or any(v for _, v in cycle_dev))
-    else:
-        ok = (
-            all(v <= tolerance for v in atom_disc.values())
-            and all(v <= tolerance for v in pair_spread.values())
-            and all(v <= tolerance for _, v in cycle_dev)
-        )
-    report = memo[tol] = GluingReport(
-        bool(ok), exact, tolerance, atom_disc, pair_spread, tuple(cycle_dev)
-    )
+    gaps = atom_disc.values()  # every gap is >= 0, so none nonzero means all 0
+    ok = not any(gaps) if exact else all(v <= tolerance for v in gaps)
+    report = memo[tol] = GluingReport(ok, exact, tolerance, atom_disc, pair_spread, tuple(cycle_dev))
     return report
 
 

@@ -234,6 +234,22 @@ class TestRepresentAndGlue:
         gap = max(float(v) for v in doc["atom_discrepancies"].values())
         assert abs(gap - (math.e / (math.e + 2) - 1 / 3)) <= 1e-12
 
+    def test_a_shifted_context_still_glues(self, tmp_path, capsys):
+        # C1's scores are C2's plus 30: the probabilities agree to 4e-16,
+        # and only the normaliser ratio (a diagnostic) sees the shift.
+        pair = pl.build_event_structure(
+            ["a", "b", "c", "d"], [["a", "b", "c"], ["a", "b", "d"]], ["C1", "C2"]
+        )
+        scores = [0.3, -1.1, 0.7]
+        values = {"C1": {k: u + 30 for k, u in zip("abc", scores)}, "C2": dict(zip("abd", scores))}
+        structure = write_json(tmp_path, "pair.json", pair.to_json_dict())
+        scores_file = write_json(tmp_path, "scores.json", {"scope": "per-context", "values": values})
+        assert cli.main(["glue-check", "--structure", structure, "--scores", scores_file,
+                         "--link", "exponential", "--beta", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["glued"] is True
+        assert float(doc["pair_ratio_spreads"]["C1|C2"]) > doc["tolerance"]
+
 
 class TestSweep:
     def run_sweep(self, tmp_path, *argv):

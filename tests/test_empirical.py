@@ -300,6 +300,19 @@ class TestSingleValuedness:
         assert e.z == 0.0 and not e.degenerate
         assert sv.passed and sv.max_abs_z == 0.0
 
+    @pytest.mark.parametrize("z_threshold", [1.96, 1e300])
+    def test_a_degenerate_pair_fails_at_any_threshold(self, z_threshold):
+        # Totals past 10**308 make 1/N underflow, so the pooled variance is
+        # 0.0 while the gap (1/4 against 1/2 on a) is not.
+        big = 10**400
+        data = ingest(fork(), {"L": {"a": big, "b": 3 * big}, "R": {"a": big, "c": big}})
+        sv = pl.single_valuedness_test(data, z_threshold)
+        assert [(e.z, e.degenerate) for e in sv.entries] == [(None, True)]
+        assert sv.max_abs_z == math.inf and not sv.passed
+        assert pl.analyze(data, z_threshold).withheld_reason == (
+            f"single-valuedness gate failed: max |z| = inf exceeds {z_threshold:g}"
+        )
+
     def test_statistics_match_direct_recomputation(self, pentagon):
         rng = np.random.default_rng(31)
         for trial in range(10):

@@ -21,6 +21,9 @@ The benchmark's tracer wraps package functions by name, so every name it
 lists must still exist: a rename in ``src`` would otherwise break only
 ``perfbench/run.py --trace 1``.  The benchmark's own self-test runs here
 too, so a change that breaks its checkers or its tracer fails the suite.
+
+The pytest settings themselves are checked on a temporary project: a
+failing property test must be reported as a failure, not end the run.
 """
 
 import ast
@@ -190,3 +193,24 @@ def test_the_benchmark_selftest_passes():
     run = subprocess.run([sys.executable, "perfbench/selftest.py"], cwd=ROOT, env=env,
                          capture_output=True, text=True, timeout=600)
     assert run.returncode == 0, run.stdout[-3000:] + run.stderr[-3000:]
+
+
+def test_a_failing_property_test_does_not_end_the_session(tmp_path):
+    """Under the repository's pytest settings a failing ``@given`` test
+    is reported as a failure, and the tests after it still run."""
+    (tmp_path / "pyproject.toml").write_bytes((ROOT / "pyproject.toml").read_bytes())
+    (tmp_path / "test_two.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n\n\n"
+        "@settings(database=None, derandomize=True)\n"
+        "@given(st.integers())\n"
+        "def test_fails(n):\n"
+        "    assert n < 0\n\n\n"
+        "def test_plain():\n"
+        "    pass\n"
+    )
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+                          "test_two.py"], cwd=tmp_path, capture_output=True, text=True,
+                         timeout=300)
+    output = run.stdout + run.stderr
+    assert "INTERNALERROR" not in output, output[-3000:]
+    assert "1 failed, 1 passed" in output, output[-3000:]

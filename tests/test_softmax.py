@@ -502,6 +502,122 @@ class TestIntegerGluing:
         assert pl.gluing_check(family, tol=2.0) is loose
 
 
+def pair_logic():
+    """Contexts C1 = {a, b, c} and C2 = {a, b, d}, sharing a and b."""
+    return pl.build_event_structure(
+        ["a", "b", "c", "d"], [["a", "b", "c"], ["a", "b", "d"]], ["C1", "C2"]
+    )
+
+
+def glued_scores():
+    """(structure, link, global scores whose softmax glues) on three
+    structures, under the exponential link at three betas."""
+    for beta in (0.5, 1.0, 2.0):
+        link = ExponentialLink(beta)
+        yield pair_logic(), link, {"a": 0.3, "b": -1.1, "c": 0.7, "d": 0.7}
+        for structure in (pentagon_pair(), grid_logic(3)):
+            weight = pl.to_float(seeded_positive_weight(structure, 3))
+            yield structure, link, pl.represent_weight(structure, weight, link).values
+
+
+def per_context_family(structure, link, tables):
+    return pl.context_softmax(structure, PerContextScores(tables), link)
+
+
+class TestOneVerdict:
+    """A family glues when its shared atoms agree; the two ratio views,
+    whose size follows each context's normaliser, do not decide."""
+
+    @pytest.mark.parametrize("bump", [0.0, 0.5], ids=["glued", "not-glued"])
+    def test_a_context_shift_keeps_the_verdict(self, bump):
+        # Adding s to one context's scores multiplies its coordinates and
+        # its normaliser by exp(beta * s): no probability moves.
+        for structure, link, scores in glued_scores():
+            inc = pl.incidence(structure)
+            atom, holders = next((a, h) for a, h in inc.contexts_of.items() if len(h) > 1)
+            tables = {name: {a: scores[a] for a in ctx}
+                      for name, ctx in zip(structure.context_names, structure.contexts)}
+            tables[holders[0]][atom] += bump
+            base = pl.gluing_check(per_context_family(structure, link, tables))
+            assert base.glued == (bump == 0)
+            for name in structure.context_names:
+                for s in (5, -5, 30, -30, 60, -60, 300, -300):
+                    shifted = {**tables, name: {a: u + s for a, u in tables[name].items()}}
+                    report = pl.gluing_check(per_context_family(structure, link, shifted))
+                    assert report.glued == base.glued, (structure.context_names, name, s)
+                    assert list(report.atom_discrepancies) == list(base.atom_discrepancies)
+                    assert_allclose(list(report.atom_discrepancies.values()),
+                                    list(base.atom_discrepancies.values()), rtol=0, atol=1e-12)
+
+    def test_a_ratio_past_the_float_range_does_not_decide(self):
+        fork = pl.build_event_structure(["a", "b", "c"], [["a", "b"], ["a", "c"]], ["C1", "C2"])
+        tables = {"C1": {"a": 400, "b": 400}, "C2": {"a": -400, "c": -400}}
+        family = per_context_family(fork, ExponentialLink(1.0), tables)
+        report = pl.gluing_check(family)
+        assert report.glued and report.atom_discrepancies == {"a": 0.0}
+        assert report.pair_ratio_spreads == {("C1", "C2"): 0.0}  # one ratio cannot spread
+        assert pl.glue_to_weight(family).values == dict.fromkeys("abc", 0.5)
+
+    def test_a_cycle_product_past_the_float_range_does_not_decide(self, triangle):
+        # Every context is uniform, but the cycle's ratio product leaves
+        # the float range (it underflows to 0, so its deviation reads 1).
+        tables = {name: dict.fromkeys(ctx, u) for (name, ctx), u
+                  in zip(zip(triangle.context_names, triangle.contexts), (700, -700, 0))}
+        report = pl.gluing_check(per_context_family(triangle, ExponentialLink(1.0), tables))
+        assert report.glued and report.max_discrepancy() <= 1e-15
+        assert [v for _, v in report.cycle_deviations] == [1.0]
+
+    @PROPERTY
+    @given(st.integers(0, 2**32 - 1), st.booleans(), st.booleans())
+    def test_an_exact_family_glues_when_every_view_is_zero(self, seed, states, bump):
+        # Coordinates factor[C] * v[a]: the ratio views are 0 unless a
+        # coordinate is bumped, and the atoms agree only where the context
+        # sums of v do, as they all do when v[a] counts the two-valued
+        # states holding a and no count is 0.
+        rng = np.random.default_rng(seed)
+        structure = random_structure(rng)
+        contexts = list(zip(structure.context_names, structure.contexts))
+        v = {a: int(rng.integers(1, 4)) for a in structure.atoms}
+        space = structure.state_space
+        if states and len(space) <= 64:
+            v = {a: sum(a in state.ones for state in space) or 1 for a in structure.atoms}
+        factor = {name: Fraction(int(rng.integers(1, 4)), int(rng.integers(1, 4)))
+                  for name, _ in contexts}
+        tables = {name: {a: factor[name] * v[a] for a in ctx} for name, ctx in contexts}
+        if bump:
+            name, ctx = contexts[int(rng.integers(len(contexts)))]
+            tables[name][ctx[0]] *= 2
+        family = per_context_family(structure, IdentityLink(), tables)
+        probs, coords, inc = family.probabilities, family.coordinates, pl.incidence(structure)
+        atoms_agree = all(len({probs[name][a] for name in holders}) == 1
+                          for a, holders in inc.contexts_of.items())
+        pairs_agree = all(len({coords[c][a] / coords[d][a] for a in shared}) == 1
+                          for (c, d), shared in inc.shared_atoms.items())
+        cycles_close = all(
+            math.prod(coords[c][inc.shared(c, d)[0]] / coords[d][inc.shared(c, d)[0]]
+                      for c, d in zip(cycle, cycle[1:])) == 1
+            for cycle in structure.fundamental_cycles
+        )
+        assert pl.gluing_check(family).glued == (atoms_agree and pairs_agree and cycles_close)
+        assert pairs_agree and cycles_close or not atoms_agree
+
+    def test_pair_keys_escape_the_separator(self):
+        # Unescaped, the pairs (a|b, c) and (a, b|c) would share the key a|b|c.
+        names = ["a|b", "c", "a", "b|c", "d\\", "|e"]
+        structure = pl.build_event_structure(
+            [f"t{i}" for i in range(9)],
+            [["t0", "t1"], ["t1", "t2"], ["t3", "t4"], ["t4", "t5"], ["t6", "t7"], ["t7", "t8"]],
+            names,
+        )
+        family = pl.context_softmax(structure, GlobalScores(dict.fromkeys(structure.atoms, 1)),
+                                    IdentityLink())
+        report = pl.gluing_check(family)
+        assert len(report.pair_ratio_spreads) == 3
+        assert report.to_json_dict()["pair_ratio_spreads"] == {
+            r"a\|b|c": "0", r"a|b\|c": "0", "d\\\\|\\|e": "0",
+        }
+
+
 class TestRepresentation:
     def test_identity_rational_exact_round_trip(self, pentagon):
         w = pl.path_weight(pentagon, Fraction(1, 3))
