@@ -15,10 +15,10 @@ the theta region at r = n/theta - 2.
 
 On the triangle (Specker's scenario) the exclusivity graph is complete
 and the closed form gives theta = 1, the classical bound: pairwise
-exclusive outcomes of a quantum model sum to at most 1.  So there every
-nonclassical admissible weight is beyond theta.  The theta comparison is
-suppressed on even cycles, where the closed form above is not the
-relevant value.
+exclusive outcomes of a quantum model sum to at most 1, so every
+nonclassical admissible weight there is beyond theta.  Other odd cycles
+compare exactly, on integer brackets of cos(pi/n) at doubling precision;
+even cycles, where the closed form is not the relevant value, do not.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class CycleBounds:
     def exceeds_theta(self, cyclic_sum: Numeric) -> bool:
         """Whether a cyclic sum lies past theta, decided exactly.
 
-        For 0 < s < n,  s > n c/(1+c)  holds exactly when  c < s/(n-s),
-        with c = cos(pi/n).  That is decided on rational brackets of c,
-        refined until they separate, which they do because c is
-        irrational for n >= 4; at n = 3, c is 1/2 and compared as such.
+        For 0 < s < n,  s > n c/(1+c)  holds exactly when  c < q = s/(n-s),
+        with c = cos(pi/n).  That is decided on integers lo < 2**bits c < hi,
+        bits doubling from 64 until 2**bits q falls outside them, as it does
+        since c is irrational for n >= 4; at n = 3, c is 1/2 and compared so.
         """
         s = as_fraction(cyclic_sum)
         if not 0 < s < self.n:
@@ -74,35 +74,35 @@ class CycleBounds:
         q = s / (self.n - s)
         if self.n == 3:
             return q > Fraction(1, 2)
-        terms = 8
+        bits = 64
         while True:
-            lo, hi = _cos_pi_over(self.n, terms)
-            if hi <= q or lo >= q:
-                return hi <= q
-            terms *= 2
-
-
-def _between(terms: list[Fraction]) -> tuple[Fraction, Fraction]:
-    """The last two partial sums of an alternating series whose terms
-    shrink in size, in order: its sum lies strictly between them."""
-    before = sum(terms[:-1])
-    return tuple(sorted((before, before + terms[-1])))
+            lo, hi = (c * q.denominator for c in _cos_pi_over(self.n, bits))
+            if not lo < q.numerator << bits < hi:
+                return hi <= q.numerator << bits
+            bits *= 2
 
 
 @functools.cache
-def _cos_pi_over(n: int, terms: int) -> tuple[Fraction, Fraction]:
-    """Rationals lo < cos(pi/n) < hi: pi from Machin's formula
-    16 atan(1/5) - 4 atan(1/239), then the Taylor series of cos at each
-    end of the bracket of pi/n, where cos is decreasing."""
-    k = range(terms + 1)
-    a5, a239 = (_between([Fraction((-1) ** i, (2 * i + 1) * b ** (2 * i + 1)) for i in k])
+def _cos_pi_over(n: int, bits: int) -> tuple[int, int]:
+    """Integers lo < 2**bits cos(pi/n) < hi for n >= 4, in fixed point of unit 2**-w:
+    pi from Machin's 16 atan(1/5) - 4 atan(1/239), then cos's Taylor series at each
+    end of pi/n's bracket (below 1, where cos decreases).  A series term is floor(t r),
+    t the floored term before it and r < 1/2 exact, so errs by under 1 + 2/2 units if
+    t erred by under 2; the first errs by under 1.  Cut at its first zero term t_k (so
+    under 2), an alternating sum of shrinking terms errs by under 2k (floors) + 2 (tail):
+    it is widened by that, and the w - bits guard bits keep hi - lo to a few units."""
+    w = bits + bits.bit_length() + 4
+    def alternating(t: int, step) -> tuple[int, int]:
+        total = k = 0
+        while t:
+            total, k, t = total + (-1) ** k * t, k + 1, step(t, k + 1)
+        return total - 2 * k - 2, total + 2 * k + 2
+    a5, a239 = (alternating((1 << w) // b, lambda t, i: t * (2 * i - 1) // ((2 * i + 1) * b * b))
                 for b in (5, 239))
     pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
-
-    def cos(x: Fraction) -> tuple[Fraction, Fraction]:
-        return _between([(-1) ** i * x ** (2 * i) / math.factorial(2 * i) for i in k])
-
-    return cos(pi_hi / n)[0], cos(pi_lo / n)[1]
+    lo, hi = (alternating(1 << w, lambda t, i: t * x * x // ((2 * i - 1) * 2 * i << 2 * w))
+              for x in (-(-pi_hi // n), pi_lo // n))
+    return lo[0] >> w - bits, -(-hi[1] >> w - bits)
 
 
 def cycle_bounds(n: int) -> CycleBounds:

@@ -357,7 +357,7 @@ def analyze(data: CountData, z_threshold: float = DEFAULT_Z_THRESHOLD) -> Analys
     if not sv.passed:
         reason = (
             f"single-valuedness gate failed: max |z| = {sv.max_abs_z:.6g}"
-            f" exceeds {z_threshold:g}"
+            f" exceeds {sv.threshold:g}"
         )
     elif recon.box_violations:
         reason = "projected weight leaves [0, 1] on: " + ", ".join(

@@ -311,7 +311,8 @@ def context_softmax(
     over one scale once, and with t their sum Z = t / scale and
     P(a) = n_a / t, where the link's ``representable`` takes every score;
     a context outside that goes through ``evaluate`` like any other, which
-    names its first atom outside the link's contract.
+    names its first atom outside the link's contract; a context whose float
+    normaliser overflows is refused the same way.
     """
     probabilities: dict[str, dict[str, Numeric]] = {}
     coordinates: dict[str, dict[str, Numeric]] = {}
@@ -335,6 +336,8 @@ def context_softmax(
             except ScoreOutOfDomainError as exc:
                 raise ScoreOutOfDomainError(f"{exc} at atom {a!r}") from None
         z = normalizers[name] = sum(q.values())
+        if z == math.inf:
+            raise ScoreOutOfDomainError(f"the normaliser of context {name!r} is not a finite float")
         probabilities[name] = {a: q[a] / z for a in ctx}
         coordinates[name] = q
     return ContextDistributionFamily(

@@ -1,5 +1,6 @@
 """Small construction helpers shared by the test modules."""
 
+import math
 from fractions import Fraction
 from itertools import compress
 from random import Random
@@ -414,3 +415,24 @@ def reference_projection(structure, values):
     mu = reference_solve_exact(gram, [sum(values[a] for a in sets[i]) - 1 for i in kept])
     point = {a: values[a] - sum(m for i, m in zip(kept, mu) if a in sets[i]) for a in structure.atoms}
     return {names[i]: m for i, m in zip(kept, mu)}, point
+
+
+def reference_cos_pi_over(n, terms):
+    """Rationals lo < cos(pi/n) < hi from exact Fraction series: pi from
+    Machin's formula 16 atan(1/5) - 4 atan(1/239), then the Taylor series
+    of cos at each end of the bracket of pi/n, where cos is decreasing.
+    Each alternating series of shrinking terms, cut after term ``terms``,
+    lies strictly between its last two partial sums."""
+    def between(series):
+        before = sum(series[:-1])
+        return tuple(sorted((before, before + series[-1])))
+
+    k = range(terms + 1)
+    a5, a239 = (between([Fraction((-1) ** i, (2 * i + 1) * b ** (2 * i + 1)) for i in k])
+                for b in (5, 239))
+    pi_lo, pi_hi = 16 * a5[0] - 4 * a239[1], 16 * a5[1] - 4 * a239[0]
+
+    def cos(x):
+        return between([(-1) ** i * x ** (2 * i) / math.factorial(2 * i) for i in k])
+
+    return cos(pi_hi / n)[0], cos(pi_lo / n)[1]

@@ -6,8 +6,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 import pastedlogic as pl
-from helpers import pentagon_pair
+from helpers import pentagon_pair, reference_cos_pi_over
 from pastedlogic import InvalidCycleLengthError
+from pastedlogic.bounds import _cos_pi_over
 
 
 class TestCycleBounds:
@@ -63,13 +64,32 @@ class TestExactTheta:
             assert report.label == label
             assert report.beyond_theta is (label == "beyond-theta")
 
-    @pytest.mark.parametrize("n", [5, 7, 9, 41, 101])
+    @pytest.mark.parametrize("n", [*range(3, 42, 2), 101])
     def test_agrees_with_the_float_comparison_away_from_theta(self, n):
         b = pl.cycle_bounds(n)
-        for factor in (1 - 1e-9, 1 + 1e-9):
+        for factor in (1 - 1e-6, 1 + 1e-6, 1 - 1e-9, 1 + 1e-9, 1 - 1e-12, 1 + 1e-12):
             s = b.theta * factor
             assert b.exceeds_theta(s) == (s > b.theta)
             assert b.exceeds_theta(Fraction(s)) == (s > b.theta)
+
+    @pytest.mark.parametrize("k", [40, 60, 100, 200, 500])
+    def test_the_pentagon_within_ten_to_the_minus_k_of_sqrt5(self, pentagon, k):
+        """s = sqrt(5) +- 10**-k is past theta exactly when s**2 > 5."""
+        near = Fraction(math.isqrt(5 * 10 ** (2 * k + 20)), 10 ** (k + 10))
+        for s in (near + Fraction(1, 10**k), near - Fraction(1, 10**k)):
+            beyond = s * s > 5
+            assert pl.cycle_bounds(5).exceeds_theta(s) is beyond
+            report = pl.classify_weight(pentagon, pl.path_weight(pentagon, 5 / s - 2))
+            assert report.cyclic_sum == s
+            assert report.label == ("beyond-theta" if beyond else "admissible-nonclassical")
+
+    @pytest.mark.parametrize("n", [*range(4, 42), 101, 10_001, 10**6])
+    def test_the_bracket_is_a_few_units_around_the_reference(self, n):
+        ref_lo, ref_hi = reference_cos_pi_over(n, 16)
+        for bits in (64, 128, 1024):
+            lo, hi = _cos_pi_over(n, bits)
+            assert lo < hi <= lo + 4
+            assert Fraction(lo, 2**bits) < ref_hi and ref_lo < Fraction(hi, 2**bits)
 
     def test_outside_zero_to_n(self):
         b = pl.cycle_bounds(7)

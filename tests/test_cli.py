@@ -292,6 +292,21 @@ class TestSweep:
         assert [lines[i].split(",")[2] for i in (i_c, i_c + 1)] == ["1", "0"]
         assert [lines[i].split(",")[3] for i in (i_t, i_t + 1)] == ["1", "0"]
 
+    def test_pentagon_flags_within_1e_100_of_the_theta_threshold(self, tmp_path):
+        # r0 is sqrt(5) - 2 rounded down at 600 digits, so the middle row's
+        # sum is past sqrt(5) by under 10**-600; s > sqrt(5) iff s**2 > 5.
+        r0 = Fraction(math.isqrt(5 * 10**1200), 10**600) - 2
+        eps = Fraction(1, 10**100)
+        lines = self.run_sweep(tmp_path, "--n", "5", "--r-min", str(r0 - eps),
+                               "--r-max", str(r0 + eps), "--points", "9")
+        assert len(lines) == 10
+        flags = []
+        for line in lines[1:]:
+            _, s, _, above_t = line.split(",")
+            assert above_t == str(int(Fraction(s) ** 2 > 5))
+            flags.append(above_t)
+        assert flags == ["1"] * 5 + ["0"] * 4
+
     @pytest.mark.parametrize("n", [10**6, 10**6 + 1])
     def test_a_long_cycle_takes_the_closed_form(self, tmp_path, monkeypatch, n):
         # No structure is built: each cyclic sum is n/(2+r), and the
@@ -546,6 +561,9 @@ MALFORMED = {
         ["glue-check", "--structure", "{pent}", "--scores", "{s}", "--link", "power",
          "--k", "1e-400"],
         {"s": {"scope": "global", "values": {a: "1/3" for a in PENTAGON_ATOMS}}}),
+    "glue-check-normaliser-overflow": (
+        ["glue-check", "--structure", "{pent}", "--scores", "{s}", "--link", "exponential"],
+        {"s": {"scope": "global", "values": {a: 709.5 for a in PENTAGON_ATOMS}}}),
     "exponential-link-given-k": (
         ["represent", "--structure", "{pent}", "--weight", "{w}", "--k", "2"],
         {"w": WEIGHT}),

@@ -598,6 +598,10 @@ class TestAnalyze:
             "single-valuedness gate failed: max |z| = 2.82843 exceeds 1.96"
         )
 
+    def test_an_exact_threshold_is_reported_as_its_float(self):
+        report = pl.analyze(pl.ingest_counts(DATA / "counts_gate_fail.json"), Fraction(3, 2))
+        assert report.withheld_reason.endswith("exceeds 1.5")
+
     def test_box_violation_withholds(self, pentagon):
         report = pl.analyze(ingest(pentagon, BOX_VIOLATION_COUNTS))
         assert report.single_valuedness.passed  # the gate alone is quiet here

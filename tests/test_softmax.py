@@ -266,6 +266,18 @@ class TestContextSoftmax:
         with pytest.raises(ScoreOutOfDomainError, match="outside the identity domain at atom 'x1'$"):
             pl.context_softmax(pentagon, GlobalScores(values), IdentityLink())
 
+    @pytest.mark.parametrize("link,score", [(ExponentialLink(1.0), 709.5), (PowerLink(2.0), 1e154)],
+                             ids=["exponential", "power"])
+    def test_a_normaliser_past_the_float_range_is_out_of_domain(self, link, score):
+        """Each coordinate is a finite float, but three of them sum past it."""
+        structure = pl.build_event_structure(
+            list("abcde"), [("a", "b", "c"), ("a", "d", "e")], ["C1", "C2"])
+        scores = GlobalScores(dict.fromkeys(structure.atoms, score))
+        assert all(math.isfinite(link.evaluate(u)) for u in scores.values.values())
+        with pytest.raises(ScoreOutOfDomainError,
+                           match="^the normaliser of context 'C1' is not a finite float$"):
+            pl.context_softmax(structure, scores, link)
+
     def test_domain_violation(self, triangle):
         scores = GlobalScores({a: -1.0 for a in triangle.atoms})
         with pytest.raises(ScoreOutOfDomainError):
